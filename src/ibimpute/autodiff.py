@@ -129,7 +129,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.gradients: dict[int, np.ndarray] = {}
         self._watched: set[int] = set()
 
     def __enter__(self) -> "Tape":
@@ -183,7 +182,6 @@ class Tape:
             shapes.setdefault(node.out.uid, node.out.shape)
             for t in node.inputs:
                 shapes.setdefault(t.uid, t.shape)
-        self.gradients = grads
         return Gradients(grads, known | {loss.uid}, shapes)
 
 

@@ -61,12 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ibimpute", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap; 1 (the default) guarantees bit-reproducible runs",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     config_parent = _Parser(add_help=False)
@@ -369,8 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         args.func(args)
         return 0
     except UsageError as exc:

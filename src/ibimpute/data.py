@@ -256,55 +256,53 @@ def _block_mask_column(
 ) -> None:
     """Hide runs in one variable's column (in place) until the quota is met.
 
-    Placement keeps one un-hidden cell between runs so every run has exactly
-    the configured length; if that becomes infeasible before the quota is
-    met, adjacency is allowed, and as a last resort remaining observed cells
-    are hidden left to right.
+    Runs have length ``L = min(block_len, T)``.  In the first phase a start
+    ``s`` is free iff ``hidden[max(s-1, 0) : min(s+L+1, T)]`` holds no hidden
+    cell, so one un-hidden cell separates runs and every run has exactly
+    length ``L``.  Once no start is free, the second phase drops that gap and
+    only requires ``hidden[s : s+L]`` to be clear.  Each run's start is drawn
+    uniformly from the free starts with one ``rng.below``; the final run is
+    truncated to the remaining quota of observed cells.  If both phases stall
+    before the quota is met, the remaining observed cells are hidden left to
+    right.
+
+    Each placed run costs one prefix-sum pass over the column, which finds
+    every free start at once.
     """
     t = hidden.shape[0]
     n_obs = int(obs.sum())
     quota = int(math.ceil(spec.rate * n_obs))
     if quota == 0:
         return
-
-    def hidden_obs() -> int:
-        return int((hidden & (obs == 1.0)).sum())
-
-    for allow_touching in (False, True):
-        stalled = False
-        while hidden_obs() < quota and not stalled:
-            length = min(spec.block_len, t)
-            starts = []
-            for s in range(t - length + 1):
-                if hidden[s : s + length].any():
-                    continue
-                if not allow_touching:
-                    if s > 0 and hidden[s - 1]:
-                        continue
-                    if s + length < t and hidden[s + length]:
-                        continue
-                starts.append(s)
-            if not starts:
-                stalled = True
-                continue
-            s = starts[rng.below(len(starts))]
-            remaining = quota - hidden_obs()
+    is_obs = obs == 1.0
+    # obs_before[i]: observed cells in [0, i).  Runs only ever cover
+    # un-hidden cells, so the count of hidden observed cells is kept by
+    # adding each run's observed cells.
+    obs_before = [0, *np.cumsum(is_obs).tolist()]
+    n_hidden = int((hidden & is_obs).sum())
+    length = min(spec.block_len, t)
+    s_all = np.arange(t - length + 1)
+    counts = np.zeros(t + 1, dtype=np.int64)  # counts[i]: hidden cells in [0, i)
+    for pad in (1, 0):
+        # start s is free iff hidden[lo[s] : hi[s]] holds no hidden cell
+        lo = np.maximum(s_all - pad, 0)
+        hi = np.minimum(s_all + length + pad, t)
+        while n_hidden < quota:
+            hidden.cumsum(out=counts[1:])
+            starts = (counts[hi] == counts[lo]).nonzero()[0]
+            if starts.size == 0:
+                break
+            s = int(starts[rng.below(starts.size)])
+            remaining = quota - n_hidden
             run = length
-            if int(obs[s : s + length].sum()) > remaining:
+            if obs_before[s + length] - obs_before[s] > remaining:
                 # truncate the final run to the remaining quota of observed cells
-                run, seen = 0, 0
-                while seen < remaining:
-                    if obs[s + run] == 1.0:
-                        seen += 1
-                    run += 1
+                run = int(np.flatnonzero(is_obs[s : s + length])[remaining - 1]) + 1
             hidden[s : s + run] = True
-        if hidden_obs() >= quota:
-            return
-    for s in range(t):
-        if hidden_obs() >= quota:
-            return
-        if obs[s] == 1.0 and not hidden[s]:
-            hidden[s] = True
+            n_hidden += obs_before[s + run] - obs_before[s]
+    if n_hidden < quota:
+        rest = np.flatnonzero(is_obs & ~hidden)[: quota - n_hidden]
+        hidden[rest] = True
 
 
 def apply_mask(window: Window, spec: MaskSpec) -> TimeSeriesWindow:

@@ -76,10 +76,6 @@ class TestArgumentErrors:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
-    def test_bad_threads_value(self, tmp_path):
-        cfg_path, _ = _write_cfg(tmp_path)
-        assert main(["--threads", "0", "train", "--config", cfg_path]) == 1
-
 
 class TestTrainCommand:
     def test_produces_artifacts(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ibimpute.data import (
     normalize_window,
     write_csv,
 )
+from ibimpute.rng import SplitMix64, derive
 
 
 def _write(tmp_path, text):
@@ -228,6 +231,118 @@ class TestBlockMask:
         w = Window(x=np.zeros((8, 1)), m_obs=np.ones((8, 1)), index=0)
         with pytest.raises(MaskError):
             apply_mask(w, MaskSpec(pattern=BLOCK, rate=0.2, block_len=9, seed=12))
+
+
+def _reference_block_mask_column(hidden, obs, spec, rng):
+    """Reference copy of the original O(T^2) block placement, kept verbatim
+    as the oracle for the vectorized ``data._block_mask_column``."""
+    t = hidden.shape[0]
+    n_obs = int(obs.sum())
+    quota = int(math.ceil(spec.rate * n_obs))
+    if quota == 0:
+        return
+
+    def hidden_obs() -> int:
+        return int((hidden & (obs == 1.0)).sum())
+
+    for allow_touching in (False, True):
+        stalled = False
+        while hidden_obs() < quota and not stalled:
+            length = min(spec.block_len, t)
+            starts = []
+            for s in range(t - length + 1):
+                if hidden[s : s + length].any():
+                    continue
+                if not allow_touching:
+                    if s > 0 and hidden[s - 1]:
+                        continue
+                    if s + length < t and hidden[s + length]:
+                        continue
+                starts.append(s)
+            if not starts:
+                stalled = True
+                continue
+            s = starts[rng.below(len(starts))]
+            remaining = quota - hidden_obs()
+            run = length
+            if int(obs[s : s + length].sum()) > remaining:
+                # truncate the final run to the remaining quota of observed cells
+                run, seen = 0, 0
+                while seen < remaining:
+                    if obs[s + run] == 1.0:
+                        seen += 1
+                    run += 1
+            hidden[s : s + run] = True
+        if hidden_obs() >= quota:
+            return
+    for s in range(t):
+        if hidden_obs() >= quota:
+            return
+        if obs[s] == 1.0 and not hidden[s]:
+            hidden[s] = True
+
+
+def _reference_block_m_art(window, spec):
+    """``apply_mask(window, spec).m_art`` for the block pattern, built with
+    the reference placement."""
+    spec.validate(window_len=window.shape[0])
+    rng = SplitMix64(derive(spec.seed, window.index))
+    t, n = window.shape
+    hidden = np.zeros((t, n), dtype=bool)
+    for col in range(n):
+        _reference_block_mask_column(hidden[:, col], window.m_obs[:, col], spec, rng)
+    return np.where(hidden & (window.m_obs == 1.0), 0.0, 1.0)
+
+
+def _assert_block_mask_matches_reference(window, spec):
+    got = apply_mask(window, spec).m_art
+    want = _reference_block_m_art(window, spec)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def _block_cases(draw):
+    t = draw(st.integers(min_value=1, max_value=130))
+    n = draw(st.integers(min_value=1, max_value=3))
+    block_len = draw(st.integers(min_value=1, max_value=min(t, 12)))
+    rate = draw(
+        st.sampled_from([0.0, 0.05, 0.5, 0.9, 0.99])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    )
+    missing = draw(st.floats(min_value=0.0, max_value=0.6))
+    obs_seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    m_obs = (np.random.default_rng(obs_seed).random((t, n)) >= missing).astype(
+        np.float64
+    )
+    window = Window(
+        x=np.zeros((t, n)),
+        m_obs=m_obs,
+        index=draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    spec = MaskSpec(
+        pattern=BLOCK,
+        rate=rate,
+        block_len=block_len,
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    return window, spec
+
+
+class TestBlockMaskMatchesReference:
+    @given(_block_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_cases(self, case):
+        _assert_block_mask_matches_reference(*case)
+
+    @pytest.mark.parametrize("rate", [0.3, 0.5, 0.7])
+    def test_eval_shape(self, rate):
+        ds = make_synthetic(7, 96 * 8, seed=21)
+        spec = MaskSpec(pattern=BLOCK, rate=rate, block_len=4, seed=13)
+        windows = make_windows(ds, 96, 96)
+        assert [w.index for w in windows] == list(range(8))
+        for w in windows:
+            _assert_block_mask_matches_reference(w, spec)
 
 
 class TestMaskSpecValidation:
