@@ -286,6 +286,31 @@ def _read_raw_rows(path: str) -> tuple[list[str], list[list[str]]]:
         return header, list(reader)
 
 
+def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    """Write ``header`` and ``rows`` exactly as ``csv.writer`` would.
+
+    The body goes out as one joined string when that is provably the same
+    bytes: every row has one cell per header name and is not a lone empty cell
+    (which ``csv.writer`` writes as ``""``), and no cell holds a quote, a comma,
+    a CR or a LF, so the counts of each are exactly the separators.  Otherwise,
+    e.g. for input that needed quoting, ``csv.writer`` writes the rows itself.
+    """
+    n = len(header)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        body = "".join([",".join(row) + "\r\n" for row in rows])
+        if (
+            all(len(row) == n and row != [""] for row in rows)
+            and '"' not in body
+            and body.count(",") == len(rows) * (n - 1)
+            and body.count("\r") == body.count("\n") == len(rows)
+        ):
+            fh.write(body)
+        else:
+            writer.writerows(rows)
+
+
 def _cmd_impute(args) -> None:
     model = load_checkpoint(args.checkpoint)
     if model.normalizer is None:
@@ -320,18 +345,13 @@ def _cmd_impute(args) -> None:
         filled[span][todo] = out_win[todo]
         done[span][todo] = 1.0
     header, raw_rows = _read_raw_rows(args.input)
+    gap_t, gap_i = np.nonzero(ds.native_mask == 0.0)
+    for t, i, v in zip(gap_t.tolist(), gap_i.tolist(), filled[gap_t, gap_i].tolist()):
+        raw_rows[t][i] = repr(v)
     out = Path(args.output)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, raw in enumerate(raw_rows):
-            row = [
-                raw[i] if ds.native_mask[t, i] == 1.0 else repr(float(filled[t, i]))
-                for i in range(ds.n_vars)
-            ]
-            writer.writerow(row)
+    _write_rows(out, header, raw_rows)
     Path(str(out) + ".meta").write_text(
         f"checkpoint = {args.checkpoint}\ninput = {args.input}\n"
     )

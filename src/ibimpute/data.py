@@ -16,6 +16,7 @@ cell = natively missing.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -132,7 +133,12 @@ class MaskSpec:
 
 
 def load_csv(path: str) -> Dataset:
-    """Read a dataset CSV; empty cells become natively-missing zeros."""
+    """Read a dataset CSV; empty cells become natively-missing zeros.
+
+    Cells are stripped and parsed with Python's ``float``, all cells in one
+    pass; when that pass fails, the rows are rescanned in file order so the
+    error names the first bad line, as a row-by-row reader would.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -141,39 +147,61 @@ def load_csv(path: str) -> Dataset:
             raise CsvFormatError(f"{path}: empty file") from None
         names = [h.strip() for h in header]
         n = len(names)
-        rows: list[list[float]] = []
-        mask_rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {n} cells, got {len(row)}"
-                )
-            vals, mask = [], []
-            for col, cell in enumerate(row):
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(0.0)
-                    mask.append(0.0)
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: non-numeric cell "
-                        f"{cell!r} in column {names[col]!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: non-finite value in column "
-                        f"{names[col]!r}"
-                    )
-                vals.append(v)
-                mask.append(1.0)
-            rows.append(vals)
-            mask_rows.append(mask)
+        rows: list[list[str]] = []
+        try:
+            rows.extend(reader)
+        except (csv.Error, ValueError):
+            # a bad row before the unreadable one is reported first
+            err = _first_bad_row(path, names, rows)
+            if err is not None:
+                raise err from None
+            raise
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(mask_rows), names)
+    if any(len(row) != n for row in rows):
+        raise _first_bad_row(path, names, rows)
+    cells = list(map(str.strip, itertools.chain.from_iterable(rows)))
+    present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    values = np.zeros(len(cells))
+    try:
+        values[present] = np.fromiter(
+            map(float, filter(None, cells)), dtype=np.float64, count=int(present.sum())
+        )
+    except ValueError:
+        raise _first_bad_row(path, names, rows) from None
+    if not np.isfinite(values).all():
+        raise _first_bad_row(path, names, rows)
+    shape = (len(rows), n)
+    return Dataset(values.reshape(shape), present.reshape(shape).astype(np.float64), names)
+
+
+def _first_bad_row(
+    path: str, names: list[str], rows: list[list[str]]
+) -> CsvFormatError | None:
+    """The error for the first ragged, non-numeric or non-finite row, if any."""
+    n = len(names)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != n:
+            return CsvFormatError(
+                f"{path}: line {lineno}: expected {n} cells, got {len(row)}"
+            )
+        for col, cell in enumerate(row):
+            cell = cell.strip()
+            if cell == "":
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                return CsvFormatError(
+                    f"{path}: line {lineno}: non-numeric cell "
+                    f"{cell!r} in column {names[col]!r}"
+                )
+            if not math.isfinite(v):
+                return CsvFormatError(
+                    f"{path}: line {lineno}: non-finite value in column "
+                    f"{names[col]!r}"
+                )
+    return None
 
 
 def write_csv(path: str, ds: Dataset) -> None:

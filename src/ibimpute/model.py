@@ -248,6 +248,29 @@ def _read_named_arrays(fh) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _read_header(fh, path: str, kind: str) -> dict:
+    """Read the length-prefixed JSON header; ``kind`` names it in errors."""
+    (blob_len,) = struct.unpack("<I", _read_exact(fh, 4))
+    try:
+        header = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt {kind} header")
+    return header
+
+
+def _config_from_header(header: dict) -> ModelConfig:
+    """Rebuild the ModelConfig echoed in a header; a missing key raises KeyError."""
+    return ModelConfig(
+        window_len=header["window_len"],
+        n_vars=header["n_vars"],
+        d_model=header["d_model"],
+        hidden_dim=header["hidden_dim"],
+        use_attention=header["use_attention"],
+    )
+
+
 def save_checkpoint(path: str, model: ImputationModel) -> None:
     """Write magic, version, JSON config echo, then named float64 arrays."""
     cfg = model.config
@@ -282,20 +305,10 @@ def load_checkpoint(path: str) -> ImputationModel:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version}"
             )
-        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        try:
-            header = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
-        except ValueError:
-            raise CheckpointError(f"{path}: corrupt config header") from None
+        header = _read_header(fh, path, "config")
         arrays = _read_named_arrays(fh)
     try:
-        cfg = ModelConfig(
-            window_len=header["window_len"],
-            n_vars=header["n_vars"],
-            d_model=header["d_model"],
-            hidden_dim=header["hidden_dim"],
-            use_attention=header["use_attention"],
-        )
+        cfg = _config_from_header(header)
     except KeyError as exc:
         raise CheckpointError(f"{path}: config header missing {exc}") from None
     normalizer = None

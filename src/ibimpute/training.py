@@ -53,7 +53,9 @@ from .model import (
     ImputationModel,
     ModelConfig,
     NumericError,
+    _config_from_header,
     _read_exact,
+    _read_header,
     _read_named_arrays,
     _write_named_arrays,
     reparameterize,
@@ -578,16 +580,8 @@ def load_train_state(path: str) -> tuple[TrainState, ModelConfig]:
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported state version {version}")
-        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        header = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
+        header = _read_header(fh, path, "state")
         arrays = _read_named_arrays(fh)
-    model_cfg = ModelConfig(
-        window_len=header["window_len"],
-        n_vars=header["n_vars"],
-        d_model=header["d_model"],
-        hidden_dim=header["hidden_dim"],
-        use_attention=header["use_attention"],
-    )
     groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}, "best": {}}
     for name, arr in arrays.items():
         prefix, _, rest = name.partition(".")
@@ -596,17 +590,21 @@ def load_train_state(path: str) -> tuple[TrainState, ModelConfig]:
         groups[prefix][rest] = arr
     if set(groups["param"]) != set(groups["m"]) or set(groups["m"]) != set(groups["v"]):
         raise CheckpointError(f"{path}: optimizer arrays do not match parameters")
-    state = TrainState(
-        params=groups["param"],
-        adam_m=groups["m"],
-        adam_v=groups["v"],
-        adam_t=header["adam_t"],
-        epoch=header["epoch"],
-        batch_idx=header["batch_idx"],
-        global_step=header["global_step"],
-        best_val=header["best_val"],
-        best_epoch=header["best_epoch"],
-        best_params=groups["best"] if header.get("has_best") else None,
-        stall=header["stall"],
-    )
+    try:
+        model_cfg = _config_from_header(header)
+        state = TrainState(
+            params=groups["param"],
+            adam_m=groups["m"],
+            adam_v=groups["v"],
+            adam_t=header["adam_t"],
+            epoch=header["epoch"],
+            batch_idx=header["batch_idx"],
+            global_step=header["global_step"],
+            best_val=header["best_val"],
+            best_epoch=header["best_epoch"],
+            best_params=groups["best"] if header.get("has_best") else None,
+            stall=header["stall"],
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: state header missing {exc}") from None
     return state, model_cfg

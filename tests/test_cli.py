@@ -1,9 +1,20 @@
+import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ibimpute
+from ibimpute import cli
 from ibimpute.cli import main
+from ibimpute.data import TimeSeriesWindow, load_csv
+from ibimpute.model import load_checkpoint
 
 TINY_CFG = """\
 data.source = synthetic
@@ -211,6 +222,142 @@ class TestImputeCommand:
         assert rc == 2
 
 
+def _reference_impute(checkpoint: str, input_path: str, output: str) -> None:
+    """Reference copy of the original ``impute`` body, kept as the oracle for
+    the writer that patches only the gap cells: every row is rebuilt cell by
+    cell and written with ``csv.writer``."""
+    model = load_checkpoint(checkpoint)
+    ds = load_csv(input_path)
+    t_len = model.config.window_len
+    starts = list(range(0, ds.length - t_len + 1, t_len))
+    if starts[-1] + t_len < ds.length:
+        starts.append(ds.length - t_len)  # overlapping tail window
+    filled = ds.values.copy()
+    done = ds.native_mask.copy()  # 1 where the value is already final
+    for s in starts:
+        window = TimeSeriesWindow(
+            x=ds.values[s : s + t_len],
+            m_obs=ds.native_mask[s : s + t_len],
+            m_art=np.ones((t_len, ds.n_vars)),
+            x_masked=ds.values[s : s + t_len] * ds.native_mask[s : s + t_len],
+            realized_rate=0.0,
+        )
+        out_win = model.impute(window)
+        span = slice(s, s + t_len)
+        todo = done[span] == 0.0
+        filled[span][todo] = out_win[todo]
+        done[span][todo] = 1.0
+    with open(input_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        raw_rows = list(reader)
+    with open(output, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, raw in enumerate(raw_rows):
+            row = [
+                raw[i] if ds.native_mask[t, i] == 1.0 else repr(float(filled[t, i]))
+                for i in range(ds.n_vars)
+            ]
+            writer.writerow(row)
+
+
+class TestImputeMatchesReference:
+    """``impute`` output bytes equal the reference writer's, on both the
+    joined-body path and the ``csv.writer`` fallback."""
+
+    def _check(self, tmp_path, monkeypatch, out_dir, text, expect_fallback):
+        src, dst, ref = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "ref.csv"
+        src.write_bytes(text.encode("utf-8"))
+        checkpoint = str(out_dir / "checkpoint.bin")
+        _reference_impute(checkpoint, str(src), str(ref))
+
+        fallbacks = []
+        real_writer = csv.writer
+
+        class SpyWriter:
+            def __init__(self, fh):
+                self._writer = real_writer(fh)
+                self.writerow = self._writer.writerow
+
+            def writerows(self, rows):
+                fallbacks.append(rows)
+                self._writer.writerows(rows)
+
+        monkeypatch.setattr(csv, "writer", SpyWriter)
+        rc = main(
+            ["impute", "--checkpoint", checkpoint, "--input", str(src), "--output", str(dst)]
+        )
+        assert rc == 0
+        assert dst.read_bytes() == ref.read_bytes()
+        assert bool(fallbacks) == expect_fallback
+
+    def test_lf_input_with_gaps_in_the_tail_window(self, tmp_path, monkeypatch):
+        _, out_dir = _train(tmp_path)
+        # 21 rows and window 16: rows 16-20 are filled by the overlapping tail window
+        rows = ["a,b"]
+        for t in range(21):
+            left = "" if t in (3, 17, 20) else repr(0.1 * t)
+            right = " " if t in (7, 18) else f" {1.0 - 0.05 * t!r} "
+            rows.append(f"{left},{right}")
+        text = "\n".join(rows) + "\n"
+        self._check(tmp_path, monkeypatch, out_dir, text, expect_fallback=False)
+
+    def test_quoted_input_takes_csv_writer(self, tmp_path, monkeypatch):
+        _, out_dir = _train(tmp_path)
+        rows = ['"a,b",c']
+        for t in range(20):
+            left = "" if t in (2, 19) else f'"{0.25 * t!r}"'
+            right = '"0.5\n"' if t == 4 else ("" if t == 11 else repr(-0.1 * t))
+            rows.append(f"{left},{right}")
+        text = "\r\n".join(rows) + "\r\n"
+        self._check(tmp_path, monkeypatch, out_dir, text, expect_fallback=True)
+
+    def test_one_column(self, tmp_path, monkeypatch):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        rc = main(["train", "--config", cfg_path, "--quiet", "--override", "data.synth_vars=1"])
+        assert rc == 0
+        # an empty line would be a ragged row, so gaps are blank or quoted-empty cells
+        cells = ['""' if t in (1, 18) else (" " if t == 9 else repr(0.3 * t)) for t in range(20)]
+        text = "a\n" + "\n".join(cells) + "\n"
+        self._check(tmp_path, monkeypatch, out_dir, text, expect_fallback=False)
+
+
+_WRITER_CELLS = st.text(alphabet='0.5e-," \r\n\tx', max_size=5)
+
+
+class TestWriteRows:
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(
+                st.lists(_WRITER_CELLS, min_size=n, max_size=n),
+                st.lists(
+                    st.lists(_WRITER_CELLS, min_size=n, max_size=n)
+                    | st.lists(_WRITER_CELLS, max_size=n + 1),
+                    max_size=6,
+                ),
+            )
+        ),
+    )
+    # ragged rows whose commas add up to a rectangular body's count
+    @example(case=(["a", "b"], [["1,2"], ["3", "4"]]))
+    # a cell holding a comma, which csv.writer quotes
+    @example(case=(["a", "b"], [["1,2", "3"]]))
+    # a lone empty cell, which csv.writer quotes
+    @example(case=(["a"], [["1"], [""]]))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_csv_writer(self, case):
+        header, rows = case
+        with TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            cli._write_rows(got, header, [list(row) for row in rows])
+            with open(want, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            assert got.read_bytes() == want.read_bytes()
+
+
 class TestExportLatentsCommand:
     def test_writes_latents_and_alignment(self, tmp_path, capsys):
         cfg_path, out_dir = _train(tmp_path)
@@ -240,6 +387,9 @@ class TestAblateCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
+        # the child imports the package this test imported, installed or not
+        src = str(Path(ibimpute.__file__).resolve().parent.parent)
+        pythonpath = os.environ.get("PYTHONPATH", "")
         out = tmp_path / "m.csv"
         proc = subprocess.run(
             [
@@ -256,6 +406,7 @@ class TestModuleEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, pythonpath]))},
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 6

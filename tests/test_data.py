@@ -1,4 +1,7 @@
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -231,6 +234,143 @@ class TestBlockMask:
         w = Window(x=np.zeros((8, 1)), m_obs=np.ones((8, 1)), index=0)
         with pytest.raises(MaskError):
             apply_mask(w, MaskSpec(pattern=BLOCK, rate=0.2, block_len=9, seed=12))
+
+
+def _reference_load_csv(path: str) -> Dataset:
+    """Reference copy of the original per-cell ``load_csv``, kept verbatim as
+    the oracle for the bulk parser."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: empty file") from None
+        names = [h.strip() for h in header]
+        n = len(names)
+        rows: list[list[float]] = []
+        mask_rows: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n:
+                raise CsvFormatError(
+                    f"{path}: line {lineno}: expected {n} cells, got {len(row)}"
+                )
+            vals, mask = [], []
+            for col, cell in enumerate(row):
+                cell = cell.strip()
+                if cell == "":
+                    vals.append(0.0)
+                    mask.append(0.0)
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: line {lineno}: non-numeric cell "
+                        f"{cell!r} in column {names[col]!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise CsvFormatError(
+                        f"{path}: line {lineno}: non-finite value in column "
+                        f"{names[col]!r}"
+                    )
+                vals.append(v)
+                mask.append(1.0)
+            rows.append(vals)
+            mask_rows.append(mask)
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return Dataset(np.array(rows), np.array(mask_rows), names)
+
+
+def _load_outcome(loader, path):
+    """The dataset ``loader`` returns, or the type and message it raises."""
+    try:
+        return loader(path)
+    except (CsvFormatError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_load_matches_reference(text: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got = _load_outcome(load_csv, path)
+        want = _load_outcome(_reference_load_csv, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.variable_names == want.variable_names
+    assert got.values.dtype == want.values.dtype == np.float64
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.native_mask, want.native_mask)
+    # equal as floats is not enough: -0.0 must stay -0.0
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-(10**9), max_value=10**9).map(str),
+    st.sampled_from(["1e3", " 2.5 ", "-0.0", "1_0", "\t-7E-2", "+.5", "", " ", "\t "]),
+)
+_BAD_CELLS = st.sampled_from(
+    ["oops", "1..2", "0x10", "1 2", "--1", "nan", " inf", "-inf", "NaN", "1e999"]
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV with 1-9 columns, mostly well formed; some get bad cells or
+    ragged rows, at most two of them."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    t = draw(st.integers(min_value=1, max_value=12))
+    names = [draw(st.sampled_from(["a", " b ", "c1", "x_2"])) + str(i) for i in range(n)]
+    rows = [[draw(_GOOD_CELLS) for _ in range(n)] for _ in range(t)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = rows[draw(st.integers(min_value=0, max_value=t - 1))]
+        kind = draw(st.sampled_from(["cell", "extra", "short"]))
+        if kind == "cell" and row:
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = draw(_BAD_CELLS)
+        elif kind == "short" and row:
+            row.pop()
+        else:
+            row.append("1")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join(row) + eol for row in [names, *rows])
+
+
+class TestLoadCsvMatchesReference:
+    @given(_csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_random_grids(self, text):
+        _assert_load_matches_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "a,b\n",
+            "a,b\n1,2\n1,2,3\n",
+            "a,b\n1,oops\n",
+            "a,b\n1,nan\n",
+            "a,b\ninf,1\n",
+            "a,b\n1, -inf \n",
+            "a,b\n1,2\n1,x\n3\n",  # non-numeric row before a ragged one
+            "a,b\n1,2\n3\n1,x\n",  # ragged row before a non-numeric one
+            "a,b\nnan,1\n1,oops\n",  # non-finite row before a non-numeric one
+            "a,b\nx,nan\n",  # first bad cell of a row wins
+            "a,b\nnan,x\n",
+            "a\n1\n\n2\n",  # a blank line is a ragged row
+        ],
+    )
+    def test_errors(self, text):
+        _assert_load_matches_reference(text)
+
+    def test_bad_row_before_unreadable_row(self):
+        huge = "9" * (csv.field_size_limit() + 1)
+        _assert_load_matches_reference(f"a,b\n1,x\n1,{huge}\n")
+        _assert_load_matches_reference(f"a,b\n1,2\n1,{huge}\n")
 
 
 def _reference_block_mask_column(hidden, obs, spec, rng):

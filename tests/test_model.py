@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -324,6 +325,19 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [b'{"window_len": 8', b"\xff{}", b"[1, 2]"])
+    def test_corrupt_header_rejected(self, tmp_path, tiny_model_cfg, blob):
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), ImputationModel(tiny_model_cfg, seed=47))
+        raw = path.read_bytes()
+        at = len(CHECKPOINT_MAGIC) + 4
+        (blob_len,) = struct.unpack("<I", raw[at : at + 4])
+        path.write_bytes(
+            raw[:at] + struct.pack("<I", len(blob)) + blob + raw[at + 4 + blob_len :]
+        )
+        with pytest.raises(CheckpointError, match="corrupt config header"):
+            load_checkpoint(str(path))
 
     def test_loaded_model_same_forward(self, tmp_path, tiny_model_cfg, rand):
         model = self._model_with_norm(tiny_model_cfg, seed=45)

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from ibimpute.data import Normalizer
 from ibimpute.losses import GLO_INFONCE, GLO_NONE, LossBreakdown, LossWeights
 from ibimpute.model import CheckpointError, ImputationModel, ModelConfig, load_checkpoint
 from ibimpute.training import (
+    STATE_MAGIC,
     Adam,
     TrainConfig,
     TrainingError,
@@ -366,6 +369,46 @@ class TestStateSerialization:
         path.write_bytes(b"NOTASTATEFILE")
         with pytest.raises(CheckpointError, match="not a training-state"):
             load_train_state(str(path))
+
+    @staticmethod
+    def _with_header(path, small_dataset, small_train_cfg, edit):
+        """A saved state whose JSON header blob is replaced by ``edit(blob)``."""
+        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=1)
+        save_train_state(str(path), result.state, MODEL_CFG)
+        raw = path.read_bytes()
+        at = len(STATE_MAGIC) + 4
+        (blob_len,) = struct.unpack("<I", raw[at : at + 4])
+        blob = edit(raw[at + 4 : at + 4 + blob_len])
+        path.write_bytes(
+            raw[:at] + struct.pack("<I", len(blob)) + blob + raw[at + 4 + blob_len :]
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda blob: blob[: len(blob) // 2],
+            lambda blob: b"\xff" + blob[1:],
+            lambda blob: b"[1, 2]",
+        ],
+        ids=["cut_json", "not_utf8", "not_object"],
+    )
+    def test_corrupt_header_rejected(self, tmp_path, small_dataset, small_train_cfg, edit):
+        path = self._with_header(tmp_path / "state.bin", small_dataset, small_train_cfg, edit)
+        with pytest.raises(CheckpointError, match="corrupt state header"):
+            load_train_state(path)
+
+    def test_header_missing_key_rejected(self, tmp_path, small_dataset, small_train_cfg):
+        def drop_adam_t(blob):
+            header = json.loads(blob)
+            del header["adam_t"]
+            return json.dumps(header).encode("utf-8")
+
+        path = self._with_header(
+            tmp_path / "state.bin", small_dataset, small_train_cfg, drop_adam_t
+        )
+        with pytest.raises(CheckpointError, match="state header missing 'adam_t'"):
+            load_train_state(path)
 
 
 class TestTrainingLog:
