@@ -13,7 +13,7 @@ active tape is a module-level slot: one tape per thread, no nesting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,20 +169,14 @@ class Tape:
         if self.nodes and loss.uid not in known:
             raise TapeError("loss tensor was not recorded on this tape")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
-        shapes: dict[int, tuple[int, ...]] = {loss.uid: ()}
         for node in reversed(self.nodes):
             g_out = grads.get(node.out.uid)
             if g_out is None:
                 continue  # no path from this node's output to the loss
             for t, g in zip(node.inputs, node.backward(g_out)):
-                shapes[t.uid] = t.shape
                 acc = grads.get(t.uid)
                 grads[t.uid] = g if acc is None else acc + g
-        for node in self.nodes:
-            shapes.setdefault(node.out.uid, node.out.shape)
-            for t in node.inputs:
-                shapes.setdefault(t.uid, t.shape)
-        return Gradients(grads, known | {loss.uid}, shapes)
+        return Gradients(grads, known | {loss.uid})
 
 
 @dataclass
@@ -195,7 +189,6 @@ class Gradients:
 
     _grads: dict[int, np.ndarray]
     _known: set[int]
-    _shapes: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def of(self, t: Tensor) -> np.ndarray:
         g = self._grads.get(t.uid)

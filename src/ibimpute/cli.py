@@ -26,11 +26,8 @@ from .data import (
     MaskSpec,
     SplitError,
     TimeSeriesWindow,
-    Window,
     apply_mask,
-    chrono_split,
     load_csv,
-    make_windows,
     normalize_window,
     write_csv,
 )
@@ -39,6 +36,7 @@ from .evaluation import (
     alignment_score,
     average_entry,
     export_latents,
+    held_out_windows,
     masked_error_sums,
     run_ablation,
     write_ablation_csv,
@@ -136,14 +134,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _test_windows(cfg: RunConfig, dataset: Dataset) -> list[Window]:
-    window_len = cfg["window.length"]
-    split = cfg["train.split"]
-    _, _, test_seg = chrono_split(dataset, window_len, (split[0], split[1], split[2]))
-    stride = cfg["window.val_stride"]
-    return make_windows(test_seg, window_len, stride if stride is not None else window_len)
-
-
 def _checkpoint_model(cfg: RunConfig, args, dataset: Dataset) -> ImputationModel:
     path = args.checkpoint or str(Path(cfg["output_dir"]) / "checkpoint.bin")
     model = load_checkpoint(path)
@@ -156,12 +146,6 @@ def _checkpoint_model(cfg: RunConfig, args, dataset: Dataset) -> ImputationModel
     if model.normalizer is None:
         raise CheckpointError(f"checkpoint {path} carries no normalizer")
     return model
-
-
-def _masked_test_windows(
-    model: ImputationModel, windows: list[Window], spec: MaskSpec
-) -> list[TimeSeriesWindow]:
-    return [apply_mask(normalize_window(w, model.normalizer), spec) for w in windows]
 
 
 def _cmd_synth(args) -> None:
@@ -205,7 +189,7 @@ def _cmd_train(args) -> None:
 
 
 def _score_cell(model, windows, spec, normalized):
-    masked = _masked_test_windows(model, windows, spec)
+    masked = [apply_mask(normalize_window(w, model.normalizer), spec) for w in windows]
     scale = None if normalized else model.normalizer.std
     abs_sum, sq_sum, count = masked_error_sums(model, masked, var_scale=scale)
     if count == 0:
@@ -224,10 +208,10 @@ def _score_cell(model, windows, spec, normalized):
 
 def _cmd_eval(args) -> None:
     cfg = _load_run_config(args)
-    _configs_for_run(cfg)
+    train_cfg = _configs_for_run(cfg)
     dataset = cfg.load_dataset()
     model = _checkpoint_model(cfg, args, dataset)
-    windows = _test_windows(cfg, dataset)
+    windows = held_out_windows(dataset, model.config, train_cfg)
     out = _out_dir(cfg)
     eval_seed = derive(cfg["eval.seed"], STREAM_EVAL_MASK)
     rows: list[EvalEntry] = []
@@ -361,10 +345,10 @@ def _cmd_impute(args) -> None:
 
 def _cmd_export_latents(args) -> None:
     cfg = _load_run_config(args)
-    _configs_for_run(cfg)
+    train_cfg = _configs_for_run(cfg)
     dataset = cfg.load_dataset()
     model = _checkpoint_model(cfg, args, dataset)
-    windows = _test_windows(cfg, dataset)
+    windows = held_out_windows(dataset, model.config, train_cfg)
     out = _out_dir(cfg)
     spec = MaskSpec(
         pattern=cfg["mask.pattern"],
@@ -372,9 +356,7 @@ def _cmd_export_latents(args) -> None:
         block_len=cfg["mask.block_len"],
         seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK),
     )
-    export_latents(model, windows, spec, str(out / "latents.csv"))
-    masked = _masked_test_windows(model, windows, spec)
-    score = alignment_score(model, masked)
+    score = export_latents(model, windows, spec, str(out / "latents.csv"))
     (out / "alignment.txt").write_text(f"{score!r}\n")
     print(f"alignment = {score!r}")
 

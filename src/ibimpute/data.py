@@ -139,23 +139,22 @@ def load_csv(path: str) -> Dataset:
     pass; when that pass fails, the rows are rescanned in file order so the
     error names the first bad line, as a row-by-row reader would.
     """
+    unreadable = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        n = len(names)
         rows: list[list[str]] = []
         try:
             rows.extend(reader)
-        except (csv.Error, ValueError):
-            # a bad row before the unreadable one is reported first
-            err = _first_bad_row(path, names, rows)
-            if err is not None:
-                raise err from None
-            raise
+        except (csv.Error, ValueError) as exc:
+            unreadable = CsvFormatError(f"{path}: line {reader.line_num}: {exc}")
+    if not rows:
+        raise unreadable or CsvFormatError(f"{path}: empty file")
+    names = [h.strip() for h in rows[0]]
+    n = len(names)
+    rows = rows[1:]
+    if unreadable is not None:
+        # a bad row before the unreadable one is reported first
+        raise _first_bad_row(path, names, rows) or unreadable
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     if any(len(row) != n for row in rows):

@@ -43,16 +43,6 @@ class EvalEntry:
 
 
 @dataclass
-class EvalReport:
-    """Entries for one trained configuration plus its alignment diagnostic."""
-
-    label: str
-    seed: int
-    entries: list[EvalEntry]
-    alignment: float | None = None
-
-
-@dataclass
 class AblationGrid:
     """The four-configuration comparison, all sharing data, seeds, masks."""
 
@@ -152,12 +142,16 @@ def average_entry(pattern: str, entries: list[EvalEntry]) -> EvalEntry:
     )
 
 
-def _test_windows(dataset: Dataset, model_cfg, train_cfg, stride: int | None) -> list[Window]:
+def held_out_windows(dataset: Dataset, model_cfg, train_cfg) -> list[Window]:
+    """Raw windows of the test split, ``train_cfg.val_stride`` apart
+    (non-overlapping when it is None)."""
     from .data import chrono_split, make_windows
 
     _, _, test_seg = chrono_split(dataset, model_cfg.window_len, train_cfg.split)
-    s = stride if stride is not None else model_cfg.window_len
-    return make_windows(test_seg, model_cfg.window_len, s)
+    stride = train_cfg.val_stride
+    if stride is None:
+        stride = model_cfg.window_len
+    return make_windows(test_seg, model_cfg.window_len, stride)
 
 
 def sweep(
@@ -181,7 +175,7 @@ def sweep(
     for r in rates:
         if not (0.0 < r < 1.0):
             raise ValueError(f"sweep: rates must lie in (0, 1), got {r}")
-    test_raw = _test_windows(dataset, model_cfg, train_cfg, train_cfg.val_stride)
+    test_raw = held_out_windows(dataset, model_cfg, train_cfg)
     rows: list[EvalEntry] = []
     for pattern in patterns:
         per_rate: list[EvalEntry] = []
@@ -231,7 +225,7 @@ def run_ablation(
         ABLATION_NO_GLO: replace(base, glo=0.0),
         ABLATION_LOC_ONLY: replace(base, reg=0.0, glo=0.0),
     }
-    test_raw = _test_windows(dataset, model_cfg, train_cfg, train_cfg.val_stride)
+    test_raw = held_out_windows(dataset, model_cfg, train_cfg)
     entries: dict[str, list[EvalEntry]] = {}
     for name, weights in variants.items():
         per_rate: list[EvalEntry] = []
@@ -281,7 +275,11 @@ def alignment_score(model: ImputationModel, masked: list[TimeSeriesWindow]) -> f
     """
     if not masked:
         raise ValueError("alignment_score: no windows")
-    a, b = _encode_both_branches(model, masked)
+    return _mean_cosine(*_encode_both_branches(model, masked))
+
+
+def _mean_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean cosine over paired rows of two [R, d] arrays (see alignment_score)."""
     dots = np.sum(a * b, axis=-1)
     na = np.sum(a * a, axis=-1)
     nb = np.sum(b * b, axis=-1)
@@ -312,12 +310,13 @@ def export_latents(
     windows: list[Window],
     mask_spec: MaskSpec,
     path: str,
-) -> None:
+) -> float:
     """Write 2-D projections of both branches' latent means to a CSV.
 
     Principal axes are fitted on the unmasked-branch embeddings only, then
     applied to both branches, so paired points are directly comparable.
     Columns: window, variable, branch {masked, original}, pc1, pc2.
+    Returns the :func:`alignment_score` of the same masked windows.
     """
     if model.normalizer is None:
         raise ValueError("export_latents requires a model with a fitted normalizer")
@@ -341,6 +340,7 @@ def export_latents(
             pf = proj_full[row]
             fh.write(f"{w_idx},{v_idx},masked,{float(pm[0])!r},{float(pm[1])!r}\n")
             fh.write(f"{w_idx},{v_idx},original,{float(pf[0])!r},{float(pf[1])!r}\n")
+    return _mean_cosine(a, b)
 
 
 def write_sweep_csv(path: str, rows: list[EvalEntry]) -> None:

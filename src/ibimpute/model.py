@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ LOG_STD_BOUND = 13.8  # exp(+-13.8) keeps sigma within (1e-6, 1e6)
 
 CHECKPOINT_MAGIC = b"IBCKPT1\n"
 CHECKPOINT_VERSION = 1
+_CONFIG_KEYS = ("window_len", "n_vars", "d_model", "hidden_dim", "use_attention")
 
 
 class NumericError(RuntimeError):
@@ -147,9 +149,6 @@ class ImputationModel:
     def n_params(self) -> int:
         return sum(t.data.size for t in self.params.values())
 
-    def trainable(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def encode(self, x_input) -> LatentDistribution:
         """Zero-filled normalized window [.., T, N] -> diagonal Gaussian."""
         p = self.params
@@ -212,114 +211,114 @@ def reparameterize(dist: LatentDistribution, seed: int) -> Tensor:
     return dist.mu + dist.sigma * eps
 
 
-def _write_named_arrays(fh, arrays: dict[str, np.ndarray]) -> None:
-    fh.write(struct.pack("<I", len(arrays)))
-    for name, arr in arrays.items():
-        raw = np.ascontiguousarray(arr, dtype="<f8")
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(nb)))
-        fh.write(nb)
-        fh.write(struct.pack("<B", raw.ndim))
-        for dim in raw.shape:
-            fh.write(struct.pack("<I", dim))
-        fh.write(raw.tobytes())
+def write_container(
+    path: str, config: ModelConfig, header: dict, arrays: dict[str, np.ndarray]
+) -> None:
+    """Write the one on-disk format: magic, version, a JSON header (the config
+    echo plus ``header``), then named little-endian float64 arrays.
 
-
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return buf
-
-
-def _read_named_arrays(fh) -> dict[str, np.ndarray]:
-    (count,) = struct.unpack("<I", _read_exact(fh, 4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-        name = _read_exact(fh, name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-        shape = tuple(
-            struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
-        )
-        n_items = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(_read_exact(fh, 8 * n_items), dtype="<f8")
-        arrays[name] = data.reshape(shape).astype(np.float64)
-    return arrays
-
-
-def _read_header(fh, path: str, kind: str) -> dict:
-    """Read the length-prefixed JSON header; ``kind`` names it in errors."""
-    (blob_len,) = struct.unpack("<I", _read_exact(fh, 4))
+    The bytes go to ``<path>.tmp``, which then replaces ``path``, so a process
+    killed mid-write leaves the previous file whole.
+    """
+    echo = {key: getattr(config, key) for key in _CONFIG_KEYS}
+    blob = json.dumps({**echo, **header}, sort_keys=True).encode("utf-8")
+    tmp = f"{path}.tmp"
     try:
-        header = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                raw = np.ascontiguousarray(arr, dtype="<f8")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack(f"<B{raw.ndim}I", raw.ndim, *raw.shape))
+                fh.write(raw.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def read_container(
+    path: str, train_state: bool
+) -> tuple[ModelConfig, dict, dict[str, np.ndarray]]:
+    """Parse a file from :func:`write_container` into (config, header, arrays).
+
+    A model checkpoint's header carries ``has_normalizer``; a train state's
+    carries its step counters instead, and ``train_state`` says which one the
+    caller expects.  Every length is checked against the bytes left before
+    anything is sliced or allocated, so any corrupt input raises
+    :class:`CheckpointError`.
+    """
+    with open(path, "rb") as fh:
+        buf = memoryview(fh.read())
+    if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    pos = len(CHECKPOINT_MAGIC)
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise CheckpointError(f"{path}: truncated checkpoint file")
+        pos += n
+        return buf[pos - n : pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (version,) = unpack("<I")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    kind = "state" if train_state else "config"
+    (blob_len,) = unpack("<I")
+    try:
+        header = json.loads(str(take(blob_len), "utf-8"))
     except ValueError:
         header = None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt {kind} header")
-    return header
-
-
-def _config_from_header(header: dict) -> ModelConfig:
-    """Rebuild the ModelConfig echoed in a header; a missing key raises KeyError."""
-    return ModelConfig(
-        window_len=header["window_len"],
-        n_vars=header["n_vars"],
-        d_model=header["d_model"],
-        hidden_dim=header["hidden_dim"],
-        use_attention=header["use_attention"],
-    )
-
-
-def save_checkpoint(path: str, model: ImputationModel) -> None:
-    """Write magic, version, JSON config echo, then named float64 arrays."""
-    cfg = model.config
-    header = {
-        "window_len": cfg.window_len,
-        "n_vars": cfg.n_vars,
-        "d_model": cfg.d_model,
-        "hidden_dim": cfg.hidden_dim,
-        "use_attention": cfg.use_attention,
-        "has_normalizer": model.normalizer is not None,
-    }
-    arrays = {name: t.data for name, t in model.params.items()}
-    if model.normalizer is not None:
-        arrays["normalizer.mean"] = model.normalizer.mean
-        arrays["normalizer.std"] = model.normalizer.std
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        _write_named_arrays(fh, arrays)
-
-
-def load_checkpoint(path: str) -> ImputationModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version}"
-            )
-        header = _read_header(fh, path, "config")
-        arrays = _read_named_arrays(fh)
     try:
-        cfg = _config_from_header(header)
+        config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
+        config.validate()
     except KeyError as exc:
-        raise CheckpointError(f"{path}: config header missing {exc}") from None
-    normalizer = None
-    if header.get("has_normalizer"):
-        if "normalizer.mean" not in arrays or "normalizer.std" not in arrays:
-            raise CheckpointError(f"{path}: normalizer arrays missing")
-        normalizer = Normalizer(
-            mean=arrays.pop("normalizer.mean"), std=arrays.pop("normalizer.std")
-        )
-    params: dict[str, Tensor] = {}
-    for name, shape, _ in _param_specs(cfg):
+        raise CheckpointError(f"{path}: {kind} header missing {exc}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {kind} header: {exc}") from None
+    if train_state and "has_normalizer" in header:
+        raise CheckpointError(f"{path}: a model checkpoint, not a training-state file")
+    if not train_state and "has_normalizer" not in header:
+        raise CheckpointError(f"{path}: a training-state file, not a model checkpoint")
+
+    arrays: dict[str, np.ndarray] = {}
+    (count,) = unpack("<I")
+    for _ in range(count):
+        (name_len,) = unpack("<H")
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: corrupt array name") from None
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate array {name!r}")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            arrays[name] = data.reshape(shape).astype(np.float64)
+        except ValueError:
+            raise CheckpointError(f"{path}: array {name!r} has {ndim} dimensions") from None
+    if pos != len(buf):
+        raise CheckpointError(f"{path}: {len(buf) - pos} bytes after the last array")
+    return config, header, arrays
+
+
+def check_params(path: str, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+    """Raise CheckpointError unless ``arrays`` holds exactly the parameters,
+    with their shapes, that ``config`` implies."""
+    specs = {name: shape for name, shape, _ in _param_specs(config)}
+    for name, shape in specs.items():
         if name not in arrays:
             raise CheckpointError(f"{path}: parameter {name!r} missing")
         if arrays[name].shape != shape:
@@ -327,8 +326,37 @@ def load_checkpoint(path: str) -> ImputationModel:
                 f"{path}: parameter {name!r} has shape {arrays[name].shape}, "
                 f"config implies {shape}"
             )
-        params[name] = Tensor(arrays[name], trainable=True)
-    extra = set(arrays) - set(params)
+    extra = set(arrays) - set(specs)
     if extra:
         raise CheckpointError(f"{path}: unexpected arrays {sorted(extra)}")
+
+
+def save_checkpoint(path: str, model: ImputationModel) -> None:
+    """Write the model's config, parameters and normalizer as one container."""
+    arrays = {name: t.data for name, t in model.params.items()}
+    if model.normalizer is not None:
+        arrays["normalizer.mean"] = model.normalizer.mean
+        arrays["normalizer.std"] = model.normalizer.std
+    header = {"has_normalizer": model.normalizer is not None}
+    write_container(path, model.config, header, arrays)
+
+
+def load_checkpoint(path: str) -> ImputationModel:
+    cfg, header, arrays = read_container(path, train_state=False)
+    normalizer = None
+    if header["has_normalizer"]:
+        mean = arrays.pop("normalizer.mean", None)
+        std = arrays.pop("normalizer.std", None)
+        if mean is None or std is None:
+            raise CheckpointError(f"{path}: normalizer arrays missing")
+        if mean.shape != (cfg.n_vars,) or std.shape != (cfg.n_vars,):
+            raise CheckpointError(
+                f"{path}: normalizer arrays have shapes {mean.shape} and {std.shape}, "
+                f"config implies ({cfg.n_vars},)"
+            )
+        normalizer = Normalizer(mean=mean, std=std)
+    check_params(path, cfg, arrays)
+    params = {
+        name: Tensor(arrays[name], trainable=True) for name, _, _ in _param_specs(cfg)
+    }
     return ImputationModel(cfg, params=params, normalizer=normalizer)

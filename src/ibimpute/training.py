@@ -15,8 +15,6 @@ boundary, serialize, and resume bit-exactly.
 
 from __future__ import annotations
 
-import json
-import struct
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -48,18 +46,15 @@ from .losses import (
     total_objective,
 )
 from .model import (
-    CHECKPOINT_VERSION,
     CheckpointError,
     ImputationModel,
     ModelConfig,
     NumericError,
-    _config_from_header,
-    _read_exact,
-    _read_header,
-    _read_named_arrays,
-    _write_named_arrays,
+    check_params,
+    read_container,
     reparameterize,
     save_checkpoint,
+    write_container,
 )
 from .rng import (
     STREAM_MASK,
@@ -72,8 +67,6 @@ from .rng import (
 
 LOC_TARGET_OBSERVED = "observed"
 LOC_TARGET_HIDDEN = "hidden"
-
-STATE_MAGIC = b"IBSTATE\n"
 
 
 class TrainingError(RuntimeError):
@@ -535,76 +528,50 @@ def write_training_log(path: str, rows: list[tuple[int, int, float, float, float
             fh.write(f"{epoch},{step},{reg!r},{loc!r},{glo!r},{total!r}\n")
 
 
+_STATE_COUNTERS = (
+    "adam_t", "epoch", "batch_idx", "global_step", "best_val", "best_epoch", "stall"
+)
+_STATE_GROUPS = ("param", "m", "v", "best")
+
+
 def save_train_state(path: str, state: TrainState, model_cfg: ModelConfig) -> None:
-    """Binary resume file: magic, version, JSON header, named arrays."""
-    header = {
-        "window_len": model_cfg.window_len,
-        "n_vars": model_cfg.n_vars,
-        "d_model": model_cfg.d_model,
-        "hidden_dim": model_cfg.hidden_dim,
-        "use_attention": model_cfg.use_attention,
-        "adam_t": state.adam_t,
-        "epoch": state.epoch,
-        "batch_idx": state.batch_idx,
-        "global_step": state.global_step,
-        "best_val": state.best_val,
-        "best_epoch": state.best_epoch,
-        "stall": state.stall,
-        "has_best": state.best_params is not None,
+    """The checkpoint container plus the training section: the counters as
+    header keys, then the current parameters, the Adam moments and the best
+    parameters as arrays prefixed ``param.``, ``m.``, ``v.`` and ``best.``."""
+    header = {key: getattr(state, key) for key in _STATE_COUNTERS}
+    groups = (state.params, state.adam_m, state.adam_v, state.best_params or {})
+    arrays = {
+        f"{prefix}.{name}": arr
+        for prefix, group in zip(_STATE_GROUPS, groups)
+        for name, arr in group.items()
     }
-    arrays: dict[str, np.ndarray] = {}
-    for prefix, group in (
-        ("param.", state.params),
-        ("m.", state.adam_m),
-        ("v.", state.adam_v),
-    ):
-        for name, arr in group.items():
-            arrays[prefix + name] = arr
-    if state.best_params is not None:
-        for name, arr in state.best_params.items():
-            arrays["best." + name] = arr
-    with open(path, "wb") as fh:
-        fh.write(STATE_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        _write_named_arrays(fh, arrays)
+    write_container(path, model_cfg, header, arrays)
 
 
 def load_train_state(path: str) -> tuple[TrainState, ModelConfig]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(STATE_MAGIC))
-        if magic != STATE_MAGIC:
-            raise CheckpointError(f"{path}: not a training-state file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported state version {version}")
-        header = _read_header(fh, path, "state")
-        arrays = _read_named_arrays(fh)
-    groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}, "best": {}}
+    model_cfg, header, arrays = read_container(path, train_state=True)
+    groups: dict[str, dict[str, np.ndarray]] = {prefix: {} for prefix in _STATE_GROUPS}
     for name, arr in arrays.items():
         prefix, _, rest = name.partition(".")
         if prefix not in groups or not rest:
             raise CheckpointError(f"{path}: unexpected array {name!r}")
         groups[prefix][rest] = arr
-    if set(groups["param"]) != set(groups["m"]) or set(groups["m"]) != set(groups["v"]):
+    check_params(path, model_cfg, groups["param"])
+    # Adam creates its moments on the first step; the best set on the first validation
+    for prefix in ("m", "v", "best"):
+        if groups[prefix]:
+            check_params(path, model_cfg, groups[prefix])
+    if set(groups["m"]) != set(groups["v"]):
         raise CheckpointError(f"{path}: optimizer arrays do not match parameters")
     try:
-        model_cfg = _config_from_header(header)
-        state = TrainState(
-            params=groups["param"],
-            adam_m=groups["m"],
-            adam_v=groups["v"],
-            adam_t=header["adam_t"],
-            epoch=header["epoch"],
-            batch_idx=header["batch_idx"],
-            global_step=header["global_step"],
-            best_val=header["best_val"],
-            best_epoch=header["best_epoch"],
-            best_params=groups["best"] if header.get("has_best") else None,
-            stall=header["stall"],
-        )
+        counters = {key: header[key] for key in _STATE_COUNTERS}
     except KeyError as exc:
         raise CheckpointError(f"{path}: state header missing {exc}") from None
+    state = TrainState(
+        params=groups["param"],
+        adam_m=groups["m"],
+        adam_v=groups["v"],
+        best_params=groups["best"] or None,
+        **counters,
+    )
     return state, model_cfg

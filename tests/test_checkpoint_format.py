@@ -1,0 +1,191 @@
+"""The one on-disk container: pinned checkpoint bytes, typed reader errors
+under mutation, and atomic replacement of the previous file."""
+
+import functools
+import hashlib
+import json
+import os
+import struct
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ibimpute.data import Normalizer
+from ibimpute.model import (
+    CHECKPOINT_MAGIC,
+    CheckpointError,
+    ImputationModel,
+    ModelConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
+from ibimpute.training import TrainState, load_train_state, save_train_state
+
+TINY = ModelConfig(window_len=3, n_vars=2, d_model=2, hidden_dim=2, use_attention=True)
+NORM = Normalizer(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.25]))
+
+
+def _bytes_of(write) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.bin")
+        write(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_bytes() -> bytes:
+    model = ImputationModel(TINY, seed=1, normalizer=NORM)
+    return _bytes_of(lambda path: save_checkpoint(path, model))
+
+
+@functools.lru_cache(maxsize=None)
+def _state_bytes() -> bytes:
+    params = {k: t.data for k, t in ImputationModel(TINY, seed=2).params.items()}
+    state = TrainState(
+        params=params,
+        adam_m={k: v * 0.5 for k, v in params.items()},
+        adam_v={k: v * v for k, v in params.items()},
+        adam_t=3,
+        epoch=1,
+        batch_idx=2,
+        global_step=3,
+        best_val=0.75,
+        best_epoch=0,
+        best_params={k: v - 1.0 for k, v in params.items()},
+        stall=0,
+    )
+    return _bytes_of(lambda path: save_train_state(path, state, TINY))
+
+
+def _load(loader, blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.bin")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return loader(path)
+
+
+def _loads_or_checkpoint_error(loader, blob: bytes) -> None:
+    try:
+        _load(loader, blob)
+    except CheckpointError:
+        pass
+
+
+# (kind, position, value); positions wrap around the current length
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["cut", "flip", "insert"]),
+        st.integers(min_value=0, max_value=1 << 16),
+        st.integers(min_value=0, max_value=255),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(blob: bytes, edits) -> bytes:
+    data = bytearray(blob)
+    for kind, at, value in edits:
+        at %= len(data) + 1
+        if kind == "cut":
+            del data[at:]
+        elif kind == "flip" and at < len(data):
+            data[at] ^= 1 << (value % 8)
+        elif kind == "insert":
+            data.insert(at, value)
+    return bytes(data)
+
+
+class TestCheckpointBytes:
+    # sha256 of save_checkpoint output; any change here breaks existing files
+    @pytest.mark.parametrize(
+        "attention, with_norm, digest",
+        [
+            (False, False, "807e20c8a723bba73e8c5ad34b8dbf1f3f2132c8fa5ed06df0e291381f001966"),
+            (False, True, "1d09780867e5c366f6bef3457f519910617ae4a80d641ac91708e10a9dd1a0ae"),
+            (True, False, "a7764ef12b1fba9658c92db66c63e16cfc09793c42adb25cab47094db8211f9e"),
+            (True, True, "0d7b707eefbf3cca75c4d6308f52896139a45c5046ebb5178f1da64adc996ab3"),
+        ],
+    )
+    def test_bytes_are_pinned(self, attention, with_norm, digest):
+        cfg = ModelConfig(
+            window_len=6, n_vars=2, d_model=3, hidden_dim=4, use_attention=attention
+        )
+        model = ImputationModel(cfg, seed=7, normalizer=NORM if with_norm else None)
+        blob = _bytes_of(lambda path: save_checkpoint(path, model))
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(CheckpointError, match="1 bytes after the last array"):
+            _load(load_checkpoint, _checkpoint_bytes() + b"\0")
+
+
+class TestReaderErrorsAreTyped:
+    @given(edits=_EDITS)
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_checkpoint(self, edits):
+        _loads_or_checkpoint_error(load_checkpoint, _mutate(_checkpoint_bytes(), edits))
+
+    @given(edits=_EDITS)
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_train_state(self, edits):
+        _loads_or_checkpoint_error(load_train_state, _mutate(_state_bytes(), edits))
+
+    @staticmethod
+    def _at_name(name: bytes, offset: int, new: bytes) -> bytes:
+        """Checkpoint bytes with ``new`` written ``offset`` bytes after ``name``."""
+        blob = _checkpoint_bytes()
+        at = blob.index(name) + offset
+        return blob[:at] + new + blob[at + len(new) :]
+
+    def test_non_utf8_array_name(self):
+        blob = self._at_name(b"encoder.embed.w", 0, b"\xff")
+        with pytest.raises(CheckpointError, match="corrupt array name"):
+            _load(load_checkpoint, blob)
+
+    def test_huge_dimension(self):
+        name = b"encoder.embed.w"
+        blob = self._at_name(name, len(name) + 1, b"\xff\xff\xff\xff")
+        with pytest.raises(CheckpointError, match="truncated"):
+            _load(load_checkpoint, blob)
+
+    def test_more_than_64_dimensions(self):
+        blob = _checkpoint_bytes()
+        (blob_len,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC) + 4)
+        arrays_at = len(CHECKPOINT_MAGIC) + 8 + blob_len
+        record = struct.pack("<IH", 1, 1) + b"x" + struct.pack("<B", 65)
+        record += struct.pack("<65I", *([1] * 64 + [0]))
+        with pytest.raises(CheckpointError, match="65 dimensions"):
+            _load(load_checkpoint, blob[:arrays_at] + record)
+
+    def test_invalid_config_in_header(self):
+        blob = _checkpoint_bytes()
+        at = len(CHECKPOINT_MAGIC) + 4
+        (blob_len,) = struct.unpack_from("<I", blob, at)
+        header = json.loads(blob[at + 4 : at + 4 + blob_len])
+        header["window_len"] = 0
+        new = json.dumps(header).encode("utf-8")
+        blob = blob[:at] + struct.pack("<I", len(new)) + new + blob[at + 4 + blob_len :]
+        with pytest.raises(CheckpointError, match="window_len must be a positive int"):
+            _load(load_checkpoint, blob)
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(str(path), ImputationModel(TINY, seed=1, normalizer=NORM))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="killed mid-write"):
+            save_checkpoint(str(path), ImputationModel(TINY, seed=2, normalizer=NORM))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["checkpoint.bin"]

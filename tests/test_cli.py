@@ -221,6 +221,28 @@ class TestImputeCommand:
         )
         assert rc == 2
 
+    def test_unreadable_input_is_one_error_line(self, tmp_path, capsys):
+        _, out_dir = _train(tmp_path)
+        huge = tmp_path / "huge.csv"
+        huge.write_text("a,b\n1,2\n3," + "9" * 200000 + "\n")
+        capsys.readouterr()
+        rc = main(
+            [
+                "impute",
+                "--checkpoint",
+                str(out_dir / "checkpoint.bin"),
+                "--input",
+                str(huge),
+                "--output",
+                str(tmp_path / "out.csv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {huge}: line 3: ")
+        assert not (tmp_path / "out.csv").exists()
+
 
 def _reference_impute(checkpoint: str, input_path: str, output: str) -> None:
     """Reference copy of the original ``impute`` body, kept as the oracle for

@@ -236,11 +236,21 @@ class TestBlockMask:
             apply_mask(w, MaskSpec(pattern=BLOCK, rate=0.2, block_len=9, seed=12))
 
 
+def _reference_rows(path: str, fh):
+    """``csv.reader`` rows, with an unreadable line raised as CsvFormatError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except (csv.Error, ValueError) as exc:
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _reference_load_csv(path: str) -> Dataset:
     """Reference copy of the original per-cell ``load_csv``, kept verbatim as
-    the oracle for the bulk parser."""
+    the oracle for the bulk parser, except that unreadable lines raise
+    CsvFormatError (through ``_reference_rows``) instead of ``csv.Error``."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _reference_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -286,7 +296,7 @@ def _load_outcome(loader, path):
     """The dataset ``loader`` returns, or the type and message it raises."""
     try:
         return loader(path)
-    except (CsvFormatError, csv.Error) as exc:
+    except CsvFormatError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -371,6 +381,15 @@ class TestLoadCsvMatchesReference:
         huge = "9" * (csv.field_size_limit() + 1)
         _assert_load_matches_reference(f"a,b\n1,x\n1,{huge}\n")
         _assert_load_matches_reference(f"a,b\n1,2\n1,{huge}\n")
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_unreadable_line_is_csv_format_error(self, tmp_path, line):
+        rows = ["a,b", "1,2", "3,4"]
+        rows[line - 1] = "5," + "9" * 200000
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(CsvFormatError, match=rf"huge\.csv: line {line}: field larger"):
+            load_csv(str(path))
 
 
 def _reference_block_mask_column(hidden, obs, spec, rng):

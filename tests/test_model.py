@@ -56,7 +56,7 @@ class TestInit:
         assert model.n_params == _expected_param_count(cfg)
 
     def test_all_trainable(self, tiny_model):
-        assert all(t.trainable for t in tiny_model.trainable().values())
+        assert all(t.trainable for t in tiny_model.params.values())
 
 
 class TestModelValidation:

@@ -10,9 +10,15 @@ from ibimpute.autodiff import Tensor
 from ibimpute.data import MaskSpec, apply_mask, make_synthetic, make_windows, normalize_window
 from ibimpute.data import Normalizer
 from ibimpute.losses import GLO_INFONCE, GLO_NONE, LossBreakdown, LossWeights
-from ibimpute.model import CheckpointError, ImputationModel, ModelConfig, load_checkpoint
+from ibimpute.model import (
+    CHECKPOINT_MAGIC,
+    CheckpointError,
+    ImputationModel,
+    ModelConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ibimpute.training import (
-    STATE_MAGIC,
     Adam,
     TrainConfig,
     TrainingError,
@@ -367,8 +373,31 @@ class TestStateSerialization:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "state.bin"
         path.write_bytes(b"NOTASTATEFILE")
-        with pytest.raises(CheckpointError, match="not a training-state"):
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_train_state(str(path))
+
+    def test_round_trip_before_first_step(self, small_dataset, small_train_cfg, tmp_path):
+        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=0)
+        path = str(tmp_path / "state.bin")
+        save_train_state(path, result.state, MODEL_CFG)
+        loaded, _ = load_train_state(path)
+        assert loaded.adam_m == loaded.adam_v == {}
+        assert loaded.best_params is None
+        for k in result.state.params:
+            assert np.array_equal(loaded.params[k], result.state.params[k])
+
+    def test_model_checkpoint_is_not_a_state(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        save_checkpoint(path, ImputationModel(MODEL_CFG, seed=3))
+        with pytest.raises(CheckpointError, match="not a training-state"):
+            load_train_state(path)
+
+    def test_state_is_not_a_model_checkpoint(self, small_dataset, small_train_cfg, tmp_path):
+        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=1)
+        path = str(tmp_path / "state.bin")
+        save_train_state(path, result.state, MODEL_CFG)
+        with pytest.raises(CheckpointError, match="not a model checkpoint"):
+            load_checkpoint(path)
 
     @staticmethod
     def _with_header(path, small_dataset, small_train_cfg, edit):
@@ -376,7 +405,7 @@ class TestStateSerialization:
         result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=1)
         save_train_state(str(path), result.state, MODEL_CFG)
         raw = path.read_bytes()
-        at = len(STATE_MAGIC) + 4
+        at = len(CHECKPOINT_MAGIC) + 4
         (blob_len,) = struct.unpack("<I", raw[at : at + 4])
         blob = edit(raw[at + 4 : at + 4 + blob_len])
         path.write_bytes(
