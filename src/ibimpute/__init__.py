@@ -8,7 +8,7 @@ reproducible experiments.
 """
 
 from .autodiff import Tape, Tensor, grad_check
-from .data import Dataset, MaskSpec, Normalizer, TimeSeriesWindow, Window
+from .data import Dataset, MaskSpec, Normalizer, Window
 from .losses import LossBreakdown, LossWeights
 from .model import ImputationModel, LatentDistribution, ModelConfig
 from .training import FitResult, TrainConfig, fit
@@ -25,7 +25,6 @@ __all__ = [
     "Normalizer",
     "Tape",
     "Tensor",
-    "TimeSeriesWindow",
     "TrainConfig",
     "Window",
     "fit",

@@ -25,19 +25,21 @@ from .data import (
     MaskError,
     MaskSpec,
     SplitError,
-    TimeSeriesWindow,
+    Window,
     apply_mask,
+    atomic_write,
     load_csv,
     normalize_window,
     write_csv,
 )
 from .evaluation import (
     EvalEntry,
+    EvaluationError,
     alignment_score,
     average_entry,
+    evaluate,
     export_latents,
     held_out_windows,
-    masked_error_sums,
     run_ablation,
     write_ablation_csv,
     write_sweep_csv,
@@ -188,24 +190,6 @@ def _cmd_train(args) -> None:
     print(f"best_val_mae = {result.best_val_mae!r}")
 
 
-def _score_cell(model, windows, spec, normalized):
-    masked = [apply_mask(normalize_window(w, model.normalizer), spec) for w in windows]
-    scale = None if normalized else model.normalizer.std
-    abs_sum, sq_sum, count = masked_error_sums(model, masked, var_scale=scale)
-    if count == 0:
-        raise TrainingError(
-            f"mask pattern={spec.pattern} rate={spec.rate} hid no observed values"
-        )
-    entry = EvalEntry(
-        pattern=spec.pattern,
-        rate=spec.rate,
-        mae=abs_sum / count,
-        mse=sq_sum / count,
-        n_eval_points=count,
-    )
-    return entry, alignment_score(model, masked)
-
-
 def _cmd_eval(args) -> None:
     cfg = _load_run_config(args)
     train_cfg = _configs_for_run(cfg)
@@ -225,13 +209,15 @@ def _cmd_eval(args) -> None:
                 block_len=cfg["mask.block_len"],
                 seed=eval_seed,
             )
-            entry, align = _score_cell(model, windows, spec, cfg["eval.normalized"])
-            per_rate.append(entry)
-            align_rows.append((pattern, rate, align))
+            masked = [
+                apply_mask(normalize_window(w, model.normalizer), spec) for w in windows
+            ]
+            per_rate.append(evaluate(model, masked, spec, cfg["eval.normalized"]))
+            align_rows.append((pattern, rate, alignment_score(model, masked)))
         rows.extend(per_rate)
         rows.append(average_entry(pattern, per_rate))
     write_sweep_csv(str(out / "report.csv"), rows)
-    with open(out / "alignment.csv", "w", newline="") as fh:
+    with atomic_write(out / "alignment.csv") as fh:
         fh.write("pattern,rate,alignment\n")
         for pattern, rate, align in align_rows:
             fh.write(f"{pattern},{rate!r},{align!r}\n")
@@ -280,7 +266,7 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
     e.g. for input that needed quoting, ``csv.writer`` writes the rows itself.
     """
     n = len(header)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         body = "".join([",".join(row) + "\r\n" for row in rows])
@@ -316,13 +302,7 @@ def _cmd_impute(args) -> None:
     filled = ds.values.copy()
     done = ds.native_mask.copy()  # 1 where the value is already final
     for s in starts:
-        window = TimeSeriesWindow(
-            x=ds.values[s : s + t_len],
-            m_obs=ds.native_mask[s : s + t_len],
-            m_art=np.ones((t_len, ds.n_vars)),
-            x_masked=ds.values[s : s + t_len] * ds.native_mask[s : s + t_len],
-            realized_rate=0.0,
-        )
+        window = Window(x=ds.values[s : s + t_len], m_obs=ds.native_mask[s : s + t_len])
         out_win = model.impute(window)
         span = slice(s, s + t_len)
         todo = done[span] == 0.0
@@ -357,7 +337,8 @@ def _cmd_export_latents(args) -> None:
         seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK),
     )
     score = export_latents(model, windows, spec, str(out / "latents.csv"))
-    (out / "alignment.txt").write_text(f"{score!r}\n")
+    with atomic_write(out / "alignment.txt") as fh:
+        fh.write(f"{score!r}\n")
     print(f"alignment = {score!r}")
 
 
@@ -376,6 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         MaskError,
         CheckpointError,
         TrainingError,
+        EvaluationError,
         NumericError,
         DomainError,
         ShapeMismatchError,

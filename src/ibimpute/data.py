@@ -18,6 +18,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,37 +72,34 @@ class Dataset:
 
 @dataclass
 class Window:
-    """A fixed-length slice of a dataset, before artificial masking."""
+    """A fixed-length slice of a dataset and its artificial mask.
+
+    ``m_art`` marks entries kept visible (1) or artificially hidden (0); it is
+    all ones until :func:`apply_mask` replaces it.  Entries not observed in the
+    source always keep ``m_art == 1``, so evaluation positions,
+    ``m_obs == 1 and m_art == 0``, never include natively missing cells.
+    """
 
     x: np.ndarray         # [T, N] ground truth (0 where natively missing)
     m_obs: np.ndarray     # [T, N] observed-in-source mask
+    m_art: np.ndarray | None = None  # [T, N] artificial mask; all ones if omitted
     index: int = 0        # position among the windows of its split
+
+    def __post_init__(self):
+        if self.m_art is None:
+            self.m_art = np.ones(self.x.shape)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.x.shape
 
 
-@dataclass
-class TimeSeriesWindow:
-    """A window with an artificial training/eval mask applied.
-
-    ``m_art`` marks entries kept visible (1) or artificially hidden (0);
-    entries not observed in the source always keep ``m_art == 1`` so that
-    evaluation positions, ``m_obs == 1 and m_art == 0``, never include
-    natively missing cells.
-    """
-
-    x: np.ndarray
-    m_obs: np.ndarray
-    m_art: np.ndarray
-    x_masked: np.ndarray
-    realized_rate: float
-    index: int = 0
-
-    @property
-    def eval_mask(self) -> np.ndarray:
-        return self.m_obs * (1.0 - self.m_art)
+def stack_windows(windows: list[Window]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windows' ``x``, ``m_obs`` and ``m_art`` as ``[W, T, N]`` arrays."""
+    x = np.stack([w.x for w in windows])
+    m_obs = np.stack([w.m_obs for w in windows])
+    m_art = np.stack([w.m_art for w in windows])
+    return x, m_obs, m_art
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,27 @@ def _first_bad_row(
     return None
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open ``<path>.tmp`` for writing; on success it replaces ``path``.
+
+    A process killed mid-write leaves the previous file whole, and a write
+    that fails removes the temporary file.  Text mode does no newline
+    translation, as ``csv`` requires.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(path: str, ds: Dataset) -> None:
     """Inverse of :func:`load_csv`; natively missing cells become empty."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.variable_names)
         for t in range(ds.length):
@@ -332,7 +349,7 @@ def _block_mask_column(
         hidden[rest] = True
 
 
-def apply_mask(window: Window, spec: MaskSpec) -> TimeSeriesWindow:
+def apply_mask(window: Window, spec: MaskSpec) -> Window:
     """Generate this window's artificial mask from ``spec``'s seeded stream.
 
     The stream is derived from ``(spec.seed, window.index)`` so masking is
@@ -348,16 +365,7 @@ def apply_mask(window: Window, spec: MaskSpec) -> TimeSeriesWindow:
         for col in range(n):
             _block_mask_column(hidden[:, col], window.m_obs[:, col], spec, rng)
         m_art = np.where(hidden & (window.m_obs == 1.0), 0.0, 1.0)
-    n_obs = window.m_obs.sum()
-    realized = float(((1.0 - m_art) * window.m_obs).sum() / n_obs) if n_obs else 0.0
-    return TimeSeriesWindow(
-        x=window.x,
-        m_obs=window.m_obs,
-        m_art=m_art,
-        x_masked=window.x * window.m_obs * m_art,
-        realized_rate=realized,
-        index=window.index,
-    )
+    return replace(window, m_art=m_art)
 
 
 @dataclass
@@ -381,8 +389,7 @@ def fit_normalizer(train_windows: list[Window]) -> Normalizer:
     n = train_windows[0].shape[1]
     mean = np.zeros(n)
     std = np.ones(n)
-    xs = np.stack([w.x for w in train_windows])       # [W, T, N]
-    ms = np.stack([w.m_obs for w in train_windows])
+    xs, ms, _ = stack_windows(train_windows)  # [W, T, N]
     for i in range(n):
         vals = xs[:, :, i][ms[:, :, i] == 1.0]
         if vals.size == 0:

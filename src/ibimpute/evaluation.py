@@ -1,4 +1,4 @@
-"""Imputation metrics, missing-rate sweeps, ablations, latent diagnostics.
+"""Imputation metrics, the ablation grid, latent diagnostics.
 
 Metrics are computed only at positions that are observed in the source but
 artificially hidden, so the ground truth is known and the model never saw
@@ -14,7 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, MaskSpec, TimeSeriesWindow, Window, apply_mask, normalize_window
+from .data import (
+    Dataset,
+    MaskSpec,
+    Window,
+    apply_mask,
+    atomic_write,
+    normalize_window,
+    stack_windows,
+)
 from .model import ImputationModel
 from .rng import STREAM_EVAL_MASK, derive
 
@@ -25,6 +33,10 @@ ABLATION_NO_REG = "no_reg"
 ABLATION_NO_GLO = "no_glo"
 ABLATION_LOC_ONLY = "loc_only"
 ABLATION_CONFIGS = (ABLATION_FULL, ABLATION_NO_REG, ABLATION_NO_GLO, ABLATION_LOC_ONLY)
+
+
+class EvaluationError(ValueError):
+    """A cell cannot be scored: no fitted normalizer, or nothing hidden."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,7 @@ def point_metrics(
 
 def masked_error_sums(
     model: ImputationModel,
-    masked: list[TimeSeriesWindow],
+    masked: list[Window],
     positions: str = "eval",
     var_scale: np.ndarray | None = None,
 ) -> tuple[float, float, int]:
@@ -85,10 +97,7 @@ def masked_error_sums(
     sq_sum = 0.0
     count = 0
     for i in range(0, len(masked), _CHUNK):
-        chunk = masked[i : i + _CHUNK]
-        x = np.stack([w.x for w in chunk])
-        m_obs = np.stack([w.m_obs for w in chunk])
-        m_art = np.stack([w.m_art for w in chunk])
+        x, m_obs, m_art = stack_windows(masked[i : i + _CHUNK])
         x_hat = model.reconstruct(x * m_obs * m_art).data
         sel = m_obs * (1.0 - m_art) if positions == "eval" else m_obs
         diff = (x - x_hat) * sel
@@ -102,27 +111,26 @@ def masked_error_sums(
 
 def evaluate(
     model: ImputationModel,
-    windows: list[Window],
-    mask_spec: MaskSpec,
+    masked: list[Window],
+    spec: MaskSpec,
     normalized: bool = True,
 ) -> EvalEntry:
-    """Score one (pattern, rate) cell on the given raw windows.
+    """Score one (pattern, rate) cell at the artificially hidden positions.
 
-    Windows are normalized with the model's fitted normalizer, masked from
-    the mask spec's seed, reconstructed with inference semantics, and scored at
-    the artificially hidden positions.
+    ``masked`` holds windows normalized with the model's normalizer and then
+    masked with ``spec``; they are reconstructed with inference semantics.
     """
     if model.normalizer is None:
-        raise ValueError("evaluate requires a model with a fitted normalizer")
-    mask_spec.validate(window_len=windows[0].shape[0] if windows else None)
-    masked = [apply_mask(normalize_window(w, model.normalizer), mask_spec) for w in windows]
+        raise EvaluationError("evaluate requires a model with a fitted normalizer")
     scale = None if normalized else model.normalizer.std
     abs_sum, sq_sum, count = masked_error_sums(model, masked, var_scale=scale)
     if count == 0:
-        raise ValueError("evaluate: masks produced no evaluation positions")
+        raise EvaluationError(
+            f"mask pattern={spec.pattern} rate={spec.rate} hid no observed values"
+        )
     return EvalEntry(
-        pattern=mask_spec.pattern,
-        rate=mask_spec.rate,
+        pattern=spec.pattern,
+        rate=spec.rate,
         mae=abs_sum / count,
         mse=sq_sum / count,
         n_eval_points=count,
@@ -152,51 +160,6 @@ def held_out_windows(dataset: Dataset, model_cfg, train_cfg) -> list[Window]:
     if stride is None:
         stride = model_cfg.window_len
     return make_windows(test_seg, model_cfg.window_len, stride)
-
-
-def sweep(
-    dataset: Dataset,
-    model_cfg,
-    train_cfg,
-    rates: list[float],
-    patterns: list[str],
-    eval_seed: int = 1,
-    normalized: bool = True,
-    progress: bool = False,
-) -> list[EvalEntry]:
-    """Train one model per (pattern, rate) and score it on the test split.
-
-    Returns per-rate rows plus one average row per pattern.
-    """
-    from .training import fit
-
-    if not rates:
-        raise ValueError("sweep: no rates given")
-    for r in rates:
-        if not (0.0 < r < 1.0):
-            raise ValueError(f"sweep: rates must lie in (0, 1), got {r}")
-    test_raw = held_out_windows(dataset, model_cfg, train_cfg)
-    rows: list[EvalEntry] = []
-    for pattern in patterns:
-        per_rate: list[EvalEntry] = []
-        for rate in rates:
-            cfg = replace(
-                train_cfg,
-                mask_spec=replace(train_cfg.mask_spec, pattern=pattern, rate=rate),
-            )
-            if progress:
-                print(f"sweep: training pattern={pattern} rate={rate}", file=sys.stderr)
-            result = fit(dataset, model_cfg, cfg, progress=progress)
-            eval_spec = MaskSpec(
-                pattern=pattern,
-                rate=rate,
-                block_len=cfg.mask_spec.block_len,
-                seed=derive(eval_seed, STREAM_EVAL_MASK),
-            )
-            per_rate.append(evaluate(result.model, test_raw, eval_spec, normalized))
-        rows.extend(per_rate)
-        rows.append(average_entry(pattern, per_rate))
-    return rows
 
 
 def run_ablation(
@@ -244,21 +207,22 @@ def run_ablation(
                 block_len=cfg.mask_spec.block_len,
                 seed=derive(eval_seed, STREAM_EVAL_MASK),
             )
-            per_rate.append(evaluate(result.model, test_raw, eval_spec, normalized))
+            masked = [
+                apply_mask(normalize_window(w, result.model.normalizer), eval_spec)
+                for w in test_raw
+            ]
+            per_rate.append(evaluate(result.model, masked, eval_spec, normalized))
         entries[name] = per_rate
     return AblationGrid(entries=entries)
 
 
 def _encode_both_branches(
-    model: ImputationModel, masked: list[TimeSeriesWindow]
+    model: ImputationModel, masked: list[Window]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Latent means of the masked branch and the unmasked branch, [R, d]."""
     mus_masked, mus_full = [], []
     for i in range(0, len(masked), _CHUNK):
-        chunk = masked[i : i + _CHUNK]
-        x = np.stack([w.x for w in chunk])
-        m_obs = np.stack([w.m_obs for w in chunk])
-        m_art = np.stack([w.m_art for w in chunk])
+        x, m_obs, m_art = stack_windows(masked[i : i + _CHUNK])
         mus_masked.append(model.encode(x * m_obs * m_art).mu.data)
         mus_full.append(model.encode(x * m_obs).mu.data)
     a = np.concatenate(mus_masked)  # [W, N, d]
@@ -266,7 +230,7 @@ def _encode_both_branches(
     return a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
 
 
-def alignment_score(model: ImputationModel, masked: list[TimeSeriesWindow]) -> float:
+def alignment_score(model: ImputationModel, masked: list[Window]) -> float:
     """Mean cosine between masked-input and full-input latent means.
 
     One cosine per (window, variable) row.  Bit-identical rows score exactly
@@ -332,7 +296,7 @@ def export_latents(
     proj_masked = (a - center) @ comps.T
     proj_full = (b - center) @ comps.T
     n_vars = masked[0].x.shape[1]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("window,variable,branch,pc1,pc2\n")
         for row in range(b.shape[0]):
             w_idx, v_idx = divmod(row, n_vars)
@@ -344,14 +308,14 @@ def export_latents(
 
 
 def write_sweep_csv(path: str, rows: list[EvalEntry]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("pattern,rate,mae,mse,n_points\n")
         for e in rows:
             fh.write(f"{e.pattern},{e.rate_label},{e.mae!r},{e.mse!r},{e.n_eval_points}\n")
 
 
 def write_ablation_csv(path: str, grid: AblationGrid) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("config,pattern,rate,mae,mse,n_points\n")
         for name in ABLATION_CONFIGS:
             for e in grid.entries.get(name, []):

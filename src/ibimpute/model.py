@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, clip, exp, relu, softmax, transpose
-from .data import Normalizer, TimeSeriesWindow
+from .data import Normalizer, Window, atomic_write
 from .rng import STREAM_INIT, STREAM_NOISE, SplitMix64, derive
 
 LOG_STD_BOUND = 13.8  # exp(+-13.8) keeps sigma within (1e-6, 1e6)
@@ -186,7 +185,7 @@ class ImputationModel:
         """Deterministic inference forward: decode the latent mean."""
         return self.decode(self.encode(x_input).mu)
 
-    def impute(self, window: TimeSeriesWindow) -> np.ndarray:
+    def impute(self, window: Window) -> np.ndarray:
         """Fill hidden entries of one window; visible entries pass through.
 
         Requires a fitted normalizer (set by training or checkpoint load).
@@ -217,29 +216,23 @@ def write_container(
     """Write the one on-disk format: magic, version, a JSON header (the config
     echo plus ``header``), then named little-endian float64 arrays.
 
-    The bytes go to ``<path>.tmp``, which then replaces ``path``, so a process
-    killed mid-write leaves the previous file whole.
+    The write is atomic (see :func:`data.atomic_write`), so a process killed
+    mid-write leaves the previous file whole.
     """
     echo = {key: getattr(config, key) for key in _CONFIG_KEYS}
     blob = json.dumps({**echo, **header}, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                raw = np.ascontiguousarray(arr, dtype="<f8")
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack(f"<B{raw.ndim}I", raw.ndim, *raw.shape))
-                fh.write(raw.tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            raw = np.ascontiguousarray(arr, dtype="<f8")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack(f"<B{raw.ndim}I", raw.ndim, *raw.shape))
+            fh.write(raw.tobytes())
 
 
 def read_container(

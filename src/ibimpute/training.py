@@ -25,12 +25,14 @@ from .autodiff import Tape, Tensor
 from .data import (
     Dataset,
     MaskSpec,
-    TimeSeriesWindow,
+    Window,
     apply_mask,
+    atomic_write,
     chrono_split,
     fit_normalizer,
     make_windows,
     normalize_window,
+    stack_windows,
 )
 from .evaluation import masked_error_sums
 from .losses import (
@@ -194,16 +196,9 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
     return {name: g * scale for name, g in grads.items()}
 
 
-def _stack_batch(batch: list[TimeSeriesWindow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.stack([w.x for w in batch])
-    m_obs = np.stack([w.m_obs for w in batch])
-    m_art = np.stack([w.m_art for w in batch])
-    return x, m_obs, m_art
-
-
 def train_step(
     model: ImputationModel,
-    batch: list[TimeSeriesWindow],
+    batch: list[Window],
     weights: LossWeights,
     optimizer: Adam,
     step_seed: int,
@@ -217,7 +212,7 @@ def train_step(
     """
     if not batch:
         raise ValueError("train_step: empty batch")
-    x, m_obs, m_art = _stack_batch(batch)
+    x, m_obs, m_art = stack_windows(batch)
     x_masked_in = x * m_obs * m_art
     use_glo = weights.glo_variant != GLO_NONE and weights.glo > 0.0
 
@@ -312,12 +307,12 @@ def _copy_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def _prepare_val_windows(
     segment: Dataset, window_len: int, stride: int, spec: MaskSpec, norm
-) -> list[TimeSeriesWindow]:
+) -> list[Window]:
     windows = make_windows(segment, window_len, stride)
     return [apply_mask(normalize_window(w, norm), spec) for w in windows]
 
 
-def validation_mae(model: ImputationModel, masked: list[TimeSeriesWindow]) -> float:
+def validation_mae(model: ImputationModel, masked: list[Window]) -> float:
     """MAE on artificially hidden positions; falls back to all observed
     positions when the masks hid nothing (rate 0)."""
     abs_sum, _, count = masked_error_sums(model, masked)
@@ -522,7 +517,7 @@ def fit(
 
 def write_training_log(path: str, rows: list[tuple[int, int, float, float, float, float]]) -> None:
     """Per-step loss CSV: epoch, step, reg, loc, glo, total."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,step,reg,loc,glo,total\n")
         for epoch, step, reg, loc, glo, total in rows:
             fh.write(f"{epoch},{step},{reg!r},{loc!r},{glo!r},{total!r}\n")

@@ -17,12 +17,16 @@ from ibimpute.data import (
     MaskSpec,
     Window,
     apply_mask,
-    chrono_split,
     make_synthetic,
-    make_windows,
     normalize_window,
 )
-from ibimpute.evaluation import alignment_score, evaluate, point_metrics, write_sweep_csv
+from ibimpute.evaluation import (
+    alignment_score,
+    evaluate,
+    held_out_windows,
+    point_metrics,
+    write_sweep_csv,
+)
 from ibimpute.losses import (
     LossWeights,
     cosine_align_loss,
@@ -47,10 +51,8 @@ def _check(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _held_out_windows(ds, model_cfg, cfg):
-    """Non-overlapping windows of the chronological test split."""
-    _, _, test_seg = chrono_split(ds, model_cfg.window_len, cfg.split)
-    return make_windows(test_seg, model_cfg.window_len, model_cfg.window_len)
+def _masked(model, windows, spec):
+    return [apply_mask(normalize_window(w, model.normalizer), spec) for w in windows]
 
 
 # --------------------------------------------------------------------------
@@ -350,14 +352,13 @@ def protocol_grid():
                     mask_spec=MaskSpec(rate=rate),
                 )
                 result = fit(ds, PROTOCOL_MODEL, cfg)
-                raw = _held_out_windows(ds, PROTOCOL_MODEL, cfg)
+                raw = held_out_windows(ds, PROTOCOL_MODEL, cfg)
                 spec = MaskSpec(rate=rate, seed=derive(1, STREAM_EVAL_MASK))
-                mae = evaluate(result.model, raw, spec).mae
-                masked = [
-                    apply_mask(normalize_window(w, result.model.normalizer), spec)
-                    for w in raw
-                ]
-                runs[(s, rate, name)] = (mae, alignment_score(result.model, masked))
+                masked = _masked(result.model, raw, spec)
+                runs[(s, rate, name)] = (
+                    evaluate(result.model, masked, spec).mae,
+                    alignment_score(result.model, masked),
+                )
                 if s == 0 and rate == 0.5 and name == "entire":
                     keep_model = result.model
                     keep_windows = raw
@@ -394,10 +395,7 @@ def test_criterion_7_alignment_gain_from_glo(protocol_grid):
 
     # hiding nothing leaves both encoder branches identical
     spec0 = MaskSpec(rate=0.0, seed=derive(1, STREAM_EVAL_MASK))
-    masked0 = [
-        apply_mask(normalize_window(w, protocol_grid.model.normalizer), spec0)
-        for w in protocol_grid.windows
-    ]
+    masked0 = _masked(protocol_grid.model, protocol_grid.windows, spec0)
     score0 = alignment_score(protocol_grid.model, masked0)
 
     _check(
@@ -430,10 +428,10 @@ def test_criterion_8_determinism(tmp_path):
     artifacts = []
     for tag in ("a", "b"):
         result = fit(ds, SMALL_MODEL, _small_cfg())
-        raw = _held_out_windows(ds, SMALL_MODEL, _small_cfg())
+        raw = held_out_windows(ds, SMALL_MODEL, _small_cfg())
+        specs = [MaskSpec(rate=r, seed=derive(1, STREAM_EVAL_MASK)) for r in (0.3, 0.5)]
         entries = [
-            evaluate(result.model, raw, MaskSpec(rate=r, seed=derive(1, STREAM_EVAL_MASK)))
-            for r in (0.3, 0.5)
+            evaluate(result.model, _masked(result.model, raw, spec), spec) for spec in specs
         ]
         report = tmp_path / f"report_{tag}.csv"
         write_sweep_csv(str(report), entries)

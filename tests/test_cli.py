@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ibimpute
 from ibimpute import cli
 from ibimpute.cli import main
-from ibimpute.data import TimeSeriesWindow, load_csv
+from ibimpute.data import Window, load_csv
 from ibimpute.model import load_checkpoint
 
 TINY_CFG = """\
@@ -146,6 +146,20 @@ class TestEvalCommand:
         cfg_path, _ = _write_cfg(tmp_path)
         assert main(["eval", "--config", cfg_path, "--quiet"]) == 2
 
+    def test_nothing_to_hide_is_runtime_error(self, tmp_path, capsys):
+        # same shape as the training data, but the test split has no observed cell
+        cfg_path, out_dir = _train(tmp_path)
+        blank = tmp_path / "blank_test.csv"
+        rows = ["v1,v2"] + ["1.0,2.0"] * 192 + [","] * 48
+        blank.write_text("\n".join(rows) + "\n")
+        rc = main(
+            ["eval", "--config", cfg_path, "--quiet", "--override", f"data.source={blank}"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: mask pattern=point rate=0.3 hid no observed values"]
+        assert not (out_dir / "report.csv").exists()
+
 
 class TestImputeCommand:
     def _input_csv(self, tmp_path):
@@ -257,13 +271,7 @@ def _reference_impute(checkpoint: str, input_path: str, output: str) -> None:
     filled = ds.values.copy()
     done = ds.native_mask.copy()  # 1 where the value is already final
     for s in starts:
-        window = TimeSeriesWindow(
-            x=ds.values[s : s + t_len],
-            m_obs=ds.native_mask[s : s + t_len],
-            m_art=np.ones((t_len, ds.n_vars)),
-            x_masked=ds.values[s : s + t_len] * ds.native_mask[s : s + t_len],
-            realized_rate=0.0,
-        )
+        window = Window(x=ds.values[s : s + t_len], m_obs=ds.native_mask[s : s + t_len])
         out_win = model.impute(window)
         span = slice(s, s + t_len)
         todo = done[span] == 0.0

@@ -24,6 +24,7 @@ from ibimpute.data import (
     make_synthetic,
     make_windows,
     normalize_window,
+    stack_windows,
     write_csv,
 )
 from ibimpute.rng import SplitMix64, derive
@@ -33,6 +34,17 @@ def _write(tmp_path, text):
     p = tmp_path / "data.csv"
     p.write_text(text)
     return str(p)
+
+
+def _eval_mask(w: Window) -> np.ndarray:
+    """Evaluation positions: observed in the source, artificially hidden."""
+    return w.m_obs * (1.0 - w.m_art)
+
+
+def _realized_rate(w: Window) -> float:
+    """Share of the observed entries that the artificial mask hides."""
+    n_obs = w.m_obs.sum()
+    return float(_eval_mask(w).sum() / n_obs) if n_obs else 0.0
 
 
 def _run_lengths(hidden_col: np.ndarray) -> list[int]:
@@ -133,6 +145,18 @@ class TestMakeWindows:
         windows = make_windows(ds, 10, 10)
         for k, w in enumerate(windows):
             assert np.array_equal(w.x, ds.values[10 * k : 10 * k + 10])
+            assert np.array_equal(w.m_art, np.ones((10, 2)))
+
+    def test_stack_windows(self):
+        ds = make_synthetic(2, 30, seed=8)
+        windows = make_windows(ds, 10, 10)
+        windows[1] = apply_mask(windows[1], MaskSpec(rate=0.5, seed=2))
+        x, m_obs, m_art = stack_windows(windows)
+        assert x.shape == m_obs.shape == m_art.shape == (3, 10, 2)
+        for k, w in enumerate(windows):
+            assert np.array_equal(x[k], w.x)
+            assert np.array_equal(m_obs[k], w.m_obs)
+            assert np.array_equal(m_art[k], w.m_art)
 
 
 class TestPointMask:
@@ -141,15 +165,15 @@ class TestPointMask:
         w = make_windows(ds, 20, 20)[0]
         tsw = apply_mask(w, MaskSpec(pattern=POINT, rate=0.0, seed=1))
         assert np.all(tsw.m_art == 1.0)
-        assert np.array_equal(tsw.x_masked, w.x * w.m_obs)
-        assert tsw.realized_rate == 0.0
+        assert np.array_equal(tsw.x * tsw.m_obs * tsw.m_art, w.x * w.m_obs)
+        assert _realized_rate(tsw) == 0.0
 
     @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
     def test_realized_rate_concentrates(self, rate):
         ds = make_synthetic(10, 1000, seed=10)
         w = make_windows(ds, 1000, 1000)[0]  # 10000 entries
         tsw = apply_mask(w, MaskSpec(pattern=POINT, rate=rate, seed=2))
-        assert abs(tsw.realized_rate - rate) < 0.02
+        assert abs(_realized_rate(tsw) - rate) < 0.02
 
     def test_never_hides_natively_missing(self):
         values = np.arange(40.0).reshape(20, 2)
@@ -164,7 +188,7 @@ class TestPointMask:
         w = make_windows(ds, 25, 25)[0]
         tsw = apply_mask(w, MaskSpec(pattern=POINT, rate=0.4, seed=4))
         visible = tsw.m_obs * tsw.m_art
-        assert np.all(visible * tsw.eval_mask == 0.0)
+        assert np.all(visible * _eval_mask(tsw) == 0.0)
 
     def test_deterministic_per_window_index(self):
         ds = make_synthetic(2, 60, seed=12)
@@ -180,9 +204,12 @@ class TestPointMask:
         ds = make_synthetic(2, 40, seed=13)
         w = make_windows(ds, 20, 20)[0]
         tsw = apply_mask(w, MaskSpec(pattern=POINT, rate=0.3, seed=6))
+        # masking only replaces m_art; the model input is x * m_obs * m_art
+        assert tsw.x is w.x and tsw.m_obs is w.m_obs and tsw.index == w.index
+        assert np.all(w.m_art == 1.0)
         keep = tsw.m_obs * tsw.m_art
-        assert np.array_equal(tsw.x_masked, tsw.x * keep)
-        assert np.all(tsw.x_masked[keep == 0.0] == 0.0)
+        assert (keep == 0.0).any()
+        assert np.all((tsw.x * keep)[keep == 0.0] == 0.0)
 
 
 class TestBlockMask:
@@ -211,7 +238,7 @@ class TestBlockMask:
         spec = MaskSpec(pattern=BLOCK, rate=0.3, block_len=5, seed=9)
         tsw = apply_mask(w, spec)
         for col in range(3):
-            hidden = int((tsw.eval_mask[:, col]).sum())
+            hidden = int((_eval_mask(tsw)[:, col]).sum())
             n_obs = int(w.m_obs[:, col].sum())
             assert hidden == int(np.ceil(0.3 * n_obs))
 
@@ -220,7 +247,7 @@ class TestBlockMask:
         # runs may merge, but the requested amount is still hidden
         w = Window(x=np.zeros((40, 1)), m_obs=np.ones((40, 1)), index=0)
         tsw = apply_mask(w, MaskSpec(pattern=BLOCK, rate=0.9, block_len=4, seed=10))
-        assert int(tsw.eval_mask.sum()) == 36
+        assert int(_eval_mask(tsw).sum()) == 36
 
     def test_block_respects_native_missing(self):
         m_obs = np.ones((30, 1))
@@ -228,7 +255,7 @@ class TestBlockMask:
         w = Window(x=np.ones((30, 1)) * m_obs, m_obs=m_obs, index=0)
         tsw = apply_mask(w, MaskSpec(pattern=BLOCK, rate=0.5, block_len=3, seed=11))
         assert np.all(tsw.m_art[m_obs == 0.0] == 1.0)
-        assert int(tsw.eval_mask.sum()) == 10  # ceil(0.5 * 20)
+        assert int(_eval_mask(tsw).sum()) == 10  # ceil(0.5 * 20)
 
     def test_block_len_longer_than_window_rejected(self):
         w = Window(x=np.zeros((8, 1)), m_obs=np.ones((8, 1)), index=0)
@@ -622,5 +649,5 @@ def test_point_mask_disjointness_property(rate, seed):
     w = make_windows(ds, 30, 30)[0]
     tsw = apply_mask(w, MaskSpec(pattern=POINT, rate=rate, seed=seed))
     visible = tsw.m_obs * tsw.m_art
-    assert np.all(visible * tsw.eval_mask == 0.0)
-    assert np.all(tsw.eval_mask <= tsw.m_obs)
+    assert np.all(visible * _eval_mask(tsw) == 0.0)
+    assert np.all(_eval_mask(tsw) <= tsw.m_obs)

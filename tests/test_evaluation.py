@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from ibimpute.autodiff import Tensor, transpose
 from ibimpute.data import (
     MaskSpec,
     Normalizer,
-    TimeSeriesWindow,
     Window,
     apply_mask,
     make_synthetic,
@@ -19,6 +19,7 @@ from ibimpute.evaluation import (
     ABLATION_CONFIGS,
     ABLATION_FULL,
     ABLATION_LOC_ONLY,
+    EvaluationError,
     alignment_score,
     average_entry,
     evaluate,
@@ -26,7 +27,6 @@ from ibimpute.evaluation import (
     masked_error_sums,
     point_metrics,
     run_ablation,
-    sweep,
     write_ablation_csv,
     write_sweep_csv,
     _pca_components,
@@ -149,6 +149,10 @@ class TestMaskedErrorSums:
             masked_error_sums(_LinearStub(), [], positions="everything")
 
 
+def _masked_for(model, windows, spec):
+    return [apply_mask(normalize_window(w, model.normalizer), spec) for w in windows]
+
+
 class TestEvaluate:
     def test_perfect_model_scores_zero(self):
         # constant data normalizes to all zeros, which the zero-fill stub
@@ -158,7 +162,8 @@ class TestEvaluate:
         model = _LinearStub(
             normalizer=Normalizer(mean=np.full(2, 7.0), std=np.ones(2)), fill=0.0
         )
-        entry = evaluate(model, windows, MaskSpec(rate=0.5, seed=14))
+        spec = MaskSpec(rate=0.5, seed=14)
+        entry = evaluate(model, _masked_for(model, windows, spec), spec)
         assert entry.mae == 0.0 and entry.mse == 0.0
 
     def test_zero_predictor_mse_near_unit_variance(self):
@@ -167,7 +172,8 @@ class TestEvaluate:
         mean = ds.values.mean(axis=0)
         std = ds.values.std(axis=0)
         model = _LinearStub(normalizer=Normalizer(mean=mean, std=std), fill=0.0)
-        entry = evaluate(model, windows, MaskSpec(rate=0.5, seed=16))
+        spec = MaskSpec(rate=0.5, seed=16)
+        entry = evaluate(model, _masked_for(model, windows, spec), spec)
         assert abs(entry.mse - 1.0) < 0.15
         assert entry.n_eval_points > 3000
 
@@ -177,22 +183,31 @@ class TestEvaluate:
         norm = Normalizer(mean=np.zeros(2), std=np.full(2, 2.0))
         model = _LinearStub(normalizer=norm, fill=0.0)
         spec = MaskSpec(rate=0.5, seed=17)
-        normalized = evaluate(model, windows, spec, normalized=True)
-        source = evaluate(model, windows, spec, normalized=False)
+        masked = _masked_for(model, windows, spec)
+        normalized = evaluate(model, masked, spec, normalized=True)
+        source = evaluate(model, masked, spec, normalized=False)
         assert abs(source.mae - 2.0 * normalized.mae) < 1e-12
         assert abs(source.mse - 4.0 * normalized.mse) < 1e-12
 
     def test_requires_normalizer(self):
-        windows = [Window(x=np.ones((8, 1)), m_obs=np.ones((8, 1)), index=0)]
-        with pytest.raises(ValueError, match="normalizer"):
-            evaluate(_LinearStub(normalizer=None), windows, MaskSpec(rate=0.5, seed=18))
+        spec = MaskSpec(rate=0.5, seed=18)
+        masked = [apply_mask(Window(x=np.ones((8, 1)), m_obs=np.ones((8, 1))), spec)]
+        with pytest.raises(EvaluationError, match="normalizer"):
+            evaluate(_LinearStub(normalizer=None), masked, spec)
+
+    def test_nothing_hidden_rejected(self):
+        model = _LinearStub(normalizer=Normalizer(np.zeros(1), np.ones(1)))
+        spec = MaskSpec(rate=0.0, seed=18)
+        masked = _masked_for(model, [Window(x=np.ones((8, 1)), m_obs=np.ones((8, 1)))], spec)
+        with pytest.raises(EvaluationError, match="hid no observed values"):
+            evaluate(model, masked, spec)
 
     def test_entry_metadata(self):
         masked_spec = MaskSpec(pattern="point", rate=0.3, seed=19)
         ds = make_synthetic(2, 64, seed=20)
         windows = make_windows(ds, 16, 16)
         model = _LinearStub(normalizer=Normalizer(np.zeros(2), np.ones(2)), fill=0.0)
-        entry = evaluate(model, windows, masked_spec)
+        entry = evaluate(model, _masked_for(model, windows, masked_spec), masked_spec)
         assert entry.pattern == "point"
         assert entry.rate == 0.3
         assert entry.rate_label == "0.3"
@@ -223,7 +238,7 @@ def evaluate_stub_entry():
     return EvalEntry(pattern="point", rate=0.1, mae=0.0, mse=0.0, n_eval_points=1)
 
 
-def _small_sweep_setup():
+def _small_setup():
     dataset = make_synthetic(2, 240, seed=21)
     model_cfg = ModelConfig(window_len=16, n_vars=2, d_model=4, hidden_dim=8)
     train_cfg = TrainConfig(
@@ -237,36 +252,6 @@ def _small_sweep_setup():
 
 
 class TestSweep:
-    def test_row_layout(self):
-        dataset, model_cfg, train_cfg = _small_sweep_setup()
-        rows = sweep(dataset, model_cfg, train_cfg, rates=[0.3, 0.5], patterns=["point"])
-        assert len(rows) == 3
-        assert [e.rate_label for e in rows] == ["0.3", "0.5", "avg"]
-        assert all(e.n_eval_points > 0 for e in rows)
-        assert abs(rows[2].mae - (rows[0].mae + rows[1].mae) / 2.0) < 1e-12
-
-    def test_multiple_patterns(self):
-        dataset, model_cfg, train_cfg = _small_sweep_setup()
-        train_cfg = dataclasses.replace(
-            train_cfg, mask_spec=dataclasses.replace(train_cfg.mask_spec, block_len=3)
-        )
-        rows = sweep(
-            dataset, model_cfg, train_cfg, rates=[0.3], patterns=["point", "block"]
-        )
-        assert [(e.pattern, e.rate_label) for e in rows] == [
-            ("point", "0.3"),
-            ("point", "avg"),
-            ("block", "0.3"),
-            ("block", "avg"),
-        ]
-
-    def test_bad_rates_rejected(self):
-        dataset, model_cfg, train_cfg = _small_sweep_setup()
-        with pytest.raises(ValueError, match="rates"):
-            sweep(dataset, model_cfg, train_cfg, rates=[], patterns=["point"])
-        with pytest.raises(ValueError, match="rates"):
-            sweep(dataset, model_cfg, train_cfg, rates=[1.0], patterns=["point"])
-
     def test_sweep_csv_format(self, tmp_path):
         from ibimpute.evaluation import EvalEntry
 
@@ -284,9 +269,26 @@ class TestSweep:
         ]
 
 
+    def test_failed_replace_keeps_previous_report(self, tmp_path, monkeypatch):
+        from ibimpute.evaluation import EvalEntry
+
+        path = tmp_path / "report.csv"
+        write_sweep_csv(str(path), [EvalEntry("point", 0.3, 0.5, 0.25, 100)])
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="killed mid-write"):
+            write_sweep_csv(str(path), [EvalEntry("point", 0.5, 0.7, 0.49, 90)])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+
 class TestAblation:
     def test_grid_shape_and_csv(self, tmp_path):
-        dataset, model_cfg, train_cfg = _small_sweep_setup()
+        dataset, model_cfg, train_cfg = _small_setup()
         grid = run_ablation(dataset, model_cfg, train_cfg, rates=[0.5])
         assert set(grid.entries) == set(ABLATION_CONFIGS)
         assert all(len(v) == 1 for v in grid.entries.values())
@@ -298,7 +300,7 @@ class TestAblation:
         assert [ln.split(",")[0] for ln in lines[1:]] == list(ABLATION_CONFIGS)
 
     def test_requires_positive_loc_weight(self):
-        dataset, model_cfg, train_cfg = _small_sweep_setup()
+        dataset, model_cfg, train_cfg = _small_setup()
         train_cfg = dataclasses.replace(
             train_cfg, weights=LossWeights(reg=0.01, loc=0.0, glo=0.1)
         )
@@ -307,7 +309,7 @@ class TestAblation:
 
     def test_configs_share_eval_masks(self):
         # all four configurations must be scored on identical positions
-        dataset, model_cfg, train_cfg = _small_sweep_setup()
+        dataset, model_cfg, train_cfg = _small_setup()
         grid = run_ablation(dataset, model_cfg, train_cfg, rates=[0.5])
         counts = {name: grid.entries[name][0].n_eval_points for name in grid.entries}
         assert len(set(counts.values())) == 1
@@ -344,20 +346,14 @@ class TestAlignmentScore:
         m_obs = np.ones((t, 2))
         m_art = np.ones((t, 2))
         m_art[:, 0] = 0.0
-        w = TimeSeriesWindow(
-            x=x, m_obs=m_obs, m_art=m_art, x_masked=x * m_obs * m_art,
-            realized_rate=0.5, index=0,
-        )
+        w = Window(x=x, m_obs=m_obs, m_art=m_art, index=0)
         model = _LinearStub(proj=np.eye(t))
         assert alignment_score(model, [w]) == 0.5
 
     def test_both_branches_zero_count_aligned(self):
         t = 8
         x = np.zeros((t, 1))
-        w = TimeSeriesWindow(
-            x=x, m_obs=np.ones((t, 1)), m_art=np.ones((t, 1)), x_masked=x,
-            realized_rate=0.0, index=0,
-        )
+        w = Window(x=x, m_obs=np.ones((t, 1)), index=0)
         model = _LinearStub(proj=np.eye(t))
         assert alignment_score(model, [w]) == 1.0
 

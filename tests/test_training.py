@@ -342,8 +342,8 @@ class TestValidationMae:
         got = validation_mae(model, masked)
         num = den = 0.0
         for w in masked:
-            x_hat = model.reconstruct(w.x_masked).data
-            em = w.eval_mask
+            x_hat = model.reconstruct(w.x * w.m_obs * w.m_art).data
+            em = w.m_obs * (1.0 - w.m_art)
             num += float(np.sum(np.abs((w.x - x_hat)) * em))
             den += float(em.sum())
         assert abs(got - num / den) < 1e-12
