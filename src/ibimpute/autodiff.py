@@ -6,6 +6,14 @@ call; :meth:`Tape.backward` walks the nodes once in reverse, so a chain of k
 ops costs k backward visits and never re-runs the forward pass.  With no
 active tape the same ops run in plain inference mode and record nothing.
 
+:func:`matmul` with a 2-D right operand (every affine weight in the model) is
+the shared-weight case: the left operand's leading dims fold into rows, so
+the forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
+``g @ w.T`` for the input and ``a.T @ g`` for the weight, with no
+``[..., in, out]`` per-batch product to sum.  Only a batched right operand,
+such as attention's ``q @ k.T``, takes numpy's broadcasting matmul and sums
+its gradients back down to the operand shapes.
+
 Tensors are immutable by convention while a tape that saw them is alive.  The
 active tape is a module-level slot: one tape per thread, no nesting.
 """
@@ -165,8 +173,7 @@ class Tape:
         """
         if loss.shape != ():
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-        known = self._known_ids()
-        if self.nodes and loss.uid not in known:
+        if self.nodes and all(node.out is not loss for node in reversed(self.nodes)):
             raise TapeError("loss tensor was not recorded on this tape")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
         for node in reversed(self.nodes):
@@ -176,24 +183,29 @@ class Tape:
             for t, g in zip(node.inputs, node.backward(g_out)):
                 acc = grads.get(t.uid)
                 grads[t.uid] = g if acc is None else acc + g
-        return Gradients(grads, known | {loss.uid})
+        return Gradients(grads, self)
 
 
-@dataclass
 class Gradients:
     """Gradient lookup from :meth:`Tape.backward`.
 
     Tensors the tape knows about but that do not influence the loss get a
-    zero gradient of matching shape; unknown tensors raise.
+    zero gradient of matching shape; unknown tensors raise.  The set of known
+    tensors walks the whole tape, so it is built only on the first lookup
+    that misses ``grads``.
     """
 
-    _grads: dict[int, np.ndarray]
-    _known: set[int]
+    def __init__(self, grads: dict[int, np.ndarray], tape: Tape):
+        self._grads = grads
+        self._tape = tape
+        self._known: set[int] | None = None
 
     def of(self, t: Tensor) -> np.ndarray:
         g = self._grads.get(t.uid)
         if g is not None:
             return np.broadcast_to(g, t.shape).astype(np.float64, copy=False)
+        if self._known is None:
+            self._known = self._tape._known_ids()
         if t.uid in self._known:
             return np.zeros(t.shape, dtype=np.float64)
         raise TapeError("tensor was not recorded on the tape")
@@ -268,6 +280,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}"
         )
+    if b.ndim == 2:
+        # shared weight: one GEMM each way (see the module docstring)
+        n_in, n_out = b.shape
+        if a.shape[-1] != n_in:
+            raise ShapeMismatchError(
+                f"matmul: shapes {a.shape} and {b.shape} do not conform"
+            )
+        a2 = a.data.reshape(-1, n_in)
+        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n_out,)))
+
+        def backward_shared(g):
+            g2 = g.reshape(-1, n_out)
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+        return _record(out, (a, b), backward_shared)
     try:
         out = Tensor(np.matmul(a.data, b.data))
     except ValueError:

@@ -132,7 +132,8 @@ def _configs_for_run(cfg: RunConfig):
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config_resolved.txt").write_text(cfg.resolved_text())
+    with atomic_write(out / "config_resolved.txt") as fh:
+        fh.write(cfg.resolved_text())
     return out
 
 
@@ -168,7 +169,8 @@ def _cmd_synth(args) -> None:
         f"generator = synthetic\nvars = {args.vars}\nsteps = {args.steps}\n"
         f"seed = {args.seed}\nnoise_std = {args.noise_std!r}\n"
     )
-    Path(str(out) + ".meta").write_text(meta)
+    with atomic_write(str(out) + ".meta") as fh:
+        fh.write(meta)
     print(f"wrote {out} ({args.steps} rows, {args.vars} variables)")
 
 
@@ -316,9 +318,8 @@ def _cmd_impute(args) -> None:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     _write_rows(out, header, raw_rows)
-    Path(str(out) + ".meta").write_text(
-        f"checkpoint = {args.checkpoint}\ninput = {args.input}\n"
-    )
+    with atomic_write(str(out) + ".meta") as fh:
+        fh.write(f"checkpoint = {args.checkpoint}\ninput = {args.input}\n")
     n_filled = int((1.0 - ds.native_mask).sum())
     print(f"wrote {out} ({n_filled} cells filled)")
 

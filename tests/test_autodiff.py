@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,11 @@ class TestPerOpGradients:
         c = Tensor(np.random.default_rng(7).normal(size=(3, 2)))
         _assert_op_grads(lambda x: tsum(matmul(x, c)), seed=19, shape=(4, 2, 3))
 
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_matmul_shared_weight(self, lead):
+        x = Tensor(np.random.default_rng(36).normal(size=lead + (2, 3)))
+        _assert_op_grads(lambda w: tsum(square(matmul(x, w))), seed=37, shape=(3, 2))
+
     def test_negate(self):
         _assert_op_grads(lambda x: tsum(negate(x)), seed=20)
 
@@ -275,6 +282,75 @@ class TestPerOpGradients:
     def test_broadcast_bias_gradient(self):
         x = Tensor(np.random.default_rng(11).normal(size=(4, 2, 3)))
         _assert_op_grads(lambda b: tsum(square(add(x, b))), seed=35, shape=(3,))
+
+
+class TestSharedWeightMatmul:
+    """A 2-D right operand folds the left operand's leading dims into rows."""
+
+    @staticmethod
+    def _taped(a, b, g):
+        """Forward of ``a @ b`` and the gradients of ``sum((a @ b) * g)``."""
+        ta, tb = Tensor(a), Tensor(b)
+        with Tape() as tape:
+            out = matmul(ta, tb)
+            loss = tsum(mul(out, Tensor(g)))
+        grads = tape.backward(loss)
+        return out.data, grads.of(ta), grads.of(tb)
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3), (1,)])
+    def test_matches_batched_then_summed_reference(self, lead):
+        rng = np.random.default_rng(38)
+        a = rng.normal(size=lead + (4, 6))
+        w = rng.normal(size=(6, 3))
+        g = rng.normal(size=lead + (4, 3))
+        out, ga, gw = self._taped(a, w, g)
+        gw_ref = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, 6, 3).sum(axis=0)
+        np.testing.assert_allclose(out, np.matmul(a, w), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ga, np.matmul(g, w.T), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw, gw_ref, rtol=1e-12, atol=1e-12)
+
+    def test_zero_length_leading_dim(self):
+        out, ga, gw = self._taped(np.ones((0, 3, 4)), np.ones((4, 5)), np.ones((0, 3, 5)))
+        assert out.shape == (0, 3, 5)
+        assert ga.shape == (0, 3, 4)
+        assert np.array_equal(gw, np.zeros((4, 5)))
+
+    def test_inner_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 4\) and \(5, 6\)"):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 6))))
+
+    def test_two_d_is_bytes_of_np_matmul(self):
+        rng = np.random.default_rng(39)
+        a, w, g = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+        out, ga, gw = self._taped(a, w, g)
+        assert np.array_equal(out, np.matmul(a, w))
+        assert np.array_equal(ga, np.matmul(g, w.T))
+        assert np.array_equal(gw, np.matmul(a.T, g))
+
+    def test_batched_right_operand_is_bytes_of_np_matmul(self):
+        rng = np.random.default_rng(40)
+        a, b = rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 5, 3))
+        g = rng.normal(size=(2, 4, 3))
+        out, ga, gb = self._taped(a, b, g)
+        assert np.array_equal(out, np.matmul(a, b))
+        assert np.array_equal(ga, np.matmul(g, np.swapaxes(b, -1, -2)))
+        assert np.array_equal(gb, np.matmul(np.swapaxes(a, -1, -2), g))
+
+    def test_backward_builds_no_per_batch_weight_stack(self):
+        # the [64, 256, 256] stack a batched weight gradient would sum is 33.5 MB
+        rng = np.random.default_rng(41)
+        a = Tensor(rng.normal(size=(64, 21, 256)))
+        w = Tensor(rng.normal(size=(256, 256)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = tsum(matmul(a, w))
+            grads = tape.backward(loss)
+            grads.of(a), grads.of(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestGradCheckHarness:
@@ -332,6 +408,22 @@ class TestTapeMechanics:
         tape.backward(loss)
         assert len(calls) == len(tape.nodes)
         assert len(set(id(c) for c in calls)) == len(tape.nodes)
+
+    def test_known_set_built_only_when_a_lookup_misses(self, monkeypatch):
+        walks = []
+        known_ids = Tape._known_ids
+        monkeypatch.setattr(Tape, "_known_ids", lambda tape: walks.append(1) or known_ids(tape))
+        w = Tensor(np.ones(3))
+        u = Tensor(np.ones(2))
+        with Tape() as tape:
+            tape.watch(w, u)
+            loss = tsum(square(w))
+        grads = tape.backward(loss)
+        assert np.array_equal(grads.of(w), [2.0, 2.0, 2.0])
+        assert walks == []
+        assert np.array_equal(grads.of(u), np.zeros(2))
+        assert np.array_equal(grads.of(u), np.zeros(2))
+        assert walks == [1]
 
     def test_no_recording_without_tape(self):
         before = Tensor(np.ones(2))

@@ -415,6 +415,47 @@ class TestAblateCommand:
         assert "rate 0.5:" in capsys.readouterr().out
 
 
+class TestSideFilesAreAtomic:
+    """A failed rewrite of config_resolved.txt or a .meta file keeps the old one."""
+
+    def _rewrite_fails(self, monkeypatch, capsys, path, argv):
+        before = path.read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == path:
+                raise OSError("killed mid-write")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "killed mid-write" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob("*.tmp"))
+
+    def test_config_resolved(self, tmp_path, monkeypatch, capsys):
+        cfg_path, out_dir = _train(tmp_path)
+        argv = ["train", "--config", cfg_path, "--quiet", "--override", "train.seed=6"]
+        self._rewrite_fails(monkeypatch, capsys, out_dir / "config_resolved.txt", argv)
+
+    def test_synth_meta(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "data.csv"
+        argv = ["synth", "--vars", "2", "--steps", "30", "--out", str(out)]
+        assert main(argv + ["--seed", "2"]) == 0
+        self._rewrite_fails(monkeypatch, capsys, tmp_path / "data.csv.meta", argv + ["--seed", "3"])
+
+    def test_impute_meta(self, tmp_path, monkeypatch, capsys):
+        _, out_dir = _train(tmp_path)
+        src = TestImputeCommand()._input_csv(tmp_path)
+        other = tmp_path / "holes2.csv"
+        other.write_bytes(src.read_bytes())
+        dst = tmp_path / "filled.csv"
+        argv = ["impute", "--checkpoint", str(out_dir / "checkpoint.bin"), "--output", str(dst)]
+        assert main(argv + ["--input", str(src)]) == 0
+        self._rewrite_fails(monkeypatch, capsys, tmp_path / "filled.csv.meta", argv + ["--input", str(other)])
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         # the child imports the package this test imported, installed or not
