@@ -14,13 +14,33 @@ the forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
 such as attention's ``q @ k.T``, takes numpy's broadcasting matmul and sums
 its gradients back down to the operand shapes.
 
+Large results (at least ``POOL_FLOOR`` elements, 256 KiB of float64) are
+written with ``out=`` into views of buffers that a module-level pool keeps for
+the life of the process, so a training step reuses the previous step's memory
+instead of freeing it to the allocator and faulting it back in.  This covers
+the matmul forward and both gradients, the forwards of the elementwise ops
+and their backward products, ``tmean``'s backward and the gradient sums in
+:meth:`Tape.backward`; smaller arrays take numpy's own allocation.  A buffer
+is handed out again only when the pool holds its last reference (a CPython
+refcount, calibrated at import), so while any tensor, view or gradient of it
+is alive nothing else writes there, and every value is the one numpy would
+compute without the pool.  Buffer sizes are rounded up to four significant
+bits (classes 1/8 octave apart), and a request takes the smallest free buffer
+that holds it and is less than twice its size, so a short last batch reuses
+the full batches' buffers.  The pool never shrinks: after a fit it keeps
+about one step's large buffers.
+
 Tensors are immutable by convention while a tape that saw them is alive.  The
 active tape is a module-level slot: one tape per thread, no nesting.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +59,61 @@ class TapeError(RuntimeError):
 
 
 _uid = itertools.count()
+
+POOL_FLOOR = 32768  # elements: 256 KiB of float64
+
+
+def _size_class(n: int) -> int:
+    """``n`` rounded up to its four leading bits."""
+    shift = max(n.bit_length() - 4, 0)
+    return -(-n >> shift) << shift
+
+
+def _scan_refs() -> int:
+    """The refcount a buffer referenced only by its pool bucket shows inside
+    :meth:`_BufferPool.take`'s scan (same loop shape, so the same count)."""
+    for buf in [np.empty(1)]:
+        return sys.getrefcount(buf)
+
+
+_FREE_REFS = _scan_refs()
+
+
+class _BufferPool:
+    """Float64 buffers by capacity; a view of a free one serves a request."""
+
+    def __init__(self):
+        self._buckets: dict[int, list[np.ndarray]] = {}
+        self._caps: list[int] = []  # sorted keys of _buckets
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self._buckets.values())
+
+    def take(self, shape: tuple[int, ...], size: int) -> np.ndarray:
+        with self._lock:
+            for cap in self._caps[bisect.bisect_left(self._caps, size):]:
+                if cap >= 2 * size:
+                    break
+                for buf in self._buckets[cap]:
+                    if sys.getrefcount(buf) == _FREE_REFS:
+                        return buf[:size].reshape(shape)
+            cap = _size_class(size)
+            if cap not in self._buckets:
+                self._buckets[cap] = []
+                bisect.insort(self._caps, cap)
+            buf = np.empty(cap)
+            self._buckets[cap].append(buf)
+            return buf[:size].reshape(shape)
+
+
+_POOL = _BufferPool()
+
+
+def _buffer(shape: tuple[int, ...]) -> np.ndarray | None:
+    """A pooled ``out=`` array for a large result, else None (numpy allocates)."""
+    size = math.prod(shape)
+    return _POOL.take(shape, size) if size >= POOL_FLOOR else None
 
 
 class Tensor:
@@ -182,7 +257,7 @@ class Tape:
                 continue  # no path from this node's output to the loss
             for t, g in zip(node.inputs, node.backward(g_out)):
                 acc = grads.get(t.uid)
-                grads[t.uid] = g if acc is None else acc + g
+                grads[t.uid] = g if acc is None else np.add(acc, g, out=_buffer(t.shape))
         return Gradients(grads, self)
 
 
@@ -230,9 +305,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _binary_shape(op: str, a: Tensor, b: Tensor) -> None:
+def _binary(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    x, y = a.data, b.data
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        if x.size < POOL_FLOOR and y.size < POOL_FLOOR:
+            return ufunc(x, y)
+        shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
+        return ufunc(x, y, out=_buffer(shape))
     except ValueError:
         raise ShapeMismatchError(
             f"{op}: shapes {a.shape} and {b.shape} do not broadcast"
@@ -240,37 +319,43 @@ def _binary_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape("add", a, b)
-    out = Tensor(a.data + b.data)
+    out = Tensor(_binary("add", np.add, a, b))
     return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    out = Tensor(_binary("sub", np.subtract, a, b))
+
+    def backward(g):
+        gb = np.negative(g, out=_buffer(g.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(gb, b.shape)
+
+    return _record(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
+    out = Tensor(_binary("mul", np.multiply, a, b))
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = np.multiply(g, b.data, out=_buffer(g.shape))
+        gb = np.multiply(g, a.data, out=_buffer(g.shape))
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _record(out, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape("div", a, b)
     if np.any(b.data == 0.0):
         raise DomainError("div: zero divisor")
-    out = Tensor(a.data / b.data)
+    out = Tensor(_binary("div", np.divide, a, b))
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        ga = np.divide(g, b.data, out=_buffer(g.shape))
+        buf = _buffer(g.shape)
+        gb = np.negative(g, out=buf)
+        gb = np.multiply(gb, a.data, out=buf)
+        gb = np.divide(gb, np.multiply(b.data, b.data, out=_buffer(b.shape)), out=buf)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _record(out, (a, b), backward)
 
@@ -288,11 +373,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 f"matmul: shapes {a.shape} and {b.shape} do not conform"
             )
         a2 = a.data.reshape(-1, n_in)
-        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n_out,)))
+        rows = a2.shape[0]
+        out = np.matmul(a2, b.data, out=_buffer((rows, n_out)))
+        out = Tensor(out.reshape(a.shape[:-1] + (n_out,)))
 
         def backward_shared(g):
             g2 = g.reshape(-1, n_out)
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+            ga = np.matmul(g2, b.data.T, out=_buffer((rows, n_in)))
+            return ga.reshape(a.shape), np.matmul(a2.T, g2, out=_buffer((n_in, n_out)))
 
         return _record(out, (a, b), backward_shared)
     try:
@@ -316,15 +404,15 @@ def negate(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
+    out = Tensor(np.exp(a.data, out=_buffer(a.shape)))
+    return _record(out, (a,), lambda g: (np.multiply(g, out.data, out=_buffer(g.shape)),))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: input must be strictly positive")
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
+    out = Tensor(np.log(a.data, out=_buffer(a.shape)))
+    return _record(out, (a,), lambda g: (np.divide(g, a.data, out=_buffer(g.shape)),))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -335,20 +423,25 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-    return _record(out, (a,), lambda g: (g * 2.0 * a.data,))
+    out = Tensor(np.multiply(a.data, a.data, out=_buffer(a.shape)))
+
+    def backward(g):
+        buf = _buffer(g.shape)
+        return (np.multiply(np.multiply(g, 2.0, out=buf), a.data, out=buf),)
+
+    return _record(out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
+    out = Tensor(np.maximum(a.data, 0.0, out=_buffer(a.shape)))
+    return _record(out, (a,), lambda g: (np.multiply(g, a.data > 0.0, out=_buffer(g.shape)),))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes inside the interval (inclusive)."""
-    out = Tensor(np.clip(a.data, lo, hi))
+    out = Tensor(np.clip(a.data, lo, hi, out=_buffer(a.shape)))
     mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g: (g * mask,))
+    return _record(out, (a,), lambda g: (np.multiply(g, mask, out=_buffer(g.shape)),))
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -375,7 +468,7 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g_full = np.broadcast_to(g, a.shape)
         else:
             g_full = np.broadcast_to(g if keepdims else np.expand_dims(g, axis), a.shape)
-        return (g_full / count,)
+        return (np.divide(g_full, count, out=_buffer(a.shape)),)
 
     return _record(out, (a,), backward)
 

@@ -189,6 +189,9 @@ def run_ablation(
         ABLATION_LOC_ONLY: replace(base, reg=0.0, glo=0.0),
     }
     test_raw = held_out_windows(dataset, model_cfg, train_cfg)
+    # every variant fits the same normalizer (same data, split and strides),
+    # so the windows masked for a rate after the first fit serve all four
+    masked_by_rate: dict[float, list[Window]] = {}
     entries: dict[str, list[EvalEntry]] = {}
     for name, weights in variants.items():
         per_rate: list[EvalEntry] = []
@@ -207,11 +210,12 @@ def run_ablation(
                 block_len=cfg.mask_spec.block_len,
                 seed=derive(eval_seed, STREAM_EVAL_MASK),
             )
-            masked = [
-                apply_mask(normalize_window(w, result.model.normalizer), eval_spec)
-                for w in test_raw
-            ]
-            per_rate.append(evaluate(result.model, masked, eval_spec, normalized))
+            if rate not in masked_by_rate:
+                masked_by_rate[rate] = [
+                    apply_mask(normalize_window(w, result.model.normalizer), eval_spec)
+                    for w in test_raw
+                ]
+            per_rate.append(evaluate(result.model, masked_by_rate[rate], eval_spec, normalized))
         entries[name] = per_rate
     return AblationGrid(entries=entries)
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ibimpute.autodiff import (
+    _POOL,
+    POOL_FLOOR,
     DomainError,
     Gradients,
     ShapeMismatchError,
@@ -351,6 +353,76 @@ class TestSharedWeightMatmul:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestBufferPool:
+    """Large results are views of pooled buffers that are reused, never shared."""
+
+    @staticmethod
+    def _step(a, w):
+        """Taped forward and backward of ``sum(exp(a @ w) * a @ w)``; returns
+        every large array it made: outputs, views of them and gradients."""
+        with Tape() as tape:
+            y = matmul(a, w)
+            z = mul(exp(y), y)
+            loss = tsum(z)
+        grads = tape.backward(loss)
+        return [y.data, z.data, transpose(z).data, grads.of(a), grads.of(w)]
+
+    @pytest.mark.parametrize("held", ["output", "reshape", "transpose", "gradient"])
+    def test_live_array_is_never_handed_out_again(self, held):
+        rng = np.random.default_rng(42)
+        a = Tensor(rng.normal(size=(8, 21, 256)) * 0.1)
+        w = Tensor(rng.normal(size=(256, 256)) * 0.1)
+        with Tape() as tape:
+            y = exp(matmul(a, w))
+            loss = tsum(square(y))
+        keep = {
+            "output": lambda: y.data,
+            "reshape": lambda: reshape(y, (-1, 256)).data,
+            "transpose": lambda: transpose(y).data,
+            "gradient": lambda: tape.backward(loss).of(a),
+        }[held]()
+        assert keep.size >= POOL_FLOOR
+        before = keep.copy()
+        del y, loss, tape
+        for _ in range(3):
+            for later in self._step(a, w):
+                assert not np.shares_memory(keep, later)
+        assert np.array_equal(keep, before)
+
+    def test_repeated_step_allocates_no_new_buffer(self):
+        rng = np.random.default_rng(43)
+        a = Tensor(rng.normal(size=(64, 21, 256)))
+        w = Tensor(rng.normal(size=(256, 256)))
+        counts = []
+        for _ in range(2):
+            with Tape() as tape:
+                loss = tsum(matmul(a, w))
+            tape.backward(loss).of(w)
+            counts.append(len(_POOL))
+        assert counts[0] == counts[1]
+
+    def test_short_last_batch_reuses_full_batch_buffers(self):
+        from ibimpute.data import Window
+        from ibimpute.losses import LossWeights
+        from ibimpute.model import ImputationModel, ModelConfig
+        from ibimpute.training import Adam, train_step
+
+        rng = np.random.default_rng(44)
+        model = ImputationModel(ModelConfig(window_len=96, n_vars=21), seed=1)
+        batch = [
+            Window(x=rng.normal(size=(96, 21)), m_obs=np.ones((96, 21)),
+                   m_art=(rng.uniform(size=(96, 21)) > 0.5).astype(float), index=i)
+            for i in range(64)
+        ]
+        optimizer = Adam(lr=1e-3)
+        counts = []
+        for step, size in enumerate((64, 64, 60)):
+            _, applied = train_step(model, batch[:size], LossWeights(), optimizer, step)
+            assert applied
+            counts.append(len(_POOL))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestGradCheckHarness:

@@ -24,6 +24,7 @@ from ibimpute.evaluation import (
     average_entry,
     evaluate,
     export_latents,
+    held_out_windows,
     masked_error_sums,
     point_metrics,
     run_ablation,
@@ -313,6 +314,21 @@ class TestAblation:
         grid = run_ablation(dataset, model_cfg, train_cfg, rates=[0.5])
         counts = {name: grid.entries[name][0].n_eval_points for name in grid.entries}
         assert len(set(counts.values())) == 1
+
+    def test_masks_each_held_out_window_once_per_rate(self, monkeypatch):
+        import ibimpute.evaluation as evaluation
+
+        calls = []
+        def spy(window, spec):
+            calls.append(spec.rate)
+            return apply_mask(window, spec)
+
+        monkeypatch.setattr(evaluation, "apply_mask", spy)
+        dataset, model_cfg, train_cfg = _small_setup()
+        run_ablation(dataset, model_cfg, train_cfg, rates=[0.3, 0.5])
+        n = len(held_out_windows(dataset, model_cfg, train_cfg))
+        assert n > 0
+        assert sorted(calls) == [0.3] * n + [0.5] * n
 
 
 class TestAlignmentScore:
