@@ -31,7 +31,10 @@ the full batches' buffers.  The pool never shrinks: after a fit it keeps
 about one step's large buffers.
 
 Tensors are immutable by convention while a tape that saw them is alive.  The
-active tape is a module-level slot: one tape per thread, no nesting.
+exception is a model's parameters: views of one flat buffer that the optimizer
+updates in place once :meth:`Tape.backward` is done (:meth:`Gradients.flat`
+lays their gradients out the same way).  The active tape is a module-level
+slot: one tape per thread, no nesting.
 """
 
 from __future__ import annotations
@@ -285,8 +288,18 @@ class Gradients:
             return np.zeros(t.shape, dtype=np.float64)
         raise TapeError("tensor was not recorded on the tape")
 
-    def __getitem__(self, t: Tensor) -> np.ndarray:
-        return self.of(t)
+    def flat(self, tensors: list[Tensor]) -> np.ndarray:
+        """The gradients of ``tensors``, raveled end to end into one array.
+
+        A gradient that already has its tensor's shape is copied in as it is;
+        only the others go through :meth:`of`.
+        """
+        parts = []
+        for t in tensors:
+            g = self._grads.get(t.uid)
+            parts.append(g if g is not None and g.shape == t.shape else self.of(t))
+        size = sum(t.data.size for t in tensors)
+        return np.concatenate(parts, axis=None, out=_buffer((size,)))
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:

@@ -251,13 +251,6 @@ def _cmd_ablate(args) -> None:
         print(f"rate {rate!r}: {parts}")
 
 
-def _read_raw_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
-
-
 def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
     """Write ``header`` and ``rows`` exactly as ``csv.writer`` would.
 
@@ -287,7 +280,8 @@ def _cmd_impute(args) -> None:
     model = load_checkpoint(args.checkpoint)
     if model.normalizer is None:
         raise CheckpointError(f"checkpoint {args.checkpoint} carries no normalizer")
-    ds = load_csv(args.input)
+    raw_rows: list[list[str]] = []
+    ds = load_csv(args.input, raw_rows)
     t_len = model.config.window_len
     if ds.n_vars != model.config.n_vars:
         raise CheckpointError(
@@ -310,14 +304,14 @@ def _cmd_impute(args) -> None:
         todo = done[span] == 0.0
         filled[span][todo] = out_win[todo]
         done[span][todo] = 1.0
-    header, raw_rows = _read_raw_rows(args.input)
+    header, *body = raw_rows
     gap_t, gap_i = np.nonzero(ds.native_mask == 0.0)
     for t, i, v in zip(gap_t.tolist(), gap_i.tolist(), filled[gap_t, gap_i].tolist()):
-        raw_rows[t][i] = repr(v)
+        body[t][i] = repr(v)
     out = Path(args.output)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_rows(out, header, raw_rows)
+    _write_rows(out, header, body)
     with atomic_write(str(out) + ".meta") as fh:
         fh.write(f"checkpoint = {args.checkpoint}\ninput = {args.input}\n")
     n_filled = int((1.0 - ds.native_mask).sum())

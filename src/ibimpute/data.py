@@ -131,17 +131,20 @@ class MaskSpec:
                 )
 
 
-def load_csv(path: str) -> Dataset:
+def load_csv(path: str, raw: list[list[str]] | None = None) -> Dataset:
     """Read a dataset CSV; empty cells become natively-missing zeros.
 
     Cells are stripped and parsed with Python's ``float``, all cells in one
     pass; when that pass fails, the rows are rescanned in file order so the
-    error names the first bad line, as a row-by-row reader would.
+    error names the first bad line, as a row-by-row reader would.  Given an
+    empty list ``raw``, the rows are read into it as they are in the file
+    (header first, cells unstripped), so a caller that rewrites the file needs
+    no second pass.
     """
     unreadable = None
+    rows = raw if raw is not None else []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows: list[list[str]] = []
         try:
             rows.extend(reader)
         except (csv.Error, ValueError) as exc:

@@ -94,24 +94,44 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     return specs
 
 
-def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases."""
+def param_views(cfg: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named C-contiguous views of ``flat``, laid end to end in spec order."""
+    views: dict[str, np.ndarray] = {}
+    at = 0
+    for name, shape, _ in _param_specs(cfg):
+        size = math.prod(shape)
+        views[name] = flat[at : at + size].reshape(shape)
+        at += size
+    return views
+
+
+def flatten_params(cfg: ModelConfig, params: dict[str, Tensor | np.ndarray]) -> np.ndarray:
+    """A new flat buffer holding ``params`` (tensors or arrays, shapes as
+    :func:`param_views` gives them) end to end in spec order."""
+    return np.concatenate(
+        [getattr(params[name], "data", params[name]) for name, _, _ in _param_specs(cfg)],
+        axis=None,
+        dtype=np.float64,
+    )
+
+
+def init_params(cfg: ModelConfig, seed: int) -> np.ndarray:
+    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases,
+    as one flat buffer (see :func:`param_views` for the names)."""
     cfg.validate()
-    params: dict[str, Tensor] = {}
+    flat = np.zeros(sum(math.prod(shape) for _, shape, _ in _param_specs(cfg)))
+    views = param_views(cfg, flat)
     for idx, (name, shape, fan_in) in enumerate(_param_specs(cfg)):
-        if fan_in == 0:
-            data = np.zeros(shape)
-        else:
+        if fan_in > 0:
             rng = SplitMix64(derive(seed, STREAM_INIT, idx))
             bound = 1.0 / math.sqrt(fan_in)
-            u = rng.uniforms(int(np.prod(shape))).reshape(shape)
-            data = (2.0 * u - 1.0) * bound
-        params[name] = Tensor(data, trainable=True)
-    return params
+            u = rng.uniforms(views[name].size).reshape(shape)
+            views[name][...] = (2.0 * u - 1.0) * bound
+    return flat
 
 
 def _checked(name: str, t: Tensor) -> Tensor:
-    if not np.all(np.isfinite(t.data)):
+    if not np.isfinite(t.data).all():
         raise NumericError(f"non-finite activations after layer {name!r}")
     return t
 
@@ -122,31 +142,28 @@ class ImputationModel:
     def __init__(
         self,
         config: ModelConfig,
-        params: dict[str, Tensor] | None = None,
+        params: dict[str, Tensor | np.ndarray] | None = None,
         seed: int = 0,
         normalizer: Normalizer | None = None,
     ):
+        """``params`` (tensors or arrays) are copied into the model's own
+        flat buffer; without them the parameters are seeded by ``seed``."""
         config.validate()
         self.config = config
-        self.params = params if params is not None else init_params(config, seed)
         self.normalizer = normalizer
-        expected = {name for name, _, _ in _param_specs(config)}
-        got = set(self.params)
-        if got != expected:
-            raise ValueError(
-                f"parameter names do not match config: missing {sorted(expected - got)}, "
-                f"unexpected {sorted(got - expected)}"
-            )
-        for name, shape, _ in _param_specs(config):
-            if self.params[name].shape != shape:
-                raise ValueError(
-                    f"parameter {name!r} has shape {self.params[name].shape}, "
-                    f"expected {shape}"
-                )
-
-    @property
-    def n_params(self) -> int:
-        return sum(t.data.size for t in self.params.values())
+        # every parameter end to end in spec order: the optimizer updates this
+        # buffer in place, and ``self.params`` holds named views of it
+        if params is None:
+            self.flat = init_params(config, seed)
+        else:
+            mismatch = _param_mismatch(config, params)
+            if mismatch:
+                raise ValueError(mismatch)
+            self.flat = flatten_params(config, params)
+        self.params = {
+            name: Tensor(view, trainable=True)
+            for name, view in param_views(config, self.flat).items()
+        }
 
     def encode(self, x_input) -> LatentDistribution:
         """Zero-filled normalized window [.., T, N] -> diagonal Gaussian."""
@@ -307,21 +324,25 @@ def read_container(
     return config, header, arrays
 
 
-def check_params(path: str, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
-    """Raise CheckpointError unless ``arrays`` holds exactly the parameters,
-    with their shapes, that ``config`` implies."""
+def _param_mismatch(config: ModelConfig, arrays: dict) -> str | None:
+    """Why ``arrays`` are not exactly the parameters, with their shapes, that
+    ``config`` implies; None when they are."""
     specs = {name: shape for name, shape, _ in _param_specs(config)}
     for name, shape in specs.items():
         if name not in arrays:
-            raise CheckpointError(f"{path}: parameter {name!r} missing")
+            return f"parameter {name!r} missing"
         if arrays[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {arrays[name].shape}, "
-                f"config implies {shape}"
-            )
+            return f"parameter {name!r} has shape {arrays[name].shape}, config implies {shape}"
     extra = set(arrays) - set(specs)
-    if extra:
-        raise CheckpointError(f"{path}: unexpected arrays {sorted(extra)}")
+    return f"unexpected arrays {sorted(extra)}" if extra else None
+
+
+def check_params(path: str, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+    """Raise CheckpointError unless ``arrays`` holds exactly the parameters,
+    with their shapes, that ``config`` implies."""
+    mismatch = _param_mismatch(config, arrays)
+    if mismatch:
+        raise CheckpointError(f"{path}: {mismatch}")
 
 
 def save_checkpoint(path: str, model: ImputationModel) -> None:
@@ -349,7 +370,4 @@ def load_checkpoint(path: str) -> ImputationModel:
             )
         normalizer = Normalizer(mean=mean, std=std)
     check_params(path, cfg, arrays)
-    params = {
-        name: Tensor(arrays[name], trainable=True) for name, _, _ in _param_specs(cfg)
-    }
-    return ImputationModel(cfg, params=params, normalizer=normalizer)
+    return ImputationModel(cfg, params=arrays, normalizer=normalizer)

@@ -11,6 +11,10 @@ shuffles, sampler noise, validation masks) comes from streams derived from
 ``TrainConfig.seed`` plus structural indices (epoch, batch).  No sequential
 RNG state is carried across steps, so training can stop at any step
 boundary, serialize, and resume bit-exactly.
+
+Parameters are named views of one flat buffer, ``ImputationModel.flat``.  A
+step clips the flat gradient in place and :class:`Adam` updates the buffer,
+and so every view, in place; snapshots are one flat copy each.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .data import (
 )
 from .evaluation import masked_error_sums
 from .losses import (
-    GLO_COSINE,
     GLO_INFONCE,
     GLO_NONE,
     LossBreakdown,
@@ -53,6 +56,8 @@ from .model import (
     ModelConfig,
     NumericError,
     check_params,
+    flatten_params,
+    param_views,
     read_container,
     reparameterize,
     save_checkpoint,
@@ -129,71 +134,76 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 when the contrast term is active")
 
 
-def adam_update(
-    param: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam update; ``t`` is the 1-based step number."""
-    if param.shape != grad.shape:
-        raise ValueError(f"shape mismatch: param {param.shape}, grad {grad.shape}")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+ADAM_BLOCK = 16384  # elements per pass of Adam.step: 128 KiB temporaries stay in cache
 
 
 class Adam:
-    """Per-parameter moment tracking around :func:`adam_update`."""
+    """Bias-corrected Adam (Kingma & Ba 2014) over one flat parameter buffer.
+
+    :meth:`step` updates the parameters and the moments ``m`` and ``v`` (made
+    on the first step) in place, ``ADAM_BLOCK`` elements at a time, with each
+    element's float ops in textbook order, so blocking does not change a bit.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.t = 0
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """One update of ``flat`` in place, from the gradient ``grad``."""
+        if flat.shape != grad.shape:
+            raise ValueError(f"shape mismatch: params {flat.shape}, grad {grad.shape}")
+        if self.m is None:
+            self.m = np.zeros_like(flat)
+            self.v = np.zeros_like(flat)
         self.t += 1
-        for name, tensor in params.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(tensor.data)
-                self.v[name] = np.zeros_like(tensor.data)
-            new, self.m[name], self.v[name] = adam_update(
-                tensor.data,
-                grads[name],
-                self.m[name],
-                self.v[name],
-                self.t,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-            )
-            tensor.data = np.ascontiguousarray(new)
+        beta1, beta2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - beta1**self.t, 1.0 - beta2**self.t
+        scratch = np.empty((2, min(ADAM_BLOCK, flat.size)))
+        for lo in range(0, flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, flat.size)
+            p, g, m, v = flat[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, b = scratch[:, : hi - lo]
+            m *= beta1  # m = beta1 * m + (1 - beta1) * g
+            m += np.multiply(g, 1.0 - beta1, out=a)
+            v *= beta2  # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(g, 1.0 - beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(v, c2, out=b)  # sqrt(v / c2) + eps
+            np.sqrt(b, out=b)
+            b += self.eps
+            np.divide(m, c1, out=a)  # p -= lr * (m / c1) / b
+            a *= self.lr
+            a /= b
+            p -= a
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+def clip_gradients(grad: np.ndarray, sizes: list[int], max_norm: float) -> bool:
+    """Scale the flat ``grad`` in place so its L2 norm is at most ``max_norm``;
+    return whether it was scaled.  ``max_norm`` 0 disables clipping.
+
+    The squared norm adds one partial sum per parameter, whose sizes
+    ``sizes`` lists in buffer order, so its rounding is that of a sum taken
+    parameter by parameter.
+    """
     if max_norm <= 0.0:
-        return grads
+        return False
+    squares = grad * grad
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    at = 0
+    for size in sizes:
+        total += float(np.sum(squares[at : at + size]))
+        at += size
     norm = np.sqrt(total)
     if norm <= max_norm:
-        return grads
-    scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}
+        return False
+    grad *= max_norm / norm
+    return True
 
 
 def train_step(
@@ -234,8 +244,7 @@ def train_step(
                 # global term this batch instead of failing on cos(a, 0)
                 z_target = None
         with Tape() as tape:
-            for tensor in model.params.values():
-                tape.watch(tensor)
+            tape.watch(*model.params.values())
             dist = model.encode(Tensor(x_masked_in))
             z = reparameterize(dist, step_seed)
             x_hat = model.decode(z)
@@ -254,12 +263,12 @@ def train_step(
 
     if not np.isfinite(breakdown.total):
         return breakdown, False
-    grads_raw = tape.backward(total)
-    grads = {name: grads_raw.of(t) for name, t in model.params.items()}
-    if any(not np.all(np.isfinite(g)) for g in grads.values()):
+    params = list(model.params.values())
+    grad = tape.backward(total).flat(params)
+    if not np.isfinite(grad).all():
         return breakdown, False
-    grads = clip_gradients(grads, clip_norm)
-    optimizer.step(model.params, grads)
+    clip_gradients(grad, [t.data.size for t in params], clip_norm)
+    optimizer.step(model.flat, grad)
     return breakdown, True
 
 
@@ -276,19 +285,21 @@ class EpochStats:
 
 @dataclass
 class TrainState:
-    """Everything needed to resume training at an exact step boundary."""
+    """Everything needed to resume training at an exact step boundary (the
+    defaults are the state before the first step).  In a state that
+    :func:`fit` returns, each named array group views one flat copy."""
 
-    params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    adam_t: int
-    epoch: int           # next epoch to run (or continue)
-    batch_idx: int       # next batch within that epoch
-    global_step: int
-    best_val: float
-    best_epoch: int
-    best_params: dict[str, np.ndarray] | None
-    stall: int           # epochs since the validation metric improved
+    params: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_t: int = 0
+    epoch: int = 0           # next epoch to run (or continue)
+    batch_idx: int = 0       # next batch within that epoch
+    global_step: int = 0
+    best_val: float = float("inf")
+    best_epoch: int = -1
+    best_params: dict[str, np.ndarray] | None = None
+    stall: int = 0           # epochs since the validation metric improved
 
 
 @dataclass
@@ -299,17 +310,6 @@ class FitResult:
     best_val_mae: float
     best_epoch: int
     log_rows: list[tuple[int, int, float, float, float, float]]
-
-
-def _copy_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in arrays.items()}
-
-
-def _prepare_val_windows(
-    segment: Dataset, window_len: int, stride: int, spec: MaskSpec, norm
-) -> list[Window]:
-    windows = make_windows(segment, window_len, stride)
-    return [apply_mask(normalize_window(w, norm), spec) for w in windows]
 
 
 def validation_mae(model: ImputationModel, masked: list[Window]) -> float:
@@ -354,69 +354,54 @@ def fit(
     train_windows = [normalize_window(w, norm) for w in train_windows_raw]
 
     val_spec = replace(cfg.mask_spec, seed=derive(cfg.seed, STREAM_VAL_MASK))
-    val_masked = _prepare_val_windows(val_seg, window_len, val_stride, val_spec, norm)
+    val_windows = make_windows(val_seg, window_len, val_stride)
+    val_masked = [apply_mask(normalize_window(w, norm), val_spec) for w in val_windows]
 
-    if start_state is None:
-        model = ImputationModel(model_cfg, seed=cfg.seed, normalizer=norm)
-        state = TrainState(
-            params={},
-            adam_m={},
-            adam_v={},
-            adam_t=0,
-            epoch=0,
-            batch_idx=0,
-            global_step=0,
-            best_val=float("inf"),
-            best_epoch=-1,
-            best_params=None,
-            stall=0,
-        )
-    else:
-        state = start_state
-        params = {k: Tensor(v.copy(), trainable=True) for k, v in state.params.items()}
-        model = ImputationModel(model_cfg, params=params, normalizer=norm)
+    state = start_state or TrainState()
+    # a state from before the first step has no parameters: draw them from the seed
+    model = ImputationModel(
+        model_cfg, params=state.params or None, seed=cfg.seed, normalizer=norm
+    )
 
     optimizer = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     optimizer.t = state.adam_t
-    optimizer.m = _copy_arrays(state.adam_m)
-    optimizer.v = _copy_arrays(state.adam_v)
+    if state.adam_m:
+        optimizer.m = flatten_params(model_cfg, state.adam_m)
+        optimizer.v = flatten_params(model_cfg, state.adam_v)
 
     history: list[EpochStats] = []
     log_rows: list[tuple[int, int, float, float, float, float]] = []
-    best_params = _copy_arrays(state.best_params) if state.best_params else None
+    best_flat = flatten_params(model_cfg, state.best_params) if state.best_params else None
     best_val = state.best_val
     best_epoch = state.best_epoch
     stall = state.stall
     global_step = state.global_step
     aborted_in_a_row = 0
 
+    def named_copy(flat: np.ndarray | None) -> dict[str, np.ndarray]:
+        return {} if flat is None else param_views(model_cfg, flat.copy())
+
     def snapshot(epoch: int, batch_idx: int) -> TrainState:
         return TrainState(
-            params={k: t.data.copy() for k, t in model.params.items()},
-            adam_m=_copy_arrays(optimizer.m),
-            adam_v=_copy_arrays(optimizer.v),
+            params=named_copy(model.flat),
+            adam_m=named_copy(optimizer.m),
+            adam_v=named_copy(optimizer.v),
             adam_t=optimizer.t,
             epoch=epoch,
             batch_idx=batch_idx,
             global_step=global_step,
             best_val=best_val,
             best_epoch=best_epoch,
-            best_params=_copy_arrays(best_params) if best_params else None,
+            best_params=named_copy(best_flat) or None,
             stall=stall,
         )
 
     def finish(epoch: int, batch_idx: int) -> FitResult:
         final_state = snapshot(epoch, batch_idx)
-        if best_params is not None:
-            final = ImputationModel(
-                model_cfg,
-                params={k: Tensor(v.copy(), trainable=True) for k, v in best_params.items()},
-                normalizer=norm,
-            )
-        else:
-            final = model
+        if best_flat is not None:
+            model.flat[...] = best_flat  # the live model, at its best parameters
         return FitResult(
-            model=final,
+            model=model,
             history=history,
             state=final_state,
             best_val_mae=best_val,
@@ -474,31 +459,15 @@ def fit(
 
         val_mae = validation_mae(model, val_masked)
         means = sums / max(n_steps, 1)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                reg=float(means[0]),
-                loc=float(means[1]),
-                glo=float(means[2]),
-                total=float(means[3]),
-                val_mae=val_mae,
-                n_steps=n_steps,
-            )
-        )
+        # means holds reg, loc, glo and total, in EpochStats' field order
+        history.append(EpochStats(epoch, *means.tolist(), val_mae, n_steps))
         if val_mae < best_val:
             best_val = val_mae
             best_epoch = epoch
-            best_params = {k: t.data.copy() for k, t in model.params.items()}
+            best_flat = model.flat.copy()
             stall = 0
             if checkpoint_path is not None:
-                best_model = ImputationModel(
-                    model_cfg,
-                    params={
-                        k: Tensor(v.copy(), trainable=True) for k, v in best_params.items()
-                    },
-                    normalizer=norm,
-                )
-                save_checkpoint(checkpoint_path, best_model)
+                save_checkpoint(checkpoint_path, model)
         else:
             stall += 1
         if progress:

@@ -200,6 +200,30 @@ class TestImputeCommand:
                 else:
                     float(d_cell)  # every hole now holds a number
 
+    def test_parses_input_once(self, tmp_path, monkeypatch):
+        _, out_dir = _train(tmp_path)
+        passes = []
+        real_reader = csv.reader
+
+        def spy_reader(*args, **kwargs):
+            passes.append(args)
+            return real_reader(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", spy_reader)
+        rc = main(
+            [
+                "impute",
+                "--checkpoint",
+                str(out_dir / "checkpoint.bin"),
+                "--input",
+                str(self._input_csv(tmp_path)),
+                "--output",
+                str(tmp_path / "filled.csv"),
+            ]
+        )
+        assert rc == 0
+        assert len(passes) == 1
+
     def test_variable_count_mismatch(self, tmp_path, capsys):
         _, out_dir = _train(tmp_path)
         bad = tmp_path / "bad.csv"

@@ -16,6 +16,7 @@ from ibimpute.model import (
     NumericError,
     init_params,
     load_checkpoint,
+    param_views,
     reparameterize,
     save_checkpoint,
 )
@@ -35,25 +36,25 @@ class TestInit:
         a = init_params(tiny_model_cfg, seed=3)
         b = init_params(tiny_model_cfg, seed=3)
         c = init_params(tiny_model_cfg, seed=4)
-        assert all(np.array_equal(a[k].data, b[k].data) for k in a)
-        assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
         bound = 1.0 / math.sqrt(tiny_model_cfg.window_len)
-        assert np.max(np.abs(a["encoder.embed.w"].data)) <= bound
+        assert np.max(np.abs(param_views(tiny_model_cfg, a)["encoder.embed.w"])) <= bound
 
     def test_biases_zero(self, tiny_model_cfg):
-        params = init_params(tiny_model_cfg, seed=5)
-        for name, t in params.items():
+        params = param_views(tiny_model_cfg, init_params(tiny_model_cfg, seed=5))
+        for name, arr in params.items():
             if name.endswith(".b"):
-                assert np.all(t.data == 0.0)
+                assert np.all(arr == 0.0)
 
     def test_param_count(self, tiny_model_cfg):
         model = ImputationModel(tiny_model_cfg, seed=6)
-        assert model.n_params == _expected_param_count(tiny_model_cfg)
+        assert model.flat.size == _expected_param_count(tiny_model_cfg)
 
     def test_param_count_with_attention(self, tiny_model_cfg):
         cfg = dataclasses.replace(tiny_model_cfg, use_attention=True)
         model = ImputationModel(cfg, seed=6)
-        assert model.n_params == _expected_param_count(cfg)
+        assert model.flat.size == _expected_param_count(cfg)
 
     def test_all_trainable(self, tiny_model):
         assert all(t.trainable for t in tiny_model.params.values())
@@ -61,19 +62,19 @@ class TestInit:
 
 class TestModelValidation:
     def test_missing_param_rejected(self, tiny_model_cfg):
-        params = init_params(tiny_model_cfg, seed=7)
+        params = param_views(tiny_model_cfg, init_params(tiny_model_cfg, seed=7))
         params.pop("projector.w")
         with pytest.raises(ValueError, match="projector.w"):
             ImputationModel(tiny_model_cfg, params=params)
 
     def test_unexpected_param_rejected(self, tiny_model_cfg):
-        params = init_params(tiny_model_cfg, seed=7)
+        params = param_views(tiny_model_cfg, init_params(tiny_model_cfg, seed=7))
         params["stray"] = Tensor(np.zeros(3))
         with pytest.raises(ValueError, match="stray"):
             ImputationModel(tiny_model_cfg, params=params)
 
     def test_wrong_shape_rejected(self, tiny_model_cfg):
-        params = init_params(tiny_model_cfg, seed=7)
+        params = param_views(tiny_model_cfg, init_params(tiny_model_cfg, seed=7))
         params["projector.b"] = Tensor(np.zeros(99), trainable=True)
         with pytest.raises(ValueError, match="projector.b"):
             ImputationModel(tiny_model_cfg, params=params)

@@ -6,23 +6,24 @@ import struct
 import numpy as np
 import pytest
 
-from ibimpute.autodiff import Tensor
 from ibimpute.data import MaskSpec, apply_mask, make_synthetic, make_windows, normalize_window
 from ibimpute.data import Normalizer
 from ibimpute.losses import GLO_INFONCE, GLO_NONE, LossBreakdown, LossWeights
+from ibimpute import training
 from ibimpute.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     ImputationModel,
     ModelConfig,
+    _param_specs,
     load_checkpoint,
     save_checkpoint,
 )
 from ibimpute.training import (
+    ADAM_BLOCK,
     Adam,
     TrainConfig,
     TrainingError,
-    adam_update,
     clip_gradients,
     fit,
     load_train_state,
@@ -43,10 +44,43 @@ def _masked_batch(n_windows=4, seed=0, rate=0.5, n_vars=2, window_len=8):
     return [apply_mask(normalize_window(w, norm), spec) for w in windows]
 
 
+def _reference_adam_update(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference copy of the original out-of-place ``adam_update``, kept as
+    the oracle for the in-place blocked :meth:`Adam.step`."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def _reference_clip_gradients(grads, max_norm):
+    """Reference copy of the original per-parameter ``clip_gradients`` loop,
+    kept as the oracle for the flat in-place one."""
+    if max_norm <= 0.0:
+        return grads
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
+    if norm <= max_norm:
+        return grads
+    scale = max_norm / norm
+    return {name: g * scale for name, g in grads.items()}
+
+
+def _adam_once(p, g, lr, **kwargs):
+    """One :meth:`Adam.step` from zero moments: the new parameters and moments."""
+    opt = Adam(lr, **kwargs)
+    p = np.array(p, dtype=float)
+    opt.step(p, np.asarray(g, dtype=float))
+    return p, opt.m, opt.v
+
+
 class TestAdamUpdate:
     def test_zero_gradient_is_identity(self):
         p = np.array([1.0, -2.0, 3.0])
-        new, m, v = adam_update(p, np.zeros(3), np.zeros(3), np.zeros(3), t=1, lr=0.1)
+        new, m, v = _adam_once(p, np.zeros(3), lr=0.1)
         assert np.array_equal(new, p)
         assert np.all(m == 0.0) and np.all(v == 0.0)
 
@@ -55,65 +89,112 @@ class TestAdamUpdate:
         # update is lr * g / (|g| + eps), one lr in the sign direction
         p = np.array([1.0, -2.0])
         g = np.array([0.5, -3.0])
-        new, _, _ = adam_update(p, g, np.zeros(2), np.zeros(2), t=1, lr=0.01)
+        new, _, _ = _adam_once(p, g, lr=0.01)
         assert np.max(np.abs(new - (p - 0.01 * np.sign(g)))) < 1e-6
 
     def test_antisymmetric_in_gradient(self):
         g = np.array([0.7, -1.1])
-        up_pos, _, _ = adam_update(np.zeros(2), g, np.zeros(2), np.zeros(2), t=1, lr=0.05)
-        up_neg, _, _ = adam_update(np.zeros(2), -g, np.zeros(2), np.zeros(2), t=1, lr=0.05)
+        up_pos, _, _ = _adam_once(np.zeros(2), g, lr=0.05)
+        up_neg, _, _ = _adam_once(np.zeros(2), -g, lr=0.05)
         assert np.max(np.abs(up_pos + up_neg)) < 1e-15
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            adam_update(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), t=1, lr=0.1)
+            _adam_once(np.zeros(2), np.zeros(3), lr=0.1)
 
     def test_moments_accumulate(self):
-        g = np.array([1.0])
-        _, m1, v1 = adam_update(np.zeros(1), g, np.zeros(1), np.zeros(1), t=1, lr=0.1)
+        _, m1, v1 = _adam_once(np.zeros(1), np.array([1.0]), lr=0.1)
         assert abs(m1[0] - 0.1) < 1e-15
         assert abs(v1[0] - 0.001) < 1e-15
 
 
 class TestAdamClass:
     def test_matches_manual_updates(self, rand):
-        p_data = rand((3, 2), seed=30)
-        g1 = rand((3, 2), seed=31)
-        g2 = rand((3, 2), seed=32)
+        p_data = rand(6, seed=30)
+        g1 = rand(6, seed=31)
+        g2 = rand(6, seed=32)
         opt = Adam(lr=0.01)
-        params = {"w": Tensor(p_data.copy(), trainable=True)}
-        opt.step(params, {"w": g1})
-        opt.step(params, {"w": g2})
+        flat = p_data.copy()
+        opt.step(flat, g1)
+        opt.step(flat, g2)
 
-        manual, m, v = p_data.copy(), np.zeros((3, 2)), np.zeros((3, 2))
+        manual, m, v = p_data.copy(), np.zeros(6), np.zeros(6)
         for t, g in ((1, g1), (2, g2)):
-            manual, m, v = adam_update(manual, g, m, v, t=t, lr=0.01)
-        assert np.array_equal(params["w"].data, manual)
+            manual, m, v = _reference_adam_update(manual, g, m, v, t=t, lr=0.01)
+        assert np.array_equal(flat, manual)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
         assert opt.t == 2
 
     def test_lazy_moment_allocation(self):
         opt = Adam(lr=0.1)
-        assert opt.m == {}
-        opt.step({"w": Tensor(np.ones(2), trainable=True)}, {"w": np.ones(2)})
-        assert set(opt.m) == {"w"}
+        assert opt.m is None and opt.v is None
+        opt.step(np.ones(2), np.ones(2))
+        assert opt.m.shape == opt.v.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "size",
+        [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 7],
+    )
+    def test_blocked_step_matches_reference_bit_for_bit(self, rand, size):
+        hyper = dict(lr=0.003, beta1=0.8, beta2=0.99, eps=1e-6)
+        p0 = rand(size, seed=33)
+        opt = Adam(**hyper)
+        flat = p0.copy()
+        ref, m, v = p0.copy(), np.zeros(size), np.zeros(size)
+        for t in range(1, 4):
+            # gradients spanning many binades exercise every rounding
+            g = rand(size, seed=33 + t) * np.exp(rand(size, seed=40 + t, low=-20, high=5))
+            opt.step(flat, g)
+            ref, m, v = _reference_adam_update(ref, g, m, v, t, **hyper)
+            assert np.array_equal(flat, ref)
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+    def test_updates_the_buffer_in_place(self):
+        flat = np.zeros(5)
+        views = [flat[:2], flat[2:]]
+        Adam(lr=0.1).step(flat, np.arange(1.0, 6.0))
+        assert np.array_equal(np.concatenate(views), flat)
+        assert np.all(flat < 0.0)
+
+
+def _split(flat, sizes):
+    return {str(k): part for k, part in enumerate(np.split(flat, np.cumsum(sizes)[:-1]))}
 
 
 class TestClipGradients:
     def test_below_threshold_unchanged(self):
-        grads = {"a": np.array([0.3, 0.4])}  # norm 0.5
-        out = clip_gradients(grads, 5.0)
-        assert np.array_equal(out["a"], grads["a"])
+        grad = np.array([0.3, 0.4])  # norm 0.5
+        assert not clip_gradients(grad, [2], 5.0)
+        assert np.array_equal(grad, [0.3, 0.4])
 
     def test_above_threshold_rescaled(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}  # norm 5
-        out = clip_gradients(grads, 1.0)
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in out.values()))
-        assert abs(norm - 1.0) < 1e-12
-        assert abs(out["a"][0] / out["b"][0] - 3.0 / 4.0) < 1e-12
+        grad = np.array([3.0, 0.0, 4.0])  # norm 5
+        assert clip_gradients(grad, [2, 1], 1.0)
+        assert abs(math.sqrt(float(np.sum(grad * grad))) - 1.0) < 1e-12
+        assert abs(grad[0] / grad[2] - 3.0 / 4.0) < 1e-12
 
     def test_zero_threshold_disables(self):
-        grads = {"a": np.array([100.0])}
-        assert np.array_equal(clip_gradients(grads, 0.0)["a"], grads["a"])
+        grad = np.array([100.0])
+        assert not clip_gradients(grad, [1], 0.0)
+        assert np.array_equal(grad, [100.0])
+
+    @pytest.mark.parametrize("max_norm", [0.0, 0.5, 1e9])
+    def test_matches_reference_bit_for_bit(self, rand, max_norm):
+        # the real shapes' sizes, in spec order (train_small's and a BLOCK-sized one)
+        sizes = [96 * 64, 64, 64 * 64, 64, 64 * 32, 32, 64 * 32, 32, ADAM_BLOCK, 3, 1]
+        flat = rand(sum(sizes), seed=70) * np.exp(rand(sum(sizes), seed=71, low=-9, high=3))
+        want = _reference_clip_gradients(_split(flat.copy(), sizes), max_norm)
+        clip_gradients(flat, sizes, max_norm)
+        got = _split(flat, sizes)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_partial_sums_follow_parameter_shapes(self, rand):
+        # a 2-D parameter's sum over its flat slice rounds like the 2-D sum
+        g = rand((256, 256), seed=72) * 1e3
+        flat = g.ravel().copy()
+        clip_gradients(flat, [g.size], 1.0)
+        want = _reference_clip_gradients({"w": g}, 1.0)["w"]
+        assert np.array_equal(flat.reshape(g.shape), want)
 
 
 class TestTrainStep:
@@ -324,6 +405,107 @@ class TestFit:
     def test_invalid_config_rejected_before_work(self, small_dataset):
         with pytest.raises(ValueError):
             fit(small_dataset, MODEL_CFG, TrainConfig(epochs=0))
+
+
+def _assert_named_views(cfg, named, flat):
+    """``named`` holds, in spec order, C-contiguous views of ``flat`` laid
+    end to end from its first element."""
+    assert list(named) == [name for name, _, _ in _param_specs(cfg)]
+    at = flat.ctypes.data
+    for (name, shape, _), arr in zip(_param_specs(cfg), named.values()):
+        assert arr.shape == shape and arr.flags.c_contiguous, name
+        assert arr.ctypes.data == at, name
+        at += arr.nbytes
+    assert at == flat.ctypes.data + flat.nbytes
+
+
+def _assert_flat_model(model):
+    assert model.flat.flags.c_contiguous and model.flat.dtype == np.float64
+    named = {name: t.data for name, t in model.params.items()}
+    _assert_named_views(model.config, named, model.flat)
+
+
+def _live_models(monkeypatch):
+    """Spy on ``train_step``: the models it trains, in call order."""
+    seen = []
+    real = training.train_step
+
+    def spy(model, *args, **kwargs):
+        seen.append(model)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_step", spy)
+    return seen
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_seeded_model(self, attention):
+        cfg = dataclasses.replace(MODEL_CFG, use_attention=attention)
+        _assert_flat_model(ImputationModel(cfg, seed=1))
+
+    def test_model_from_named_arrays_copies_them(self):
+        source = ImputationModel(MODEL_CFG, seed=2)
+        model = ImputationModel(MODEL_CFG, params=source.params)
+        _assert_flat_model(model)
+        assert np.array_equal(model.flat, source.flat)
+        assert not np.shares_memory(model.flat, source.flat)
+
+    def test_load_checkpoint(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        save_checkpoint(path, ImputationModel(MODEL_CFG, seed=3))
+        _assert_flat_model(load_checkpoint(path))
+
+    def test_adam_step_updates_the_views_in_place(self):
+        model = ImputationModel(MODEL_CFG, seed=4)
+        arrays = {name: t.data for name, t in model.params.items()}
+        before = model.flat.copy()
+        Adam(0.01).step(model.flat, np.ones_like(model.flat))
+        assert not np.array_equal(model.flat, before)
+        assert all(model.params[name].data is arr for name, arr in arrays.items())
+        _assert_flat_model(model)
+
+    def test_train_step_keeps_the_views(self):
+        cfg = ModelConfig(window_len=8, n_vars=2, d_model=4, hidden_dim=6)
+        model = ImputationModel(cfg, seed=5)
+        flat, before = model.flat, model.flat.copy()
+        assert train_step(model, _masked_batch(seed=6), LossWeights(), Adam(0.01), step_seed=7)[1]
+        assert model.flat is flat and not np.array_equal(flat, before)
+        _assert_flat_model(model)
+
+    def test_fit_from_start_state(self, small_dataset, small_train_cfg, monkeypatch):
+        part = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=13)
+        live = _live_models(monkeypatch)
+        fit(small_dataset, MODEL_CFG, small_train_cfg, start_state=part.state)
+        assert live and all(model is live[0] for model in live)
+        _assert_flat_model(live[0])
+        for group in (part.state.params, part.state.adam_m, part.state.best_params):
+            assert not np.shares_memory(live[0].flat, next(iter(group.values())).base)
+
+    def test_results_share_no_memory_with_the_live_buffer(
+        self, small_dataset, small_train_cfg, monkeypatch
+    ):
+        live = _live_models(monkeypatch)
+        result = fit(small_dataset, MODEL_CFG, small_train_cfg)
+        assert result.model is live[0]
+        _assert_flat_model(result.model)
+        state = result.state
+        groups = (state.params, state.adam_m, state.adam_v, state.best_params)
+        bases = [next(iter(group.values())).base for group in groups]
+        for group, base in zip(groups, bases):
+            # each group is views of its own flat copy
+            _assert_named_views(MODEL_CFG, group, base)
+            assert not np.shares_memory(base, result.model.flat)
+        assert len({id(base) for base in bases}) == len(bases)
+
+    def test_result_model_holds_the_best_parameters(self, small_dataset, small_train_cfg):
+        steps_per_epoch = 10
+        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=steps_per_epoch + 3)
+        state = result.state
+        best = np.concatenate([arr.ravel() for arr in state.best_params.values()])
+        last = np.concatenate([arr.ravel() for arr in state.params.values()])
+        assert not np.array_equal(best, last)  # three steps since validation
+        assert np.array_equal(result.model.flat, best)
 
 
 class TestValidationMae:
