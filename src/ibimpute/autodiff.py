@@ -2,9 +2,20 @@
 
 Every model and loss in this package is built from the ops here.  Forward ops
 compute with numpy and, when a :class:`Tape` is active, append one node per
-call; :meth:`Tape.backward` walks the nodes once in reverse, so a chain of k
-ops costs k backward visits and never re-runs the forward pass.  With no
-active tape the same ops run in plain inference mode and record nothing.
+call that has an input needing a gradient; :meth:`Tape.backward` walks the
+nodes once in reverse, so a chain of k ops costs k backward visits and never
+re-runs the forward pass.  With no active tape the same ops run in plain
+inference mode and record nothing.
+
+A tensor needs a gradient if it is ``trainable``, if it was passed to
+:meth:`Tape.watch` before its first use on the tape, or if it is the output
+of a recorded op.  Everything else is a constant: an op on constants only
+records no node, and a node returns None, computing nothing, in place of a
+constant input's gradient (the masked data, the masks and the sampling noise
+of a training step).  During backward each node's output gradient is freed
+once the node has used it, so only the gradients of trainable and watched
+tensors outlive :meth:`Tape.backward`; :meth:`Gradients.of` answers for
+those and raises for any other tensor.
 
 :func:`matmul` with a 2-D right operand (every affine weight in the model) is
 the shared-weight case: the left operand's leading dims fold into rows, so
@@ -204,7 +215,7 @@ def _lift(x) -> Tensor:
 class _Node:
     out: Tensor
     inputs: tuple[Tensor, ...]
-    backward: "callable"  # out_grad -> tuple of grads aligned with inputs
+    backward: "callable"  # out_grad -> tuple of grads aligned with inputs (None: not needed)
 
 
 _ACTIVE: "Tape | None" = None
@@ -216,6 +227,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._watched: set[int] = set()
+        self._tracked: set[int] = set()  # watched, plus outputs of recorded ops
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -230,24 +242,20 @@ class Tape:
         return False
 
     def watch(self, *tensors: Tensor) -> None:
-        """Register leaves so zero gradients can be reported for them."""
+        """Ask for the gradients of ``tensors``.  Watch each before its first
+        use: an op that ran on it earlier treated it as a constant."""
         for t in tensors:
             self._watched.add(t.uid)
-
-    def _known_ids(self) -> set[int]:
-        known = set(self._watched)
-        for node in self.nodes:
-            known.add(node.out.uid)
-            for t in node.inputs:
-                known.add(t.uid)
-        return known
+            self._tracked.add(t.uid)
 
     def backward(self, loss: Tensor) -> "Gradients":
-        """Accumulate d(loss)/d(tensor) for everything the tape saw.
+        """d(loss)/d(t) for every trainable or watched tensor ``t``.
 
         ``loss`` must be scalar.  Each node is visited exactly once, in
         reverse recording order (which is a topological order because the
-        tape is append-only).
+        tape is append-only).  A node's output gradient is dropped once the
+        node has used it, unless that output is watched, so at the end only
+        the gradients of trainable and watched tensors are alive.
         """
         if loss.shape != ():
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -255,38 +263,36 @@ class Tape:
             raise TapeError("loss tensor was not recorded on this tape")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
         for node in reversed(self.nodes):
-            g_out = grads.get(node.out.uid)
+            uid = node.out.uid
+            g_out = grads.get(uid) if uid in self._watched else grads.pop(uid, None)
             if g_out is None:
                 continue  # no path from this node's output to the loss
             for t, g in zip(node.inputs, node.backward(g_out)):
+                if g is None:
+                    continue  # t needs no gradient
                 acc = grads.get(t.uid)
                 grads[t.uid] = g if acc is None else np.add(acc, g, out=_buffer(t.shape))
-        return Gradients(grads, self)
+        return Gradients(grads, self._watched)
 
 
 class Gradients:
     """Gradient lookup from :meth:`Tape.backward`.
 
-    Tensors the tape knows about but that do not influence the loss get a
-    zero gradient of matching shape; unknown tensors raise.  The set of known
-    tensors walks the whole tape, so it is built only on the first lookup
-    that misses ``grads``.
+    Trainable and watched tensors that do not influence the loss get a zero
+    gradient of matching shape; any other tensor raises.
     """
 
-    def __init__(self, grads: dict[int, np.ndarray], tape: Tape):
+    def __init__(self, grads: dict[int, np.ndarray], watched: set[int]):
         self._grads = grads
-        self._tape = tape
-        self._known: set[int] | None = None
+        self._watched = watched
 
     def of(self, t: Tensor) -> np.ndarray:
+        if not (t.trainable or t.uid in self._watched):
+            raise TapeError("gradient of a tensor that is neither trainable nor watched")
         g = self._grads.get(t.uid)
-        if g is not None:
-            return np.broadcast_to(g, t.shape).astype(np.float64, copy=False)
-        if self._known is None:
-            self._known = self._tape._known_ids()
-        if t.uid in self._known:
+        if g is None:
             return np.zeros(t.shape, dtype=np.float64)
-        raise TapeError("tensor was not recorded on the tape")
+        return np.broadcast_to(g, t.shape).astype(np.float64, copy=False)
 
     def flat(self, tensors: list[Tensor]) -> np.ndarray:
         """The gradients of ``tensors``, raveled end to end into one array.
@@ -302,9 +308,23 @@ class Gradients:
         return np.concatenate(parts, axis=None, out=_buffer((size,)))
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    if _ACTIVE is not None:
-        _ACTIVE.nodes.append(_Node(out, inputs, backward))
+def _needs(inputs: tuple[Tensor, ...]) -> tuple[bool, ...]:
+    """Which of ``inputs`` need a gradient on the active tape (none without one)."""
+    tape = _ACTIVE
+    if tape is None:
+        return (False,) * len(inputs)
+    tracked = tape._tracked
+    return tuple([t.trainable or t.uid in tracked for t in inputs])
+
+
+def _record(out: Tensor, inputs: tuple[Tensor, ...], backward, need=None) -> Tensor:
+    """Append a node for ``out`` if any input needs a gradient (``need``, from
+    :func:`_needs` if not given); then ``out`` needs one too.  ``backward``
+    returns None in place of the gradient of an input that needs none."""
+    tape = _ACTIVE
+    if tape is not None and any(_needs(inputs) if need is None else need):
+        tape._tracked.add(out.uid)
+        tape.nodes.append(_Node(out, inputs, backward))
     return out
 
 
@@ -333,44 +353,64 @@ def _binary(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary("add", np.add, a, b))
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    need_a, need_b = need = _needs((a, b))
+
+    def backward(g):
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None)
+
+    return _record(out, (a, b), backward, need)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary("sub", np.subtract, a, b))
+    need_a, need_b = need = _needs((a, b))
 
     def backward(g):
-        gb = np.negative(g, out=_buffer(g.shape))
-        return _unbroadcast(g, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(g, a.shape)
+        if need_b:
+            gb = _unbroadcast(np.negative(g, out=_buffer(g.shape)), b.shape)
+        return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, need)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary("mul", np.multiply, a, b))
+    need_a, need_b = need = _needs((a, b))
 
     def backward(g):
-        ga = np.multiply(g, b.data, out=_buffer(g.shape))
-        gb = np.multiply(g, a.data, out=_buffer(g.shape))
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(np.multiply(g, b.data, out=_buffer(g.shape)), a.shape)
+        if need_b:
+            gb = _unbroadcast(np.multiply(g, a.data, out=_buffer(g.shape)), b.shape)
+        return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, need)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     if np.any(b.data == 0.0):
         raise DomainError("div: zero divisor")
     out = Tensor(_binary("div", np.divide, a, b))
+    need_a, need_b = need = _needs((a, b))
 
     def backward(g):
-        ga = np.divide(g, b.data, out=_buffer(g.shape))
-        buf = _buffer(g.shape)
-        gb = np.negative(g, out=buf)
-        gb = np.multiply(gb, a.data, out=buf)
-        gb = np.divide(gb, np.multiply(b.data, b.data, out=_buffer(b.shape)), out=buf)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(np.divide(g, b.data, out=_buffer(g.shape)), a.shape)
+        if need_b:
+            buf = _buffer(g.shape)
+            gb = np.negative(g, out=buf)
+            gb = np.multiply(gb, a.data, out=buf)
+            gb = np.divide(gb, np.multiply(b.data, b.data, out=_buffer(b.shape)), out=buf)
+            gb = _unbroadcast(gb, b.shape)
+        return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, need)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -389,13 +429,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         rows = a2.shape[0]
         out = np.matmul(a2, b.data, out=_buffer((rows, n_out)))
         out = Tensor(out.reshape(a.shape[:-1] + (n_out,)))
+        need_a, need_b = need = _needs((a, b))
 
         def backward_shared(g):
             g2 = g.reshape(-1, n_out)
-            ga = np.matmul(g2, b.data.T, out=_buffer((rows, n_in)))
-            return ga.reshape(a.shape), np.matmul(a2.T, g2, out=_buffer((n_in, n_out)))
+            ga = gb = None
+            if need_a:
+                ga = np.matmul(g2, b.data.T, out=_buffer((rows, n_in))).reshape(a.shape)
+            if need_b:
+                gb = np.matmul(a2.T, g2, out=_buffer((n_in, n_out)))
+            return ga, gb
 
-        return _record(out, (a, b), backward_shared)
+        return _record(out, (a, b), backward_shared, need)
     try:
         out = Tensor(np.matmul(a.data, b.data))
     except ValueError:
@@ -403,12 +448,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: shapes {a.shape} and {b.shape} do not conform"
         ) from None
 
+    need_a, need_b = need = _needs((a, b))
+
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if need_b:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, need)
 
 
 def negate(a: Tensor) -> Tensor:
@@ -496,18 +546,20 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             f"concat: shapes {[t.shape for t in tensors]} do not align on axis {axis}"
         ) from None
     sizes = [t.shape[axis] for t in tensors]
+    inputs = tuple(tensors)
+    need = _needs(inputs)
 
     def backward(g):
         pieces = []
         start = 0
-        for size in sizes:
+        for size, needed in zip(sizes, need):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, start + size)
-            pieces.append(g[tuple(idx)])
+            pieces.append(g[tuple(idx)] if needed else None)
             start += size
         return tuple(pieces)
 
-    return _record(out, tuple(tensors), backward)
+    return _record(out, inputs, backward, need)
 
 
 def take(a: Tensor, index) -> Tensor:

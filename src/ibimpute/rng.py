@@ -91,13 +91,18 @@ class SplitMix64:
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         half = (n + 1) // 2
         u = self.uniforms(2 * half)
-        u1 = 1.0 - u[:half]  # shift to (0, 1] so log never sees zero
-        u2 = u[half:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, in place in u;
+        # 1 - u1 is in (0, 1], so log never sees zero
+        r, theta = u[:half], u[half:]
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        np.multiply(-2.0, r, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(2.0 * np.pi, theta, out=theta)
         out = np.empty(2 * half, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        trig = np.cos(theta)
+        np.multiply(r, trig, out=out[0::2])
+        np.multiply(r, np.sin(theta, out=trig), out=out[1::2])
         return out[:n].reshape(shape)
 
     def below(self, bound: int) -> int:

@@ -244,7 +244,6 @@ def train_step(
                 # global term this batch instead of failing on cos(a, 0)
                 z_target = None
         with Tape() as tape:
-            tape.watch(*model.params.values())
             dist = model.encode(Tensor(x_masked_in))
             z = reparameterize(dist, step_seed)
             x_hat = model.decode(z)

@@ -160,6 +160,7 @@ class TestBackwardExamples:
     def test_gradient_accumulates_over_reuse(self):
         w = Tensor([2.0])
         with Tape() as tape:
+            tape.watch(w)
             loss = tsum(mul(w, w) + w)
         assert np.array_equal(tape.backward(loss).of(w), [5.0])
 
@@ -175,6 +176,7 @@ class TestBackwardErrors:
     def test_loss_not_on_tape(self):
         w = Tensor(np.ones(3))
         with Tape() as tape:
+            tape.watch(w)
             tsum(square(w))
         stranger = Tensor(1.0)
         with pytest.raises(TapeError):
@@ -294,6 +296,7 @@ class TestSharedWeightMatmul:
         """Forward of ``a @ b`` and the gradients of ``sum((a @ b) * g)``."""
         ta, tb = Tensor(a), Tensor(b)
         with Tape() as tape:
+            tape.watch(ta, tb)
             out = matmul(ta, tb)
             loss = tsum(mul(out, Tensor(g)))
         grads = tape.backward(loss)
@@ -338,6 +341,28 @@ class TestSharedWeightMatmul:
         assert np.array_equal(ga, np.matmul(g, np.swapaxes(b, -1, -2)))
         assert np.array_equal(gb, np.matmul(np.swapaxes(a, -1, -2), g))
 
+    def test_constant_left_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(45)
+        a = rng.normal(size=(4, 5, 6))
+        w = Tensor(rng.normal(size=(6, 3)), trainable=True)
+        g = rng.normal(size=(4, 5, 3))
+        with Tape() as tape:
+            matmul(Tensor(a), w)
+        (node,) = tape.nodes
+        ga, gw = node.backward(g)
+        assert ga is None
+        assert np.array_equal(gw, a.reshape(-1, 6).T @ g.reshape(-1, 3))
+
+    def test_constant_factor_gets_no_gradient(self):
+        x = Tensor(np.ones(3), trainable=True)
+        eps = Tensor(np.arange(3.0))
+        with Tape() as tape:
+            mul(x, eps)
+        (node,) = tape.nodes
+        gx, geps = node.backward(np.full(3, 2.0))
+        assert geps is None
+        assert np.array_equal(gx, 2.0 * eps.data)
+
     def test_backward_builds_no_per_batch_weight_stack(self):
         # the [64, 256, 256] stack a batched weight gradient would sum is 33.5 MB
         rng = np.random.default_rng(41)
@@ -346,12 +371,14 @@ class TestSharedWeightMatmul:
         tracemalloc.start()
         try:
             with Tape() as tape:
+                tape.watch(a, w)
                 loss = tsum(matmul(a, w))
             grads = tape.backward(loss)
             grads.of(a), grads.of(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(tape.nodes) == 2
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -363,6 +390,7 @@ class TestBufferPool:
         """Taped forward and backward of ``sum(exp(a @ w) * a @ w)``; returns
         every large array it made: outputs, views of them and gradients."""
         with Tape() as tape:
+            tape.watch(a, w)
             y = matmul(a, w)
             z = mul(exp(y), y)
             loss = tsum(z)
@@ -375,6 +403,7 @@ class TestBufferPool:
         a = Tensor(rng.normal(size=(8, 21, 256)) * 0.1)
         w = Tensor(rng.normal(size=(256, 256)) * 0.1)
         with Tape() as tape:
+            tape.watch(a, w)
             y = exp(matmul(a, w))
             loss = tsum(square(y))
         keep = {
@@ -398,10 +427,40 @@ class TestBufferPool:
         counts = []
         for _ in range(2):
             with Tape() as tape:
+                tape.watch(a, w)
                 loss = tsum(matmul(a, w))
+            assert len(tape.nodes) == 2
             tape.backward(loss).of(w)
             counts.append(len(_POOL))
         assert counts[0] == counts[1]
+
+    def test_step_keeps_only_the_parameter_gradients(self, monkeypatch):
+        from ibimpute.data import Window
+        from ibimpute.losses import LossWeights
+        from ibimpute.model import ImputationModel, ModelConfig
+        from ibimpute.training import Adam, train_step
+
+        rng = np.random.default_rng(46)
+        model = ImputationModel(ModelConfig(window_len=96, n_vars=21), seed=1)
+        batch = [
+            Window(x=rng.normal(size=(96, 21)), m_obs=np.ones((96, 21)),
+                   m_art=(rng.uniform(size=(96, 21)) > 0.5).astype(float), index=i)
+            for i in range(64)
+        ]
+        returned = []
+        backward = Tape.backward
+
+        def spy(tape, loss):
+            returned.append(backward(tape, loss))
+            return returned[-1]
+
+        monkeypatch.setattr(Tape, "backward", spy)
+        _, applied = train_step(model, batch, LossWeights(), Adam(lr=1e-3), 0)
+        assert applied
+        held = returned[0]._grads
+        params = model.params.values()
+        assert sorted(held) == sorted(t.uid for t in params) and len(held) == 14
+        assert sum(g.nbytes for g in held.values()) == model.flat.nbytes  # about 2.9 MiB
 
     def test_short_last_batch_reuses_full_batch_buffers(self):
         from ibimpute.data import Window
@@ -457,6 +516,7 @@ class TestTapeMechanics:
         x = Tensor(np.ones(4))
         for k in (5, 50):
             with Tape() as tape:
+                tape.watch(x)
                 out = x
                 for _ in range(k):
                     out = add(out, x)
@@ -467,10 +527,12 @@ class TestTapeMechanics:
     def test_backward_visits_each_node_once(self):
         x = Tensor(np.ones(3))
         with Tape() as tape:
+            tape.watch(x)
             out = x
             for _ in range(10):
                 out = mul(out, x)
             loss = tsum(out)
+        assert len(tape.nodes) == 11
         calls = []
         for node in tape.nodes:
             original = node.backward
@@ -481,21 +543,52 @@ class TestTapeMechanics:
         assert len(calls) == len(tape.nodes)
         assert len(set(id(c) for c in calls)) == len(tape.nodes)
 
-    def test_known_set_built_only_when_a_lookup_misses(self, monkeypatch):
-        walks = []
-        known_ids = Tape._known_ids
-        monkeypatch.setattr(Tape, "_known_ids", lambda tape: walks.append(1) or known_ids(tape))
-        w = Tensor(np.ones(3))
-        u = Tensor(np.ones(2))
+    def test_lookup_rule(self):
+        w = Tensor(np.ones(3), trainable=True)
+        u = Tensor(np.ones(2), trainable=True)
+        v = Tensor(np.ones(2))
+        c = Tensor(np.full(3, 2.0))
         with Tape() as tape:
-            tape.watch(w, u)
-            loss = tsum(square(w))
+            tape.watch(v)
+            loss = tsum(mul(square(w), c))
         grads = tape.backward(loss)
-        assert np.array_equal(grads.of(w), [2.0, 2.0, 2.0])
-        assert walks == []
-        assert np.array_equal(grads.of(u), np.zeros(2))
-        assert np.array_equal(grads.of(u), np.zeros(2))
-        assert walks == [1]
+        assert np.array_equal(grads.of(w), [4.0, 4.0, 4.0])
+        assert np.array_equal(grads.of(u), np.zeros(2))  # trainable, unused
+        assert np.array_equal(grads.of(v), np.zeros(2))  # watched, unused
+        with pytest.raises(TapeError):
+            grads.of(c)  # a constant the tape saw
+
+    def test_watched_intermediate_keeps_its_gradient(self):
+        x = Tensor([0.5, -1.0], trainable=True)
+        with Tape() as tape:
+            y = exp(x)
+            tape.watch(y)
+            z = square(y)
+            loss = tsum(z)
+        grads = tape.backward(loss)
+        assert np.array_equal(grads.of(y), 2.0 * y.data)
+        assert np.array_equal(grads.of(x), 2.0 * y.data * y.data)
+        with pytest.raises(TapeError):
+            grads.of(z)  # not watched: freed once its node used it
+
+    @pytest.mark.parametrize("op", [
+        add, sub, mul, div, matmul,
+        pytest.param(lambda a, b: concat([a, b]), id="concat"),
+        pytest.param(lambda a, b: exp(a), id="exp"),
+    ])
+    def test_op_on_constants_records_no_node(self, op):
+        a, b = Tensor(np.ones((2, 2))), Tensor(np.full((2, 2), 2.0))
+        with Tape() as tape:
+            tsum(square(op(a, b)))
+        assert tape.nodes == []
+
+    def test_op_with_one_tracked_input_records_a_node(self):
+        a, w = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)), trainable=True)
+        with Tape() as tape:
+            y = matmul(a, w)
+            loss = tsum(square(y))
+        assert len(tape.nodes) == 3
+        assert tape.nodes[0].out is y and tape.nodes[-1].out is loss
 
     def test_no_recording_without_tape(self):
         before = Tensor(np.ones(2))

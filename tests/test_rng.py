@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,3 +97,30 @@ def test_mix64_matches_vectorized():
     vec = _mix64_array(xs)
     ref = np.array([mix64(int(x)) for x in xs], dtype=np.uint64)
     assert np.array_equal(vec, ref)
+
+
+def _reference_normals(rng, shape):
+    """The out-of-place Box-Muller formula ``SplitMix64.normals`` computes in place."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    half = (n + 1) // 2
+    u = rng.uniforms(2 * half)
+    u1 = 1.0 - u[:half]
+    u2 = u[half:]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * half, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n].reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(), 1, (7,), 8, (3, 5), (64, 21, 256)])
+def test_normals_are_bits_of_the_reference_formula(shape):
+    seed = derive(21, 4)
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(2):  # the second draw starts from the advanced state
+        got, want = a.normals(shape), _reference_normals(b, shape)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert a._state == b._state
