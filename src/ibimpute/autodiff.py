@@ -191,18 +191,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _lift(other))
 
-    def __getitem__(self, index):
-        return take(self, index)
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def transpose(self) -> "Tensor":
         return transpose(self)
 
@@ -532,44 +520,6 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         else:
             g_full = np.broadcast_to(g if keepdims else np.expand_dims(g, axis), a.shape)
         return (np.divide(g_full, count, out=_buffer(a.shape)),)
-
-    return _record(out, (a,), backward)
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeMismatchError("concat: empty tensor list")
-    try:
-        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    except ValueError:
-        raise ShapeMismatchError(
-            f"concat: shapes {[t.shape for t in tensors]} do not align on axis {axis}"
-        ) from None
-    sizes = [t.shape[axis] for t in tensors]
-    inputs = tuple(tensors)
-    need = _needs(inputs)
-
-    def backward(g):
-        pieces = []
-        start = 0
-        for size, needed in zip(sizes, need):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(start, start + size)
-            pieces.append(g[tuple(idx)] if needed else None)
-            start += size
-        return tuple(pieces)
-
-    return _record(out, inputs, backward, need)
-
-
-def take(a: Tensor, index) -> Tensor:
-    """Basic slicing (ints, slices, tuples thereof); no fancy indexing."""
-    out = Tensor(a.data[index])
-
-    def backward(g):
-        full = np.zeros(a.shape, dtype=np.float64)
-        full[index] = g
-        return (full,)
 
     return _record(out, (a,), backward)
 

@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from .data import (
     CsvFormatError,
     Dataset,
     MaskError,
-    MaskSpec,
     SplitError,
     Window,
     apply_mask,
@@ -31,6 +30,7 @@ from .data import (
     load_csv,
     normalize_window,
     write_csv,
+    write_rows,
 )
 from .evaluation import (
     EvalEntry,
@@ -120,15 +120,6 @@ def _load_run_config(args) -> RunConfig:
         raise UsageError(str(exc)) from None
 
 
-def _configs_for_run(cfg: RunConfig):
-    try:
-        train_cfg = cfg.train_config()
-        train_cfg.validate()
-    except (ValueError, MaskError) as exc:
-        raise UsageError(str(exc)) from None
-    return train_cfg
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -176,14 +167,13 @@ def _cmd_synth(args) -> None:
 
 def _cmd_train(args) -> None:
     cfg = _load_run_config(args)
-    train_cfg = _configs_for_run(cfg)
     dataset = cfg.load_dataset()
     model_cfg = cfg.model_config(dataset.n_vars)
     out = _out_dir(cfg)
     result = fit(
         dataset,
         model_cfg,
-        train_cfg,
+        cfg.train_config(),
         checkpoint_path=str(out / "checkpoint.bin"),
         progress=not args.quiet,
     )
@@ -194,23 +184,17 @@ def _cmd_train(args) -> None:
 
 def _cmd_eval(args) -> None:
     cfg = _load_run_config(args)
-    train_cfg = _configs_for_run(cfg)
     dataset = cfg.load_dataset()
     model = _checkpoint_model(cfg, args, dataset)
-    windows = held_out_windows(dataset, model.config, train_cfg)
+    windows = held_out_windows(dataset, model.config, cfg.train_config())
     out = _out_dir(cfg)
-    eval_seed = derive(cfg["eval.seed"], STREAM_EVAL_MASK)
+    eval_spec = cfg.mask_spec(seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK))
     rows: list[EvalEntry] = []
     align_rows: list[tuple[str, float, float]] = []
     for pattern in cfg["eval.patterns"]:
         per_rate = []
         for rate in cfg["eval.rates"]:
-            spec = MaskSpec(
-                pattern=pattern,
-                rate=rate,
-                block_len=cfg["mask.block_len"],
-                seed=eval_seed,
-            )
+            spec = replace(eval_spec, pattern=pattern, rate=rate)
             masked = [
                 apply_mask(normalize_window(w, model.normalizer), spec) for w in windows
             ]
@@ -229,7 +213,7 @@ def _cmd_eval(args) -> None:
 
 def _cmd_ablate(args) -> None:
     cfg = _load_run_config(args)
-    train_cfg = _configs_for_run(cfg)
+    train_cfg = cfg.train_config()
     if train_cfg.weights.loc <= 0.0:
         raise UsageError("ablation needs train.weights.loc > 0")
     dataset = cfg.load_dataset()
@@ -249,31 +233,6 @@ def _cmd_ablate(args) -> None:
         ranked = sorted(grid.entries, key=lambda name: grid.entries[name][i].mae)
         parts = " ".join(f"{name}={grid.entries[name][i].mae!r}" for name in ranked)
         print(f"rate {rate!r}: {parts}")
-
-
-def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    """Write ``header`` and ``rows`` exactly as ``csv.writer`` would.
-
-    The body goes out as one joined string when that is provably the same
-    bytes: every row has one cell per header name and is not a lone empty cell
-    (which ``csv.writer`` writes as ``""``), and no cell holds a quote, a comma,
-    a CR or a LF, so the counts of each are exactly the separators.  Otherwise,
-    e.g. for input that needed quoting, ``csv.writer`` writes the rows itself.
-    """
-    n = len(header)
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        body = "".join([",".join(row) + "\r\n" for row in rows])
-        if (
-            all(len(row) == n and row != [""] for row in rows)
-            and '"' not in body
-            and body.count(",") == len(rows) * (n - 1)
-            and body.count("\r") == body.count("\n") == len(rows)
-        ):
-            fh.write(body)
-        else:
-            writer.writerows(rows)
 
 
 def _cmd_impute(args) -> None:
@@ -311,7 +270,7 @@ def _cmd_impute(args) -> None:
     out = Path(args.output)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_rows(out, header, body)
+    write_rows(out, header, body)
     with atomic_write(str(out) + ".meta") as fh:
         fh.write(f"checkpoint = {args.checkpoint}\ninput = {args.input}\n")
     n_filled = int((1.0 - ds.native_mask).sum())
@@ -320,18 +279,13 @@ def _cmd_impute(args) -> None:
 
 def _cmd_export_latents(args) -> None:
     cfg = _load_run_config(args)
-    train_cfg = _configs_for_run(cfg)
     dataset = cfg.load_dataset()
     model = _checkpoint_model(cfg, args, dataset)
-    windows = held_out_windows(dataset, model.config, train_cfg)
+    windows = held_out_windows(dataset, model.config, cfg.train_config())
     out = _out_dir(cfg)
-    spec = MaskSpec(
-        pattern=cfg["mask.pattern"],
-        rate=cfg["mask.rate"],
-        block_len=cfg["mask.block_len"],
-        seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK),
-    )
-    score = export_latents(model, windows, spec, str(out / "latents.csv"))
+    spec = cfg.mask_spec(seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK))
+    masked = [apply_mask(normalize_window(w, model.normalizer), spec) for w in windows]
+    score = export_latents(model, masked, str(out / "latents.csv"))
     with atomic_write(out / "alignment.txt") as fh:
         fh.write(f"{score!r}\n")
     print(f"alignment = {score!r}")

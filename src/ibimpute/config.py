@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import Dataset, MaskSpec, load_csv, make_synthetic
-from .losses import GLO_VARIANTS, LossWeights
+from .losses import LossWeights
 from .model import ModelConfig
-from .training import LOC_TARGET_HIDDEN, LOC_TARGET_OBSERVED, TrainConfig
+from .training import LOC_TARGET_OBSERVED, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -177,22 +177,19 @@ class RunConfig:
         return self.values[key]
 
     def validate(self) -> None:
+        """The checks only a run config can make, then the training config's
+        own (:meth:`TrainConfig.validate`), whose errors become ConfigErrors."""
         split = self.values["train.split"]
         if len(split) != 3:
             raise ConfigError(f"train.split needs 3 fractions, got {split}")
-        if self.values["train.weights.glo_variant"] not in GLO_VARIANTS:
-            raise ConfigError(
-                f"train.weights.glo_variant must be one of {GLO_VARIANTS}"
-            )
-        if self.values["train.loc_target"] not in (
-            LOC_TARGET_OBSERVED,
-            LOC_TARGET_HIDDEN,
-        ):
-            raise ConfigError("train.loc_target must be 'observed' or 'hidden'")
         for key in ("eval.rates",):
             for r in self.values[key]:
                 if not (0.0 < r < 1.0):
                     raise ConfigError(f"{key} entries must lie in (0, 1), got {r}")
+        try:
+            self.train_config().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def resolved_text(self) -> str:
         lines = [f"{key} = {_fmt(self.values[key])}" for key in sorted(_REGISTRY)]

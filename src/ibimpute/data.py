@@ -10,7 +10,9 @@ Conventions used throughout:
   source but hidden by the artificial mask.
 
 CSV format: one header row of variable names, one row per timestep, empty
-cell = natively missing.
+cell = natively missing.  :func:`write_rows` is the one CSV writer: it writes
+the bytes ``csv.writer`` would, as one joined string when that is provably the
+same, for both :func:`write_csv` and ``ibimpute impute``.
 """
 
 from __future__ import annotations
@@ -223,18 +225,39 @@ def atomic_write(path, mode: str = "w"):
             os.remove(tmp)
 
 
-def write_csv(path: str, ds: Dataset) -> None:
-    """Inverse of :func:`load_csv`; natively missing cells become empty."""
+def write_rows(path, header: list[str], rows: list[list[str]]) -> None:
+    """Write ``header`` and ``rows`` exactly as ``csv.writer`` would.
+
+    The body goes out as one joined string when that is provably the same
+    bytes: every row has one cell per header name and is not a lone empty cell
+    (which ``csv.writer`` writes as ``""``), and no cell holds a quote, a comma,
+    a CR or a LF, so the counts of each are exactly the separators.  Otherwise,
+    e.g. for input that needed quoting, ``csv.writer`` writes the rows itself.
+    """
+    n = len(header)
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(ds.variable_names)
-        for t in range(ds.length):
-            writer.writerow(
-                [
-                    repr(float(ds.values[t, i])) if ds.native_mask[t, i] == 1.0 else ""
-                    for i in range(ds.n_vars)
-                ]
-            )
+        writer.writerow(header)
+        body = "".join([",".join(row) + "\r\n" for row in rows])
+        if (
+            all(len(row) == n and row != [""] for row in rows)
+            and '"' not in body
+            and body.count(",") == len(rows) * (n - 1)
+            and body.count("\r") == body.count("\n") == len(rows)
+        ):
+            fh.write(body)
+        else:
+            writer.writerows(rows)
+
+
+def write_csv(path: str, ds: Dataset) -> None:
+    """Inverse of :func:`load_csv`; natively missing cells become empty."""
+    observed = (ds.native_mask == 1.0).tolist()
+    rows = [
+        [repr(v) if seen else "" for v, seen in zip(values, row_seen)]
+        for values, row_seen in zip(ds.values.tolist(), observed)
+    ]
+    write_rows(path, ds.variable_names, rows)
 
 
 def chrono_split(

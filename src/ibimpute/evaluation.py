@@ -5,6 +5,11 @@ artificially hidden, so the ground truth is known and the model never saw
 the value.  Scores are in normalized space by default (source-scale scores
 behind a flag).  Evaluation masks come from their own seed so every model
 configuration is scored on identical hidden positions.
+
+One error arithmetic serves every score: :func:`point_metrics` and
+:func:`masked_error_sums`, which scores every evaluation and validation run,
+both sum ``e = (x - x_hat) * sel`` (optionally rescaled per variable) through
+``_error_sums``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .data import (
     Window,
     apply_mask,
     atomic_write,
+    chrono_split,
+    make_windows,
     normalize_window,
     stack_windows,
 )
@@ -61,6 +68,17 @@ class AblationGrid:
     entries: dict[str, list[EvalEntry]]  # config name -> per-rate entries
 
 
+def _error_sums(
+    x: np.ndarray, x_hat: np.ndarray, sel: np.ndarray, var_scale: np.ndarray | None = None
+) -> tuple[float, float, int]:
+    """(sum |e|, sum e^2, count) of ``e = (x - x_hat) * sel``, times
+    ``var_scale`` per variable if given, over the positions where ``sel`` is 1."""
+    diff = (x - x_hat) * sel
+    if var_scale is not None:
+        diff = diff * var_scale
+    return float(np.abs(diff).sum()), float((diff * diff).sum()), int(sel.sum())
+
+
 def point_metrics(
     x: np.ndarray, x_hat: np.ndarray, eval_mask: np.ndarray
 ) -> tuple[float, float, int]:
@@ -72,11 +90,10 @@ def point_metrics(
         raise ValueError(
             f"point_metrics: shapes differ: {x.shape}, {x_hat.shape}, {mask.shape}"
         )
-    count = int(mask.sum())
+    abs_sum, sq_sum, count = _error_sums(x, x_hat, mask)
     if count == 0:
         raise ValueError("point_metrics: no evaluation positions")
-    diff = (x - x_hat) * mask
-    return float(np.abs(diff).sum() / count), float((diff * diff).sum() / count), count
+    return abs_sum / count, sq_sum / count, count
 
 
 def masked_error_sums(
@@ -100,12 +117,10 @@ def masked_error_sums(
         x, m_obs, m_art = stack_windows(masked[i : i + _CHUNK])
         x_hat = model.reconstruct(x * m_obs * m_art).data
         sel = m_obs * (1.0 - m_art) if positions == "eval" else m_obs
-        diff = (x - x_hat) * sel
-        if var_scale is not None:
-            diff = diff * var_scale
-        abs_sum += float(np.abs(diff).sum())
-        sq_sum += float((diff * diff).sum())
-        count += int(sel.sum())
+        chunk_abs, chunk_sq, chunk_count = _error_sums(x, x_hat, sel, var_scale)
+        abs_sum += chunk_abs
+        sq_sum += chunk_sq
+        count += chunk_count
     return abs_sum, sq_sum, count
 
 
@@ -151,14 +166,10 @@ def average_entry(pattern: str, entries: list[EvalEntry]) -> EvalEntry:
 
 
 def held_out_windows(dataset: Dataset, model_cfg, train_cfg) -> list[Window]:
-    """Raw windows of the test split, ``train_cfg.val_stride`` apart
-    (non-overlapping when it is None)."""
-    from .data import chrono_split, make_windows
-
+    """Raw windows of the test split, at the validation stride
+    (see :meth:`TrainConfig.strides`)."""
     _, _, test_seg = chrono_split(dataset, model_cfg.window_len, train_cfg.split)
-    stride = train_cfg.val_stride
-    if stride is None:
-        stride = model_cfg.window_len
+    _, stride = train_cfg.strides(model_cfg.window_len)
     return make_windows(test_seg, model_cfg.window_len, stride)
 
 
@@ -273,22 +284,15 @@ def _pca_components(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, comps
 
 
-def export_latents(
-    model: ImputationModel,
-    windows: list[Window],
-    mask_spec: MaskSpec,
-    path: str,
-) -> float:
+def export_latents(model: ImputationModel, masked: list[Window], path: str) -> float:
     """Write 2-D projections of both branches' latent means to a CSV.
 
+    ``masked`` holds normalized, masked windows, as for :func:`alignment_score`.
     Principal axes are fitted on the unmasked-branch embeddings only, then
     applied to both branches, so paired points are directly comparable.
     Columns: window, variable, branch {masked, original}, pc1, pc2.
     Returns the :func:`alignment_score` of the same masked windows.
     """
-    if model.normalizer is None:
-        raise ValueError("export_latents requires a model with a fitted normalizer")
-    masked = [apply_mask(normalize_window(w, model.normalizer), mask_spec) for w in windows]
     a, b = _encode_both_branches(model, masked)
     if b.shape[0] < 3:
         raise ValueError(

@@ -57,11 +57,10 @@ class ModelConfig:
 
 @dataclass
 class LatentDistribution:
-    """Diagonal Gaussian over per-variable latents, plus an optional draw."""
+    """Diagonal Gaussian over per-variable latents."""
 
     mu: Tensor      # [.., N, d_model]
     sigma: Tensor   # [.., N, d_model], strictly positive
-    z: Tensor | None = None
 
 
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:

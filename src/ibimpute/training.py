@@ -133,6 +133,12 @@ class TrainConfig:
         ):
             raise ValueError("batch_size must be >= 2 when the contrast term is active")
 
+    def strides(self, window_len: int) -> tuple[int, int]:
+        """The train and the validation/test window strides, defaults filled in."""
+        train = self.train_stride if self.train_stride is not None else max(1, window_len // 2)
+        val = self.val_stride if self.val_stride is not None else window_len
+        return train, val
+
 
 ADAM_BLOCK = 16384  # elements per pass of Adam.step: 128 KiB temporaries stay in cache
 
@@ -343,10 +349,7 @@ def fit(
 
     window_len = model_cfg.window_len
     train_seg, val_seg, _ = chrono_split(dataset, window_len, cfg.split)
-    train_stride = (
-        cfg.train_stride if cfg.train_stride is not None else max(1, window_len // 2)
-    )
-    val_stride = cfg.val_stride if cfg.val_stride is not None else window_len
+    train_stride, val_stride = cfg.strides(window_len)
 
     train_windows_raw = make_windows(train_seg, window_len, train_stride)
     norm = fit_normalizer(train_windows_raw)

@@ -17,7 +17,6 @@ from ibimpute.autodiff import (
     Tensor,
     add,
     clip,
-    concat,
     div,
     exp,
     grad_check,
@@ -31,7 +30,6 @@ from ibimpute.autodiff import (
     sqrt,
     square,
     sub,
-    take,
     tmean,
     transpose,
     tsum,
@@ -84,19 +82,9 @@ class TestForwardExamples:
         assert out.shape == (5, 2, 4)
         assert np.allclose(out.data, a @ w)
 
-    def test_take_slicing(self):
-        a = Tensor(np.arange(12.0).reshape(3, 4))
-        assert np.array_equal(a[1].data, np.arange(4.0, 8.0))
-        assert np.array_equal(a[:, 2].data, np.array([2.0, 6.0, 10.0]))
-
     def test_transpose_swaps_trailing(self):
         a = Tensor(np.arange(24.0).reshape(2, 3, 4))
         assert transpose(a).shape == (2, 4, 3)
-
-    def test_concat_along_axis(self):
-        a = Tensor(np.ones((2, 2)))
-        b = Tensor(np.zeros((1, 2)))
-        assert concat([a, b], axis=0).shape == (3, 2)
 
 
 class TestForwardErrors:
@@ -264,13 +252,6 @@ class TestPerOpGradients:
 
     def test_mean_all(self):
         _assert_op_grads(lambda x: tmean(square(x)), seed=29)
-
-    def test_concat(self):
-        c = Tensor(np.random.default_rng(8).normal(size=(2, 3)))
-        _assert_op_grads(lambda x: tsum(square(concat([x, c], axis=0))), seed=30)
-
-    def test_take(self):
-        _assert_op_grads(lambda x: tsum(square(take(x, (slice(0, 2), slice(1, 3))))), seed=31)
 
     def test_transpose(self):
         c = Tensor(np.random.default_rng(9).normal(size=(3, 3)))
@@ -573,7 +554,6 @@ class TestTapeMechanics:
 
     @pytest.mark.parametrize("op", [
         add, sub, mul, div, matmul,
-        pytest.param(lambda a, b: concat([a, b]), id="concat"),
         pytest.param(lambda a, b: exp(a), id="exp"),
     ])
     def test_op_on_constants_records_no_node(self, op):

@@ -3,15 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import ibimpute
-from ibimpute import cli
 from ibimpute.cli import main
 from ibimpute.data import Window, load_csv
 from ibimpute.model import load_checkpoint
@@ -375,41 +371,6 @@ class TestImputeMatchesReference:
         cells = ['""' if t in (1, 18) else (" " if t == 9 else repr(0.3 * t)) for t in range(20)]
         text = "a\n" + "\n".join(cells) + "\n"
         self._check(tmp_path, monkeypatch, out_dir, text, expect_fallback=False)
-
-
-_WRITER_CELLS = st.text(alphabet='0.5e-," \r\n\tx', max_size=5)
-
-
-class TestWriteRows:
-    @given(
-        st.integers(min_value=1, max_value=4).flatmap(
-            lambda n: st.tuples(
-                st.lists(_WRITER_CELLS, min_size=n, max_size=n),
-                st.lists(
-                    st.lists(_WRITER_CELLS, min_size=n, max_size=n)
-                    | st.lists(_WRITER_CELLS, max_size=n + 1),
-                    max_size=6,
-                ),
-            )
-        ),
-    )
-    # ragged rows whose commas add up to a rectangular body's count
-    @example(case=(["a", "b"], [["1,2"], ["3", "4"]]))
-    # a cell holding a comma, which csv.writer quotes
-    @example(case=(["a", "b"], [["1,2", "3"]]))
-    # a lone empty cell, which csv.writer quotes
-    @example(case=(["a"], [["1"], [""]]))
-    @settings(max_examples=300, deadline=None)
-    def test_bytes_equal_csv_writer(self, case):
-        header, rows = case
-        with TemporaryDirectory() as tmp:
-            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-            cli._write_rows(got, header, [list(row) for row in rows])
-            with open(want, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-            assert got.read_bytes() == want.read_bytes()
 
 
 class TestExportLatentsCommand:

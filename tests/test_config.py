@@ -71,6 +71,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="glo_variant"):
             RunConfig.from_sources("train.weights.glo_variant = off\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("train.epochs = 0\n", "epochs must be >= 1"),
+            ("train.loc_target = hidden\nmask.rate = 0\n", "needs a mask rate > 0"),
+            ("train.loc_target = masked\n", "loc_target must be 'observed' or 'hidden'"),
+        ],
+    )
+    def test_train_section_errors_are_config_errors(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_sources(text)
+
     def test_bad_eval_rate_rejected(self):
         with pytest.raises(ConfigError, match="eval.rates"):
             RunConfig.from_sources("eval.rates = 0.5,1.5\n")

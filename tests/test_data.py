@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibimpute.data import (
@@ -26,6 +26,7 @@ from ibimpute.data import (
     normalize_window,
     stack_windows,
     write_csv,
+    write_rows,
 )
 from ibimpute.rng import SplitMix64, derive
 
@@ -417,6 +418,89 @@ class TestLoadCsvMatchesReference:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(CsvFormatError, match=rf"huge\.csv: line {line}: field larger"):
             load_csv(str(path))
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _reference_write_csv(path: str, ds: Dataset) -> None:
+    """The row-by-row ``write_csv`` that :func:`write_rows` replaced, kept as
+    the oracle for its bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.variable_names)
+        for t in range(ds.length):
+            writer.writerow(
+                [
+                    repr(float(ds.values[t, i])) if ds.native_mask[t, i] == 1.0 else ""
+                    for i in range(ds.n_vars)
+                ]
+            )
+
+
+@st.composite
+def _datasets(draw):
+    """0-8 rows of 1-4 columns, any finite values, any cells missing, and
+    names that may need quoting."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    t = draw(st.integers(min_value=0, max_value=8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(
+        [[draw(finite) for _ in range(n)] for _ in range(t)], dtype=np.float64
+    ).reshape(t, n)
+    mask = np.array(
+        [[draw(st.sampled_from([0.0, 1.0])) for _ in range(n)] for _ in range(t)]
+    ).reshape(t, n)
+    names = [draw(st.text(alphabet='ab ,"', min_size=1, max_size=3)) for _ in range(n)]
+    return Dataset(values, mask, names)
+
+
+class TestWriteCsvMatchesReference:
+    @given(_datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_row_by_row_writer(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+            write_csv(got, ds)
+            _reference_write_csv(want, ds)
+            assert _read_bytes(got) == _read_bytes(want)
+
+
+_WRITER_CELLS = st.text(alphabet='0.5e-," \r\n\tx', max_size=5)
+
+
+class TestWriteRows:
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(
+                st.lists(_WRITER_CELLS, min_size=n, max_size=n),
+                st.lists(
+                    st.lists(_WRITER_CELLS, min_size=n, max_size=n)
+                    | st.lists(_WRITER_CELLS, max_size=n + 1),
+                    max_size=6,
+                ),
+            )
+        ),
+    )
+    # ragged rows whose commas add up to a rectangular body's count
+    @example(case=(["a", "b"], [["1,2"], ["3", "4"]]))
+    # a cell holding a comma, which csv.writer quotes
+    @example(case=(["a", "b"], [["1,2", "3"]]))
+    # a lone empty cell, which csv.writer quotes
+    @example(case=(["a"], [["1"], [""]]))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_csv_writer(self, case):
+        header, rows = case
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+            write_rows(got, header, [list(row) for row in rows])
+            with open(want, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            assert _read_bytes(got) == _read_bytes(want)
 
 
 def _reference_block_mask_column(hidden, obs, spec, rng):

@@ -30,6 +30,8 @@ from ibimpute.evaluation import (
     run_ablation,
     write_ablation_csv,
     write_sweep_csv,
+    _CHUNK,
+    _error_sums,
     _pca_components,
 )
 from ibimpute.losses import LossWeights
@@ -144,6 +146,21 @@ class TestMaskedErrorSums:
         )
         assert abs(scaled_abs - 2.0 * base_abs) < 1e-9
         assert abs(scaled_sq - 4.0 * base_sq) < 1e-9
+
+    @pytest.mark.parametrize("var_scale", [None, np.array([0.7, 3.1])])
+    def test_sums_are_the_helpers_bit_for_bit(self, var_scale):
+        # 80 windows: one full inference chunk and a partial one
+        masked = _masked_windows(steps=16 * 80, seed=14)
+        model = _LinearStub(fill=0.3)
+        want = [0.0, 0.0, 0]
+        for i in range(0, len(masked), _CHUNK):
+            chunk = masked[i : i + _CHUNK]
+            x = np.stack([w.x for w in chunk])
+            sel = np.stack([w.m_obs * (1.0 - w.m_art) for w in chunk])
+            for k, part in enumerate(_error_sums(x, np.full_like(x, 0.3), sel, var_scale)):
+                want[k] += part
+        assert len(masked) > _CHUNK
+        assert masked_error_sums(model, masked, var_scale=var_scale) == tuple(want)
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError, match="position selector"):
@@ -421,7 +438,7 @@ class TestExportLatents:
         ds = make_synthetic(2, 64, seed=32)
         windows = make_windows(ds, 16, 16)  # 4 windows x 2 vars = 8 rows/branch
         path = str(tmp_path / "latents.csv")
-        export_latents(model, windows, MaskSpec(rate=0.5, seed=33), path)
+        export_latents(model, _masked_for(model, windows, MaskSpec(rate=0.5, seed=33)), path)
         lines = open(path).read().splitlines()
         assert lines[0] == "window,variable,branch,pc1,pc2"
         assert len(lines) == 1 + 16
@@ -435,7 +452,7 @@ class TestExportLatents:
         ds = make_synthetic(2, 64, seed=35)
         windows = make_windows(ds, 16, 16)
         path = str(tmp_path / "latents.csv")
-        export_latents(model, windows, MaskSpec(rate=0.0, seed=36), path)
+        export_latents(model, _masked_for(model, windows, MaskSpec(rate=0.0, seed=36)), path)
         lines = open(path).read().splitlines()[1:]
         for masked_ln, orig_ln in zip(lines[0::2], lines[1::2]):
             assert masked_ln.split(",")[3:] == orig_ln.split(",")[3:]
@@ -444,8 +461,9 @@ class TestExportLatents:
         model = self._model(seed=37)
         ds = make_synthetic(2, 16, seed=38)
         windows = make_windows(ds, 16, 16)  # 1 window x 2 vars = 2 rows
+        masked = _masked_for(model, windows, MaskSpec(rate=0.5, seed=39))
         with pytest.raises(ValueError, match="at least 3 embeddings"):
-            export_latents(model, windows, MaskSpec(rate=0.5, seed=39), str(tmp_path / "l.csv"))
+            export_latents(model, masked, str(tmp_path / "l.csv"))
 
     def test_one_latent_dim_rejected(self, tmp_path):
         cfg = ModelConfig(window_len=16, n_vars=2, d_model=1, hidden_dim=8)
@@ -454,5 +472,6 @@ class TestExportLatents:
         )
         ds = make_synthetic(2, 64, seed=41)
         windows = make_windows(ds, 16, 16)
+        masked = _masked_for(model, windows, MaskSpec(rate=0.5, seed=42))
         with pytest.raises(ValueError, match="2 latent dimensions"):
-            export_latents(model, windows, MaskSpec(rate=0.5, seed=42), str(tmp_path / "l.csv"))
+            export_latents(model, masked, str(tmp_path / "l.csv"))

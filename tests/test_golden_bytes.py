@@ -1,17 +1,26 @@
-"""Pinned sha256 digests of training outputs.
+"""Pinned sha256 digests of training outputs and CLI artifacts.
 
 A short deterministic fit must write the same ``training_log.csv`` and
 ``checkpoint.bin`` bytes, save the same mid-epoch train state and resume from
 it to the same bytes.  Any change to the optimizer, the clipping or the
 parameter storage that moves a single bit of a parameter shows here.
+
+The CLI artifacts are pinned too: what ``train``, ``eval`` (point and block
+masks, normalized and source-scale), ``export-latents`` and ``impute`` write
+for a tiny config, and what ``write_csv`` writes for datasets with natively
+missing cells.  Any change to the scoring arithmetic, the masking or the CSV
+writers shows here.
 """
 
 import dataclasses
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
-from ibimpute.data import MaskSpec, make_synthetic
+from ibimpute.cli import main
+from ibimpute.data import Dataset, MaskSpec, make_synthetic, write_csv
 from ibimpute.model import ModelConfig
 from ibimpute.training import (
     TrainConfig,
@@ -119,3 +128,98 @@ def test_clipping_fires(tmp_path, outputs, attention):
     no_clip = dataclasses.replace(TRAIN_CFG, clip_norm=0.0)
     unclipped = _outputs(tmp_path / "unclipped", _model_cfg(attention), no_clip)
     assert unclipped["checkpoint.bin"] != outputs[attention]["checkpoint.bin"]
+
+
+CLI_CFG = """\
+data.source = synthetic
+data.synth_vars = 2
+data.synth_steps = 240
+data.synth_seed = 3
+window.length = 16
+window.train_stride = 8
+model.d_model = 4
+model.hidden_dim = 8
+train.epochs = 2
+train.batch_size = 4
+train.seed = 5
+mask.rate = 0.5
+eval.rates = 0.3,0.5
+eval.patterns = point,block
+"""
+
+# artifact -> sha256
+CLI_DIGESTS = {
+    "run/checkpoint.bin":
+        "c74e3fef46c0b9dcd278086705b9b2de9e4b4650af8c04f5c66568275c7af367",
+    "run/report.csv":
+        "1d082333937de8b462b218cde4d024c52aa577a2f5987dccbd83642e04e6ec27",
+    "run/alignment.csv":
+        "21324a0062caefb7b33d0d47cb443f7e7fdc2e1e19f811fe93e9b2632f01a2dd",
+    "source/report.csv":
+        "206db1182926da172dfaba363d6f823e9268fc1941a3931983c72a2223e07d5f",
+    "run/latents.csv":
+        "df238ab29ca240ebf58388a09319d5cb2d2a1cad37d08b6bf633ab7c528f19ef",
+    "run/alignment.txt":
+        "18cf0de1c05d3b75c6b7e4953f44485372bb61edc3498b0ef520c30986c932d1",
+    "filled.csv":
+        "3fd5d18699403f810d6d8445dcc2b6571e3bcb39e31a4b8316a8a173f5b522c4",
+    "write_csv/gaps.csv":
+        "e490535ba2e6964d4bcc604853c375cede4bee744e6b83ea043af691849545d8",
+    "write_csv/one_column.csv":
+        "daca9476e8984448addba938eb7fdaf4d063fe252226f7499fd189960e39b978",
+}
+
+
+def _impute_input() -> str:
+    """40 rows of two columns with gaps, one row all missing, and gaps in
+    the overlapping tail window of a 16-row model."""
+    rows = ["a,b"]
+    for t in range(40):
+        left = "" if t in (3, 17, 25, 38) else repr(math.sin(0.3 * t))
+        right = "" if t in (5, 20, 25, 39) else repr(math.cos(0.2 * t))
+        rows.append(f"{left},{right}")
+    return "\n".join(rows) + "\n"
+
+
+def _gappy_datasets() -> dict[str, Dataset]:
+    values = np.arange(24.0).reshape(8, 3) * 0.37 - 2.0
+    mask = np.ones((8, 3))
+    mask[1, 2] = mask[4, 0] = 0.0
+    mask[6] = 0.0  # an all-missing row
+    column = np.linspace(-1.0, 1.0, 6).reshape(6, 1)
+    column_mask = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
+    return {
+        "gaps.csv": Dataset(values, mask, ["x", "y", "z"]),
+        # a lone empty cell, which csv.writer writes as ""
+        "one_column.csv": Dataset(column, column_mask, ["only"]),
+    }
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    cfg = root / "run.cfg"
+    cfg.write_text(CLI_CFG + f"output_dir = {root / 'run'}\n")
+    for command in ("train", "eval", "export-latents"):
+        assert main([command, "--config", str(cfg), "--quiet"]) == 0
+    checkpoint = str(root / "run" / "checkpoint.bin")
+    source_scale = [
+        "--override", "eval.normalized=false", "--override", f"output_dir={root / 'source'}"
+    ]
+    argv = ["eval", "--config", str(cfg), "--quiet", "--checkpoint", checkpoint]
+    assert main(argv + source_scale) == 0
+    (root / "holes.csv").write_text(_impute_input())
+    argv = ["impute", "--checkpoint", checkpoint, "--input", str(root / "holes.csv")]
+    assert main(argv + ["--output", str(root / "filled.csv")]) == 0
+    (root / "write_csv").mkdir()
+    for name, ds in _gappy_datasets().items():
+        write_csv(str(root / "write_csv" / name), ds)
+    return {
+        name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+        for name in CLI_DIGESTS
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_artifact_bytes_are_pinned(cli_outputs, name):
+    assert cli_outputs[name] == CLI_DIGESTS[name]
