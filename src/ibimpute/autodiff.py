@@ -25,21 +25,14 @@ the forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
 such as attention's ``q @ k.T``, takes numpy's broadcasting matmul and sums
 its gradients back down to the operand shapes.
 
-Large results (at least ``POOL_FLOOR`` elements, 256 KiB of float64) are
-written with ``out=`` into views of buffers that a module-level pool keeps for
-the life of the process, so a training step reuses the previous step's memory
-instead of freeing it to the allocator and faulting it back in.  This covers
-the matmul forward and both gradients, the forwards of the elementwise ops
-and their backward products, ``tmean``'s backward and the gradient sums in
-:meth:`Tape.backward`; smaller arrays take numpy's own allocation.  A buffer
-is handed out again only when the pool holds its last reference (a CPython
-refcount, calibrated at import), so while any tensor, view or gradient of it
-is alive nothing else writes there, and every value is the one numpy would
-compute without the pool.  Buffer sizes are rounded up to four significant
-bits (classes 1/8 octave apart), and a request takes the smallest free buffer
-that holds it and is less than twice its size, so a short last batch reuses
-the full batches' buffers.  The pool never shrinks: after a fit it keeps
-about one step's large buffers.
+Importing this module tells glibc's allocator to serve arrays up to 32 MiB
+from its heap and to keep freed heap memory rather than hand it back to the
+system.  A training step at the default width allocates and frees tens of
+megabytes of large arrays, and without the setting every step would fault
+those pages in afresh.  The setting applies to the whole importing process
+and is never undone; :data:`GLIBC_KEEPS_FREED_MEMORY` records whether glibc
+took it.  Other platforms keep their allocator's defaults.  Every op computes
+the same numpy expression either way, so values do not depend on it.
 
 Tensors are immutable by convention while a tape that saw them is alive.  The
 exception is a model's parameters: views of one flat buffer that the optimizer
@@ -50,11 +43,9 @@ slot: one tape per thread, no nesting.
 
 from __future__ import annotations
 
-import bisect
+import ctypes
 import itertools
-import math
-import sys
-import threading
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,60 +65,26 @@ class TapeError(RuntimeError):
 
 _uid = itertools.count()
 
-POOL_FLOOR = 32768  # elements: 256 KiB of float64
+_M_TRIM_THRESHOLD = -1  # mallopt parameters from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
 
 
-def _size_class(n: int) -> int:
-    """``n`` rounded up to its four leading bits."""
-    shift = max(n.bit_length() - 4, 0)
-    return -(-n >> shift) << shift
+def _keep_freed_memory() -> bool:
+    """On glibc, serve allocations up to 32 MiB from the heap, and give heap
+    memory back to the system only once 1 GiB is free at its top; True if
+    both settings took."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    took = [mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 1 << 30)]
+    return took == [1, 1]
 
 
-def _scan_refs() -> int:
-    """The refcount a buffer referenced only by its pool bucket shows inside
-    :meth:`_BufferPool.take`'s scan (same loop shape, so the same count)."""
-    for buf in [np.empty(1)]:
-        return sys.getrefcount(buf)
-
-
-_FREE_REFS = _scan_refs()
-
-
-class _BufferPool:
-    """Float64 buffers by capacity; a view of a free one serves a request."""
-
-    def __init__(self):
-        self._buckets: dict[int, list[np.ndarray]] = {}
-        self._caps: list[int] = []  # sorted keys of _buckets
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-    def take(self, shape: tuple[int, ...], size: int) -> np.ndarray:
-        with self._lock:
-            for cap in self._caps[bisect.bisect_left(self._caps, size):]:
-                if cap >= 2 * size:
-                    break
-                for buf in self._buckets[cap]:
-                    if sys.getrefcount(buf) == _FREE_REFS:
-                        return buf[:size].reshape(shape)
-            cap = _size_class(size)
-            if cap not in self._buckets:
-                self._buckets[cap] = []
-                bisect.insort(self._caps, cap)
-            buf = np.empty(cap)
-            self._buckets[cap].append(buf)
-            return buf[:size].reshape(shape)
-
-
-_POOL = _BufferPool()
-
-
-def _buffer(shape: tuple[int, ...]) -> np.ndarray | None:
-    """A pooled ``out=`` array for a large result, else None (numpy allocates)."""
-    size = math.prod(shape)
-    return _POOL.take(shape, size) if size >= POOL_FLOOR else None
+GLIBC_KEEPS_FREED_MEMORY = _keep_freed_memory()
 
 
 class Tensor:
@@ -259,7 +216,7 @@ class Tape:
                 if g is None:
                     continue  # t needs no gradient
                 acc = grads.get(t.uid)
-                grads[t.uid] = g if acc is None else np.add(acc, g, out=_buffer(t.shape))
+                grads[t.uid] = g if acc is None else acc + g
         return Gradients(grads, self._watched)
 
 
@@ -292,8 +249,7 @@ class Gradients:
         for t in tensors:
             g = self._grads.get(t.uid)
             parts.append(g if g is not None and g.shape == t.shape else self.of(t))
-        size = sum(t.data.size for t in tensors)
-        return np.concatenate(parts, axis=None, out=_buffer((size,)))
+        return np.concatenate(parts, axis=None)
 
 
 def _needs(inputs: tuple[Tensor, ...]) -> tuple[bool, ...]:
@@ -327,12 +283,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
-    x, y = a.data, b.data
     try:
-        if x.size < POOL_FLOOR and y.size < POOL_FLOOR:
-            return ufunc(x, y)
-        shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
-        return ufunc(x, y, out=_buffer(shape))
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeMismatchError(
             f"{op}: shapes {a.shape} and {b.shape} do not broadcast"
@@ -359,7 +311,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if need_a:
             ga = _unbroadcast(g, a.shape)
         if need_b:
-            gb = _unbroadcast(np.negative(g, out=_buffer(g.shape)), b.shape)
+            gb = _unbroadcast(-g, b.shape)
         return ga, gb
 
     return _record(out, (a, b), backward, need)
@@ -372,9 +324,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         ga = gb = None
         if need_a:
-            ga = _unbroadcast(np.multiply(g, b.data, out=_buffer(g.shape)), a.shape)
+            ga = _unbroadcast(g * b.data, a.shape)
         if need_b:
-            gb = _unbroadcast(np.multiply(g, a.data, out=_buffer(g.shape)), b.shape)
+            gb = _unbroadcast(g * a.data, b.shape)
         return ga, gb
 
     return _record(out, (a, b), backward, need)
@@ -389,13 +341,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         ga = gb = None
         if need_a:
-            ga = _unbroadcast(np.divide(g, b.data, out=_buffer(g.shape)), a.shape)
+            ga = _unbroadcast(g / b.data, a.shape)
         if need_b:
-            buf = _buffer(g.shape)
-            gb = np.negative(g, out=buf)
-            gb = np.multiply(gb, a.data, out=buf)
-            gb = np.divide(gb, np.multiply(b.data, b.data, out=_buffer(b.shape)), out=buf)
-            gb = _unbroadcast(gb, b.shape)
+            gb = _unbroadcast(((-g) * a.data) / (b.data * b.data), b.shape)
         return ga, gb
 
     return _record(out, (a, b), backward, need)
@@ -414,18 +362,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 f"matmul: shapes {a.shape} and {b.shape} do not conform"
             )
         a2 = a.data.reshape(-1, n_in)
-        rows = a2.shape[0]
-        out = np.matmul(a2, b.data, out=_buffer((rows, n_out)))
-        out = Tensor(out.reshape(a.shape[:-1] + (n_out,)))
+        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n_out,)))
         need_a, need_b = need = _needs((a, b))
 
         def backward_shared(g):
             g2 = g.reshape(-1, n_out)
             ga = gb = None
             if need_a:
-                ga = np.matmul(g2, b.data.T, out=_buffer((rows, n_in))).reshape(a.shape)
+                ga = (g2 @ b.data.T).reshape(a.shape)
             if need_b:
-                gb = np.matmul(a2.T, g2, out=_buffer((n_in, n_out)))
+                gb = a2.T @ g2
             return ga, gb
 
         return _record(out, (a, b), backward_shared, need)
@@ -455,15 +401,15 @@ def negate(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data, out=_buffer(a.shape)))
-    return _record(out, (a,), lambda g: (np.multiply(g, out.data, out=_buffer(g.shape)),))
+    out = Tensor(np.exp(a.data))
+    return _record(out, (a,), lambda g: (g * out.data,))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: input must be strictly positive")
-    out = Tensor(np.log(a.data, out=_buffer(a.shape)))
-    return _record(out, (a,), lambda g: (np.divide(g, a.data, out=_buffer(g.shape)),))
+    out = Tensor(np.log(a.data))
+    return _record(out, (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -474,25 +420,20 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(np.multiply(a.data, a.data, out=_buffer(a.shape)))
-
-    def backward(g):
-        buf = _buffer(g.shape)
-        return (np.multiply(np.multiply(g, 2.0, out=buf), a.data, out=buf),)
-
-    return _record(out, (a,), backward)
+    out = Tensor(a.data * a.data)
+    return _record(out, (a,), lambda g: ((g * 2.0) * a.data,))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0, out=_buffer(a.shape)))
-    return _record(out, (a,), lambda g: (np.multiply(g, a.data > 0.0, out=_buffer(g.shape)),))
+    out = Tensor(np.maximum(a.data, 0.0))
+    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes inside the interval (inclusive)."""
-    out = Tensor(np.clip(a.data, lo, hi, out=_buffer(a.shape)))
+    out = Tensor(np.clip(a.data, lo, hi))
     mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g: (np.multiply(g, mask, out=_buffer(g.shape)),))
+    return _record(out, (a,), lambda g: (g * mask,))
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -519,7 +460,7 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g_full = np.broadcast_to(g, a.shape)
         else:
             g_full = np.broadcast_to(g if keepdims else np.expand_dims(g, axis), a.shape)
-        return (np.divide(g_full, count, out=_buffer(a.shape)),)
+        return (g_full / count,)
 
     return _record(out, (a,), backward)
 

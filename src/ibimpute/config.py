@@ -9,9 +9,9 @@ byte-stable echo for provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .data import Dataset, MaskSpec, load_csv, make_synthetic
+from .data import Dataset, MaskSpec, check_split_fractions, load_csv, make_synthetic
 from .losses import LossWeights
 from .model import ModelConfig
 from .training import LOC_TARGET_OBSERVED, TrainConfig
@@ -177,16 +177,24 @@ class RunConfig:
         return self.values[key]
 
     def validate(self) -> None:
-        """The checks only a run config can make, then the training config's
-        own (:meth:`TrainConfig.validate`), whose errors become ConfigErrors."""
+        """The checks only a run config can make, then those of the model
+        config, the split, the eval mask specs and the training config, whose
+        errors become ConfigErrors."""
         split = self.values["train.split"]
         if len(split) != 3:
             raise ConfigError(f"train.split needs 3 fractions, got {split}")
-        for key in ("eval.rates",):
-            for r in self.values[key]:
-                if not (0.0 < r < 1.0):
-                    raise ConfigError(f"{key} entries must lie in (0, 1), got {r}")
+        for key in ("eval.rates", "eval.patterns"):
+            if not self.values[key]:
+                raise ConfigError(f"{key} needs at least one entry")
+        for r in self.values["eval.rates"]:
+            if not (0.0 < r < 1.0):
+                raise ConfigError(f"eval.rates entries must lie in (0, 1), got {r}")
         try:
+            model_cfg = self.model_config(n_vars=1)  # the data sets n_vars later
+            model_cfg.validate()
+            check_split_fractions(split)
+            for pattern in self.values["eval.patterns"]:
+                replace(self.mask_spec(), pattern=pattern).validate(model_cfg.window_len)
             self.train_config().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

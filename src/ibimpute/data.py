@@ -260,14 +260,18 @@ def write_csv(path: str, ds: Dataset) -> None:
     write_rows(path, ds.variable_names, rows)
 
 
+def check_split_fractions(fractions) -> None:
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise SplitError(f"fractions must sum to 1, got {fractions}")
+
+
 def chrono_split(
     ds: Dataset,
     window_len: int,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Split into contiguous train/val/test segments, in time order."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise SplitError(f"fractions must sum to 1, got {fractions}")
+    check_split_fractions(fractions)
     t = ds.length
     n_train = int(math.floor(fractions[0] * t))
     n_val = int(math.floor(fractions[1] * t))

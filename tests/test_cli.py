@@ -83,6 +83,24 @@ class TestArgumentErrors:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("eval", "eval.patterns=foo"),
+            ("eval", "eval.rates="),
+            ("eval", "eval.patterns="),
+            ("ablate", "eval.rates="),
+            ("train", "model.d_model=0"),
+            ("train", "window.length=0"),
+            ("train", "train.split=0.5,0.3,0.3"),
+        ],
+    )
+    def test_bad_config_value_exits_1_before_any_work(self, tmp_path, capsys, command, override):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        assert main([command, "--config", cfg_path, "--quiet", "--override", override]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
 
 class TestTrainCommand:
     def test_produces_artifacts(self, tmp_path, capsys):

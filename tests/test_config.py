@@ -83,6 +83,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_sources(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("eval.patterns = foo\n", "unknown mask pattern 'foo'"),
+            ("eval.patterns = block\nmask.block_len = 97\n", "exceeds window length 96"),
+            ("eval.patterns =\n", "eval.patterns needs at least one entry"),
+            ("eval.rates =\n", "eval.rates needs at least one entry"),
+            ("model.d_model = 0\n", "d_model must be a positive int"),
+            ("model.hidden_dim = 0\n", "hidden_dim must be a positive int"),
+            ("window.length = 0\n", "window_len must be a positive int"),
+            ("train.split = 0.5,0.3,0.3\n", "fractions must sum to 1"),
+        ],
+    )
+    def test_checks_of_built_objects_are_config_errors(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_sources(text)
+
     def test_bad_eval_rate_rejected(self):
         with pytest.raises(ConfigError, match="eval.rates"):
             RunConfig.from_sources("eval.rates = 0.5,1.5\n")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ class TestSweep:
         ]
         path = str(tmp_path / "sweep.csv")
         write_sweep_csv(path, rows)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines == [
             "pattern,rate,mae,mse,n_points",
             "point,0.3,0.5,0.25,100",
@@ -312,7 +313,7 @@ class TestAblation:
         assert all(len(v) == 1 for v in grid.entries.values())
         path = str(tmp_path / "ablation.csv")
         write_ablation_csv(path, grid)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "config,pattern,rate,mae,mse,n_points"
         assert len(lines) == 1 + len(ABLATION_CONFIGS)
         assert [ln.split(",")[0] for ln in lines[1:]] == list(ABLATION_CONFIGS)
@@ -439,7 +440,7 @@ class TestExportLatents:
         windows = make_windows(ds, 16, 16)  # 4 windows x 2 vars = 8 rows/branch
         path = str(tmp_path / "latents.csv")
         export_latents(model, _masked_for(model, windows, MaskSpec(rate=0.5, seed=33)), path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "window,variable,branch,pc1,pc2"
         assert len(lines) == 1 + 16
         for ln in lines[1:]:
@@ -453,7 +454,7 @@ class TestExportLatents:
         windows = make_windows(ds, 16, 16)
         path = str(tmp_path / "latents.csv")
         export_latents(model, _masked_for(model, windows, MaskSpec(rate=0.0, seed=36)), path)
-        lines = open(path).read().splitlines()[1:]
+        lines = Path(path).read_text().splitlines()[1:]
         for masked_ln, orig_ln in zip(lines[0::2], lines[1::2]):
             assert masked_ln.split(",")[3:] == orig_ln.split(",")[3:]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,31 +300,31 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         save_checkpoint(p1, model)
         save_checkpoint(p2, model)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path, tiny_model_cfg):
         path = str(tmp_path / "model.bin")
         save_checkpoint(path, ImputationModel(tiny_model_cfg, seed=42))
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[0] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path, tiny_model_cfg):
         path = str(tmp_path / "model.bin")
         save_checkpoint(path, ImputationModel(tiny_model_cfg, seed=43))
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path, tiny_model_cfg):
         path = str(tmp_path / "model.bin")
         save_checkpoint(path, ImputationModel(tiny_model_cfg, seed=44))
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[len(CHECKPOINT_MAGIC)] = 99
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
