@@ -21,9 +21,16 @@ those and raises for any other tensor.
 the shared-weight case: the left operand's leading dims fold into rows, so
 the forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
 ``g @ w.T`` for the input and ``a.T @ g`` for the weight, with no
-``[..., in, out]`` per-batch product to sum.  Only a batched right operand,
-such as attention's ``q @ k.T``, takes numpy's broadcasting matmul and sums
-its gradients back down to the operand shapes.
+``[..., in, out]`` per-batch product to sum.  This path also takes an affine
+layer's ``bias`` and ``relu=True``: the layer is then one node, holding one
+output array, whose forward and backward do the float ops of a matmul node,
+an add node and a relu node in their order, so the values are the same to
+the bit.  Only a batched right operand, such as attention's ``q @ k.T``,
+takes numpy's broadcasting matmul (no bias or ReLU) and sums its gradients
+back down to the operand shapes.
+
+:func:`custom_node` records a composite computed with numpy as one node with
+a hand-written backward; the loss terms in :mod:`ibimpute.losses` use it.
 
 Importing this module tells glibc's allocator to serve arrays up to 32 MiB
 from its heap and to keep freed heap memory rather than hand it back to the
@@ -272,6 +279,18 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward, need=None) -> Ten
     return out
 
 
+def custom_node(value, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """``value``, computed outside the tape from ``inputs``, as one op's output.
+
+    On an active tape where an input needs a gradient this records one node;
+    ``backward(g, need)`` then gets the output gradient ``g`` and which of
+    ``inputs`` need a gradient, and returns one gradient per input, None for
+    each input that needs none.
+    """
+    need = _needs(inputs)
+    return _record(Tensor(value), inputs, lambda g: backward(g, need), need)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     while g.ndim > len(shape):
@@ -349,32 +368,53 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward, need)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
+    """``a @ b``; with a 2-D ``b``, optionally ``+ bias`` and then ReLU, as
+    one node (see the module docstring)."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(
             f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}"
         )
     if b.ndim == 2:
-        # shared weight: one GEMM each way (see the module docstring)
         n_in, n_out = b.shape
         if a.shape[-1] != n_in:
             raise ShapeMismatchError(
                 f"matmul: shapes {a.shape} and {b.shape} do not conform"
             )
+        if bias is not None and bias.shape != (n_out,):
+            raise ShapeMismatchError(
+                f"matmul: bias shape {bias.shape} does not match output width {n_out}"
+            )
         a2 = a.data.reshape(-1, n_in)
-        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n_out,)))
-        need_a, need_b = need = _needs((a, b))
+        pre = (a2 @ b.data).reshape(a.shape[:-1] + (n_out,))
+        if bias is not None:
+            np.add(pre, bias.data, out=pre)
+        if relu:
+            np.maximum(pre, 0.0, out=pre)
+        out = Tensor(pre)
+        inputs = (a, b) if bias is None else (a, b, bias)
+        need = _needs(inputs)
 
         def backward_shared(g):
+            # the float ops of separate relu, add and matmul nodes; out > 0
+            # exactly where the pre-activation is > 0
+            if relu:
+                g = g * (out.data > 0.0)
             g2 = g.reshape(-1, n_out)
-            ga = gb = None
-            if need_a:
-                ga = (g2 @ b.data.T).reshape(a.shape)
-            if need_b:
-                gb = a2.T @ g2
-            return ga, gb
+            grads = [None] * len(inputs)
+            if need[0]:
+                grads[0] = (g2 @ b.data.T).reshape(a.shape)
+            if need[1]:
+                grads[1] = a2.T @ g2
+            if bias is not None and need[2]:
+                grads[2] = _unbroadcast(g, bias.shape)
+            return grads
 
-        return _record(out, (a, b), backward_shared, need)
+        return _record(out, inputs, backward_shared, need)
+    if bias is not None or relu:
+        raise ShapeMismatchError(
+            f"matmul: bias and relu need a 2-D right operand, got {b.shape}"
+        )
     try:
         out = Tensor(np.matmul(a.data, b.data))
     except ValueError:

@@ -9,7 +9,7 @@ byte-stable echo for provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .data import Dataset, MaskSpec, check_split_fractions, load_csv, make_synthetic
 from .losses import LossWeights
@@ -142,6 +142,18 @@ def parse_override(item: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+_WEIGHT_FIELDS = {f.name for f in fields(LossWeights)}
+
+
+def _train_key(field: str) -> str:
+    """The registry key of a TrainConfig or LossWeights field."""
+    if field.endswith("_stride"):
+        return f"window.{field}"
+    if field in _WEIGHT_FIELDS:
+        return f"train.weights.{field}"
+    return f"train.{field}"
+
+
 @dataclass
 class RunConfig:
     """Fully resolved configuration: defaults, file values, then overrides."""
@@ -179,7 +191,7 @@ class RunConfig:
     def validate(self) -> None:
         """The checks only a run config can make, then those of the model
         config, the split, the eval mask specs and the training config, whose
-        errors become ConfigErrors."""
+        errors become ConfigErrors; a training-config error names the key."""
         split = self.values["train.split"]
         if len(split) != 3:
             raise ConfigError(f"train.split needs 3 fractions, got {split}")
@@ -195,7 +207,7 @@ class RunConfig:
             check_split_fractions(split)
             for pattern in self.values["eval.patterns"]:
                 replace(self.mask_spec(), pattern=pattern).validate(model_cfg.window_len)
-            self.train_config().validate()
+            self.train_config().validate(key=_train_key)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

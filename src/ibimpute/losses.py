@@ -11,6 +11,17 @@ Three ingredients combine into the training objective:
   never flow into ``z_target``.
 
 ``total_objective`` forms the weighted sum and a float breakdown for logs.
+
+``reg_loss``, ``loc_loss`` and ``cosine_align_loss`` are one tape node each
+(:func:`~ibimpute.autodiff.custom_node`): the forward computes with numpy and
+the backward is written by hand.  Both do the float ops of the chain of
+elementwise ops these terms used to be built from, in its order, so values
+and gradients are the same to the bit: each backward uses the one scalar
+that chain broadcast, and adds a tensor's two gradient branches in the order
+:meth:`~ibimpute.autodiff.Tape.backward` added them (sigma's log branch,
+then its square branch; a row's ``g / norm``, then its norm branch), not the
+closed forms, which differ by an ulp or two.  ``infonce_loss`` and
+``total_objective`` are still built from autodiff ops.
 """
 
 from __future__ import annotations
@@ -19,7 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, exp, log, negate, reshape, sqrt, square, tmean, tsum
+from .autodiff import (
+    DomainError,
+    Tensor,
+    custom_node,
+    exp,
+    log,
+    reshape,
+    sqrt,
+    square,
+    tmean,
+    tsum,
+)
 from .model import LatentDistribution
 
 GLO_INFONCE = "infonce"
@@ -38,21 +60,23 @@ class LossWeights:
     glo_variant: str = GLO_COSINE
     temperature: float = 0.1
 
-    def validate(self, for_training: bool = False) -> None:
+    def validate(self, for_training: bool = False, key=lambda field: field) -> None:
+        """Raise ValueError for an invalid setting, named by ``key(field)``."""
         for name in ("reg", "loc", "glo"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"loss weight {name} must be >= 0")
+                raise ValueError(f"loss weight {key(name)} must be >= 0")
         if self.glo_variant not in GLO_VARIANTS:
             raise ValueError(
-                f"glo_variant must be one of {GLO_VARIANTS}, got {self.glo_variant!r}"
+                f"{key('glo_variant')} must be one of {GLO_VARIANTS}, got {self.glo_variant!r}"
             )
         if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+            raise ValueError(f"{key('temperature')} must be > 0, got {self.temperature}")
         if for_training and self.loc == 0.0 and (
             self.glo == 0.0 or self.glo_variant == GLO_NONE
         ):
             raise ValueError(
-                "training needs a data-fit term: loc or glo weight must be positive"
+                f"training needs a data-fit term: loss weight {key('loc')} or "
+                f"{key('glo')} must be positive"
             )
 
 
@@ -76,9 +100,23 @@ def reg_loss(dist: LatentDistribution) -> Tensor:
     mu, sigma = dist.mu, dist.sigma
     if np.any(sigma.data <= 0.0):
         raise ValueError("reg_loss: sigma must be strictly positive")
-    per = square(mu) + square(sigma) - log(square(sigma)) - 1.0
-    kl = tsum(per, axis=-1) * 0.5
-    return tmean(kl) if kl.ndim > 0 else kl
+    var = sigma.data * sigma.data
+    if np.any(var <= 0.0):
+        raise DomainError("log: input must be strictly positive")
+    kl = (((mu.data * mu.data + var) - np.log(var)) - 1.0).sum(axis=-1) * 0.5
+    count = kl.size if kl.ndim > 0 else None
+
+    def backward(g, need):
+        c = (g if count is None else g / count) * 0.5
+        g_mu = g_sigma = None
+        if need[0]:
+            g_mu = (c * 2.0) * mu.data
+        if need[1]:
+            s = sigma.data
+            g_sigma = (((-c) / (s * s)) * 2.0) * s + (c * 2.0) * s
+        return g_mu, g_sigma
+
+    return custom_node(kl if count is None else kl.mean(), (mu, sigma), backward)
 
 
 def loc_loss(x: Tensor, x_hat: Tensor, target_mask: Tensor) -> Tensor:
@@ -94,16 +132,33 @@ def loc_loss(x: Tensor, x_hat: Tensor, target_mask: Tensor) -> Tensor:
     count = float(m.sum())
     if count == 0.0:
         raise ValueError("loc_loss: empty target mask")
-    sq = square(x - x_hat) * target_mask
-    return tsum(sq) * (1.0 / count)
+    inv = 1.0 / count
+    diff = x.data - x_hat.data
+    total = (diff * diff * m).sum() * inv
+
+    def backward(g, need):
+        c = g * inv
+        g_sq = c * m
+        g_diff = (g_sq * 2.0) * diff
+        return (
+            g_diff if need[0] else None,
+            -g_diff if need[1] else None,
+            c * (diff * diff) if need[2] else None,
+        )
+
+    return custom_node(total, (x, x_hat, target_mask), backward)
+
+
+def _rows(name: str, t: Tensor) -> np.ndarray:
+    """The data of ``t``, [.., rows, dim], as [rows, dim]."""
+    if t.ndim < 2:
+        raise ValueError(f"{name}: expected [.., rows, dim], got shape {t.shape}")
+    return t.data.reshape(-1, t.shape[-1])
 
 
 def _as_rows(name: str, t: Tensor) -> Tensor:
-    if t.ndim < 2:
-        raise ValueError(f"{name}: expected [.., rows, dim], got shape {t.shape}")
-    if t.ndim == 2:
-        return t
-    return reshape(t, (-1, t.shape[-1]))
+    rows = _rows(name, t)
+    return t if t.ndim == 2 else reshape(t, rows.shape)
 
 
 def _l2_normalize_rows(name: str, t: Tensor) -> Tensor:
@@ -111,6 +166,16 @@ def _l2_normalize_rows(name: str, t: Tensor) -> Tensor:
     if np.any(norms_sq.data == 0.0):
         raise ValueError(f"{name}: zero-norm row cannot be normalized")
     return t / sqrt(norms_sq)
+
+
+def _unit_rows(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` scaled to unit L2 norm, and their norms [rows, 1]; the float
+    ops of :func:`_l2_normalize_rows`."""
+    norms_sq = (rows * rows).sum(axis=-1, keepdims=True)
+    if np.any(norms_sq == 0.0):
+        raise ValueError(f"{name}: zero-norm row cannot be normalized")
+    norms = np.sqrt(norms_sq)
+    return rows / norms, norms
 
 
 def infonce_loss(z_proj: Tensor, z_target: Tensor, temperature: float = 0.1) -> Tensor:
@@ -151,16 +216,24 @@ def cosine_align_loss(z_proj: Tensor, z_target: Tensor) -> Tensor:
     Minimal at -1 (parallel), 0 for orthogonal rows, +1 anti-parallel.
     ``z_target`` is treated as a constant.
     """
-    a = _as_rows("cosine_align_loss", z_proj)
-    b = _as_rows("cosine_align_loss", z_target).detach()
+    name = "cosine_align_loss"
+    a = _rows(name, z_proj)
+    b = _rows(name, z_target)
     if a.shape != b.shape:
-        raise ValueError(
-            f"cosine_align_loss: row shapes differ: {a.shape} vs {b.shape}"
-        )
-    na = _l2_normalize_rows("cosine_align_loss", a)
-    nb = _l2_normalize_rows("cosine_align_loss", b)
-    cos = tsum(na * nb, axis=-1)
-    return negate(tmean(cos))
+        raise ValueError(f"{name}: row shapes differ: {a.shape} vs {b.shape}")
+    na, r = _unit_rows(name, a)
+    nb, _ = _unit_rows(name, b)
+    count = a.shape[0]
+
+    def backward(g, need):
+        c = (-g) / count
+        g_na = c * nb
+        g_r = (((-g_na) * a) / (r * r)).sum(axis=-1, keepdims=True)
+        g_norms_sq = (g_r * 0.5) / r
+        g_a = g_na / r + (g_norms_sq * 2.0) * a
+        return (g_a.reshape(z_proj.shape),)
+
+    return custom_node(-(na * nb).sum(axis=-1).mean(), (z_proj,), backward)
 
 
 def total_objective(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, clip, exp, relu, softmax, transpose
+from .autodiff import Tensor, clip, exp, matmul, softmax, transpose
 from .data import Normalizer, Window, atomic_write
 from .rng import STREAM_INIT, STREAM_NOISE, SplitMix64, derive
 
@@ -164,6 +164,11 @@ class ImputationModel:
             for name, view in param_views(config, self.flat).items()
         }
 
+    def _affine(self, name: str, x: Tensor, relu: bool = False) -> Tensor:
+        """Layer ``name``: ``x @ w + b``, then ReLU if asked, as one node."""
+        w, b = self.params[f"{name}.w"], self.params[f"{name}.b"]
+        return _checked(name, matmul(x, w, bias=b, relu=relu))
+
     def encode(self, x_input) -> LatentDistribution:
         """Zero-filled normalized window [.., T, N] -> diagonal Gaussian."""
         p = self.params
@@ -171,31 +176,30 @@ class ImputationModel:
         if x.ndim < 2:
             raise ValueError(f"encode: expected [.., T, N], got shape {x.shape}")
         h = transpose(x)  # [.., N, T]: one row per variable series
-        h = _checked("encoder.embed", relu(h @ p["encoder.embed.w"] + p["encoder.embed.b"]))
+        h = self._affine("encoder.embed", h, relu=True)
         if self.config.use_attention:
             q = h @ p["encoder.attn.wq"]
             k = h @ p["encoder.attn.wk"]
             v = h @ p["encoder.attn.wv"]
             scores = (q @ transpose(k)) * (1.0 / math.sqrt(self.config.hidden_dim))
             h = _checked("encoder.attn", h + softmax(scores) @ v)
-        h = _checked("encoder.hidden", relu(h @ p["encoder.hidden.w"] + p["encoder.hidden.b"]))
-        mu = _checked("encoder.mu", h @ p["encoder.mu.w"] + p["encoder.mu.b"])
-        raw = _checked("encoder.log_std", h @ p["encoder.log_std.w"] + p["encoder.log_std.b"])
+        h = self._affine("encoder.hidden", h, relu=True)
+        mu = self._affine("encoder.mu", h)
+        raw = self._affine("encoder.log_std", h)
         sigma = exp(clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))
         return LatentDistribution(mu=mu, sigma=sigma)
 
     def decode(self, z) -> Tensor:
         """Latents [.., N, d_model] -> reconstruction [.., T, N]."""
-        p = self.params
         zt = z if isinstance(z, Tensor) else Tensor(z)
-        h = _checked("decoder.hidden", relu(zt @ p["decoder.hidden.w"] + p["decoder.hidden.b"]))
-        out = _checked("decoder.out", h @ p["decoder.out.w"] + p["decoder.out.b"])
+        h = self._affine("decoder.hidden", zt, relu=True)
+        out = self._affine("decoder.out", h)
         return transpose(out)
 
     def project(self, z) -> Tensor:
         """Affine [.., N, d_model] -> [.., N, d_model] for alignment."""
         zt = z if isinstance(z, Tensor) else Tensor(z)
-        return zt @ self.params["projector.w"] + self.params["projector.b"]
+        return matmul(zt, self.params["projector.w"], bias=self.params["projector.b"])
 
     def reconstruct(self, x_input) -> Tensor:
         """Deterministic inference forward: decode the latent mean."""

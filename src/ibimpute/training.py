@@ -98,40 +98,46 @@ class TrainConfig:
     clip_norm: float = 5.0                # 0 disables clipping
     loc_target: str = LOC_TARGET_OBSERVED
 
-    def validate(self) -> None:
+    def validate(self, key=lambda field: field) -> None:
+        """Raise ValueError for an invalid setting, named by ``key(field)``
+        with ``field`` the TrainConfig field, or the LossWeights field of a
+        loss weight; by default the field name itself."""
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ValueError(f"{key('epochs')} must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"{key('batch_size')} must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ValueError(f"{key('learning_rate')} must be > 0, got {self.learning_rate}")
         for name in ("adam_beta1", "adam_beta2"):
             b = getattr(self, name)
             if not (0.0 <= b < 1.0):
-                raise ValueError(f"{name} must be in [0, 1), got {b}")
+                raise ValueError(f"{key(name)} must be in [0, 1), got {b}")
         if self.adam_eps <= 0.0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+            raise ValueError(f"{key('adam_eps')} must be > 0, got {self.adam_eps}")
         if self.early_stop_patience < 0:
-            raise ValueError("early_stop_patience must be >= 0")
+            raise ValueError(f"{key('early_stop_patience')} must be >= 0")
         if self.clip_norm < 0.0:
-            raise ValueError("clip_norm must be >= 0")
+            raise ValueError(f"{key('clip_norm')} must be >= 0")
         if self.loc_target not in (LOC_TARGET_OBSERVED, LOC_TARGET_HIDDEN):
             raise ValueError(
-                f"loc_target must be 'observed' or 'hidden', got {self.loc_target!r}"
+                f"{key('loc_target')} must be 'observed' or 'hidden', got {self.loc_target!r}"
             )
-        for s in (self.train_stride, self.val_stride):
+        for name in ("train_stride", "val_stride"):
+            s = getattr(self, name)
             if s is not None and s < 1:
-                raise ValueError(f"stride must be >= 1, got {s}")
-        self.weights.validate(for_training=True)
+                raise ValueError(f"{key(name)} must be >= 1, got {s}")
+        self.weights.validate(for_training=True, key=key)
         self.mask_spec.validate()
         if self.loc_target == LOC_TARGET_HIDDEN and self.mask_spec.rate == 0.0:
-            raise ValueError("loc_target 'hidden' needs a mask rate > 0")
+            raise ValueError(f"{key('loc_target')} 'hidden' needs a mask rate > 0")
         if (
             self.weights.glo_variant == GLO_INFONCE
             and self.weights.glo > 0.0
             and self.batch_size < 2
         ):
-            raise ValueError("batch_size must be >= 2 when the contrast term is active")
+            raise ValueError(
+                f"{key('batch_size')} must be >= 2 when the contrast term is active"
+            )
 
     def strides(self, window_len: int) -> tuple[int, int]:
         """The train and the validation/test window strides, defaults filled in."""

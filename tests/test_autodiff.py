@@ -222,6 +222,20 @@ class TestPerOpGradients:
         x = Tensor(np.random.default_rng(36).normal(size=lead + (2, 3)))
         _assert_op_grads(lambda w: tsum(square(matmul(x, w))), seed=37, shape=(3, 2))
 
+    @pytest.mark.parametrize("relu_on", [False, True])
+    def test_matmul_bias_relu(self, relu_on):
+        rng = np.random.default_rng(47)
+        x = Tensor(rng.normal(size=(2, 4, 3)))
+        w = Tensor(rng.normal(size=(3, 2)))
+        b = Tensor(rng.normal(size=(2,)))
+
+        def loss(x, w, b):
+            return tsum(square(matmul(x, w, bias=b, relu=relu_on)))
+
+        _assert_op_grads(lambda t: loss(x, t, b), seed=48, shape=(3, 2))
+        _assert_op_grads(lambda t: loss(x, w, t), seed=49, shape=(2,))
+        _assert_op_grads(lambda t: loss(t, w, b), seed=50, shape=(2, 4, 3))
+
     def test_negate(self):
         _assert_op_grads(lambda x: tsum(negate(x)), seed=20)
 
@@ -361,6 +375,99 @@ class TestSharedWeightMatmul:
             tracemalloc.stop()
         assert len(tape.nodes) == 2
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _composite_affine(a, w, b, relu_on):
+    """The affine layer as the model built it before matmul took a bias:
+    matmul, add and relu nodes."""
+    out = add(matmul(a, w), b)
+    return relu(out) if relu_on else out
+
+
+def _run_taped(f, inputs, watch):
+    """``f(*inputs)``'s value and, for each watched input, the gradient of
+    ``sum(f(*inputs) * G)`` with a fixed random ``G``."""
+    tensors = [Tensor(x) for x in inputs]
+    with Tape() as tape:
+        tape.watch(*[t for t, w in zip(tensors, watch) if w])
+        out = f(*tensors)
+        g = np.random.default_rng(0).normal(size=out.shape)
+        loss = tsum(mul(out, Tensor(g)))
+    grads = tape.backward(loss)
+    return out.data, [grads.of(t) for t, w in zip(tensors, watch) if w], len(tape.nodes)
+
+
+class TestFusedAffine:
+    """``matmul(a, w, bias=, relu=)`` is one node with the bytes of the
+    matmul, add and relu nodes it replaces."""
+
+    @pytest.mark.parametrize("lead", [(3, 5), (2, 3, 5)])
+    @pytest.mark.parametrize("relu_on", [False, True])
+    @pytest.mark.parametrize("watch_a", [True, False])
+    def test_bytes_of_matmul_add_relu(self, lead, relu_on, watch_a):
+        rng = np.random.default_rng(51)
+        inputs = (rng.normal(size=lead + (6,)), rng.normal(size=(6, 4)), rng.normal(size=4))
+        watch = (watch_a, True, True)
+        out, grads, nodes = _run_taped(
+            lambda a, w, b: matmul(a, w, bias=b, relu=relu_on), inputs, watch
+        )
+        ref_out, ref_grads, ref_nodes = _run_taped(
+            lambda a, w, b: _composite_affine(a, w, b, relu_on), inputs, watch
+        )
+        assert (nodes, ref_nodes) == (3, 4 + relu_on)  # then mul and tsum
+        assert np.array_equal(out, ref_out)
+        if relu_on:
+            assert (out == 0.0).any() and (out > 0.0).any()
+        assert len(grads) == len(ref_grads) == 2 + watch_a
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    def test_hidden_feeding_two_heads_is_bytes_of_composite(self):
+        # the encoder's mu and log_std heads: their input gradients add up
+        rng = np.random.default_rng(52)
+        inputs = (rng.normal(size=(2, 3, 6)), rng.normal(size=(6, 6)), rng.normal(size=6),
+                  rng.normal(size=(6, 4)), rng.normal(size=4),
+                  rng.normal(size=(6, 4)), rng.normal(size=4))
+
+        def heads(affine):
+            def f(x, w, b, w_mu, b_mu, w_ls, b_ls):
+                h = affine(x, w, b, True)
+                return add(mul(affine(h, w_mu, b_mu, False), Tensor(2.0)),
+                           exp(affine(h, w_ls, b_ls, False)))
+            return f
+
+        def fused(a, w, b, relu_on):
+            return matmul(a, w, bias=b, relu=relu_on)
+
+        out, grads, _ = _run_taped(heads(fused), inputs, (True,) * 7)
+        ref_out, ref_grads, _ = _run_taped(heads(_composite_affine), inputs, (True,) * 7)
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    def test_one_node_holding_one_array(self):
+        a = Tensor(np.ones((2, 3, 4)))
+        w = Tensor(np.ones((4, 5)), trainable=True)
+        b = Tensor(np.ones(5), trainable=True)
+        with Tape() as tape:
+            y = matmul(a, w, bias=b, relu=True)
+        (node,) = tape.nodes
+        assert node.out is y and node.inputs == (a, w, b)
+        ga, gw, gb = node.backward(np.ones((2, 3, 5)))
+        assert ga is None
+        assert np.array_equal(gw, np.full((4, 5), 6.0))
+        assert np.array_equal(gb, np.full(5, 6.0))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 5), (5, 1), ()])
+    def test_bias_not_of_output_width_rejected(self, shape):
+        with pytest.raises(ShapeMismatchError, match="bias shape"):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))),
+                   bias=Tensor(np.ones(shape)))
+
+    @pytest.mark.parametrize("kwargs", [{"bias": Tensor(np.ones(3))}, {"relu": True}])
+    def test_bias_or_relu_with_batched_right_operand_rejected(self, kwargs):
+        with pytest.raises(ShapeMismatchError, match="2-D right operand"):
+            matmul(Tensor(np.ones((2, 4, 5))), Tensor(np.ones((2, 5, 3))), **kwargs)
 
 
 class TestBufferPool:

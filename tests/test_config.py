@@ -86,6 +86,41 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "text, message",
         [
+            ("train.epochs = 0\n", "train.epochs must be >= 1, got 0"),
+            ("train.batch_size = 0\n", "train.batch_size must be >= 1, got 0"),
+            ("train.learning_rate = 0\n", "train.learning_rate must be > 0, got 0.0"),
+            ("train.adam_beta1 = 1\n", "train.adam_beta1 must be in [0, 1), got 1.0"),
+            ("train.adam_beta2 = -0.5\n", "train.adam_beta2 must be in [0, 1), got -0.5"),
+            ("train.adam_eps = 0\n", "train.adam_eps must be > 0, got 0.0"),
+            ("train.early_stop_patience = -1\n", "train.early_stop_patience must be >= 0"),
+            ("train.clip_norm = -1\n", "train.clip_norm must be >= 0"),
+            ("train.loc_target = masked\n",
+             "train.loc_target must be 'observed' or 'hidden', got 'masked'"),
+            ("window.train_stride = 0\n", "window.train_stride must be >= 1, got 0"),
+            ("window.val_stride = 0\n", "window.val_stride must be >= 1, got 0"),
+            ("train.weights.reg = -1\n", "loss weight train.weights.reg must be >= 0"),
+            ("train.weights.loc = -1\n", "loss weight train.weights.loc must be >= 0"),
+            ("train.weights.glo = -1\n", "loss weight train.weights.glo must be >= 0"),
+            ("train.weights.glo_variant = off\n",
+             "train.weights.glo_variant must be one of ('infonce', 'cosine', 'none'), got 'off'"),
+            ("train.weights.temperature = 0\n", "train.weights.temperature must be > 0, got 0.0"),
+            ("train.weights.loc = 0\ntrain.weights.glo = 0\n",
+             "training needs a data-fit term: "
+             "loss weight train.weights.loc or train.weights.glo must be positive"),
+            ("train.loc_target = hidden\nmask.rate = 0\n",
+             "train.loc_target 'hidden' needs a mask rate > 0"),
+            ("train.batch_size = 1\ntrain.weights.glo_variant = infonce\n",
+             "train.batch_size must be >= 2 when the contrast term is active"),
+        ],
+    )
+    def test_train_section_errors_name_the_key(self, text, message):
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_sources(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
             ("eval.patterns = foo\n", "unknown mask pattern 'foo'"),
             ("eval.patterns = block\nmask.block_len = 97\n", "exceeds window length 96"),
             ("eval.patterns =\n", "eval.patterns needs at least one entry"),

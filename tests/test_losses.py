@@ -5,7 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibimpute.autodiff import Tape, Tensor, grad_check
+from ibimpute.autodiff import (
+    DomainError,
+    Tape,
+    Tensor,
+    exp,
+    grad_check,
+    log,
+    negate,
+    reshape,
+    sqrt,
+    square,
+    tmean,
+    tsum,
+)
 from ibimpute.losses import (
     GLO_COSINE,
     GLO_INFONCE,
@@ -267,6 +280,98 @@ class TestCosineAlign:
             loss_const = cosine_align_loss(x @ w, Tensor((x @ w).data.copy()))
         g_const = tape.backward(loss_const).of(w)
         assert np.array_equal(g_live, g_const)
+
+
+def _composite_reg(dist):
+    """reg_loss as it was built from autodiff ops before it was one node."""
+    mu, sigma = dist.mu, dist.sigma
+    per = square(mu) + square(sigma) - log(square(sigma)) - 1.0
+    kl = tsum(per, axis=-1) * 0.5
+    return tmean(kl) if kl.ndim > 0 else kl
+
+
+def _composite_loc(x, x_hat, target_mask):
+    """loc_loss as it was built from autodiff ops before it was one node."""
+    count = float(target_mask.data.sum())
+    sq = square(x - x_hat) * target_mask
+    return tsum(sq) * (1.0 / count)
+
+
+def _composite_cosine(z_proj, z_target):
+    """cosine_align_loss as it was built from autodiff ops before it was one
+    node."""
+
+    def rows(t):
+        return t if t.ndim == 2 else reshape(t, (-1, t.shape[-1]))
+
+    def normalize(t):
+        return t / sqrt(tsum(square(t), axis=-1, keepdims=True))
+
+    cos = tsum(normalize(rows(z_proj)) * normalize(rows(z_target).detach()), axis=-1)
+    return negate(tmean(cos))
+
+
+def _weighted(term, inputs, weight):
+    """``term(*inputs) * weight``, every input watched: the value, each
+    input's gradient and the node count."""
+    tensors = [Tensor(x) for x in inputs]
+    with Tape() as tape:
+        tape.watch(*tensors)
+        loss = term(*tensors) * weight
+    grads = tape.backward(loss)
+    return loss.data, [grads.of(t) for t in tensors], len(tape.nodes)
+
+
+class TestOneNodeTerms:
+    """reg, loc and cosine are one node each, with the bytes of the
+    autodiff-op chains they replace."""
+
+    @staticmethod
+    def _assert_bytes_of(term, composite, inputs, weight):
+        value, grads, nodes = _weighted(term, inputs, weight)
+        ref_value, ref_grads, ref_nodes = _weighted(composite, inputs, weight)
+        assert nodes == 2 < ref_nodes  # the term, then the weight
+        assert np.array_equal(value, ref_value)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    @pytest.mark.parametrize("shape", [(5,), (7, 32), (8, 7, 32)])
+    @pytest.mark.parametrize("weight", [1.0, 0.01, 0.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reg_is_bytes_of_composite(self, shape, weight, seed):
+        rng = np.random.default_rng([60, seed])
+        inputs = (rng.normal(size=shape), np.exp(rng.normal(size=shape)))
+
+        def term(mu, sigma):
+            return reg_loss(LatentDistribution(mu=mu, sigma=sigma))
+
+        def composite(mu, sigma):
+            return _composite_reg(LatentDistribution(mu=mu, sigma=sigma))
+
+        self._assert_bytes_of(term, composite, inputs, weight)
+
+    @pytest.mark.parametrize("shape", [(12,), (8, 96, 7)])
+    @pytest.mark.parametrize("weight", [1.0, 0.3, 0.7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loc_is_bytes_of_composite(self, shape, weight, seed):
+        rng = np.random.default_rng([61, seed])
+        mask = (rng.uniform(size=shape) > 0.3).astype(float)
+        inputs = (rng.normal(size=shape), rng.normal(size=shape), mask)
+        self._assert_bytes_of(loc_loss, _composite_loc, inputs, weight)
+
+    @pytest.mark.parametrize("shape", [(9, 16), (8, 7, 32), (2, 3, 5, 4)])
+    @pytest.mark.parametrize("weight", [1.0, 0.1, 0.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cosine_is_bytes_of_composite(self, shape, weight, seed):
+        rng = np.random.default_rng([62, seed])
+        inputs = (rng.normal(size=shape), rng.normal(size=shape))
+        self._assert_bytes_of(cosine_align_loss, _composite_cosine, inputs, weight)
+
+    def test_tiny_sigma_is_a_domain_error_as_before(self):
+        with pytest.raises(DomainError, match="strictly positive"):
+            reg_loss(_dist([0.0], [1e-170]))
+        with pytest.raises(DomainError, match="strictly positive"):
+            _composite_reg(_dist([0.0], [1e-170]))
 
 
 class TestTotalObjective:

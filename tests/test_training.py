@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,17 @@ import pytest
 
 from ibimpute.data import MaskSpec, apply_mask, make_synthetic, make_windows, normalize_window
 from ibimpute.data import Normalizer
-from ibimpute.losses import GLO_INFONCE, GLO_NONE, LossBreakdown, LossWeights
+from ibimpute.autodiff import Tape, Tensor
+from ibimpute.losses import (
+    GLO_INFONCE,
+    GLO_NONE,
+    LossBreakdown,
+    LossWeights,
+    cosine_align_loss,
+    loc_loss,
+    reg_loss,
+    total_objective,
+)
 from ibimpute import training
 from ibimpute.model import (
     CHECKPOINT_MAGIC,
@@ -18,6 +29,7 @@ from ibimpute.model import (
     ModelConfig,
     _param_specs,
     load_checkpoint,
+    reparameterize,
     save_checkpoint,
 )
 from ibimpute.training import (
@@ -288,6 +300,58 @@ class TestTrainStep:
         assert stepped and np.isfinite(bd.glo)
 
 
+class TestTapedStepCost:
+    """Deterministic counts of what a training step's tape holds: its nodes
+    and, at the default width, its memory.  The affine layers and the loss
+    terms are one node each."""
+
+    @staticmethod
+    def _inputs(cfg, batch):
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(batch, cfg.window_len, cfg.n_vars))
+        m_art = (rng.uniform(size=x.shape) > 0.5).astype(float)
+        return Tensor(x * m_art), Tensor(x), Tensor(np.ones_like(x))
+
+    @staticmethod
+    def _taped_forward(model, inputs):
+        """The taped half of :func:`train_step` with the default weights."""
+        x_in, x, target_mask = inputs
+        z_target = model.encode(x.data).mu.detach()
+        with Tape() as tape:
+            dist = model.encode(x_in)
+            z = reparameterize(dist, 0)
+            x_hat = model.decode(z)
+            reg = reg_loss(dist)
+            loc = loc_loss(x, x_hat, target_mask)
+            glo = cosine_align_loss(model.project(z), z_target)
+            total, _ = total_objective(LossWeights(), reg=reg, loc=loc, glo=glo)
+        return tape, total
+
+    def test_protocol_shape_step_records_at_most_20_nodes(self):
+        # 51 when each affine layer was matmul, add and relu nodes and the
+        # loss terms were chains of elementwise nodes
+        cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
+        tape, _ = self._taped_forward(ImputationModel(cfg, seed=1), self._inputs(cfg, 8))
+        assert len(tape.nodes) <= 20, len(tape.nodes)
+
+    def test_default_width_step_memory(self):
+        # 93.0 MB live and a 110.8 MB backward peak with the longer chains
+        cfg = ModelConfig(window_len=96, n_vars=21)
+        model = ImputationModel(cfg, seed=1)
+        inputs = self._inputs(cfg, 64)
+        tracemalloc.start()
+        try:
+            tape, total = self._taped_forward(model, inputs)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert live < 60e6, f"live after forward {live / 1e6:.1f} MB"
+        assert peak < 80e6, f"backward peak {peak / 1e6:.1f} MB"
+
+
 class TestTrainConfigValidation:
     def test_defaults_valid(self):
         TrainConfig().validate()
@@ -309,6 +373,19 @@ class TestTrainConfigValidation:
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):
             TrainConfig(train_stride=0).validate()
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (TrainConfig(epochs=0), "epochs must be >= 1, got 0"),
+            (TrainConfig(val_stride=0), "val_stride must be >= 1, got 0"),
+            (TrainConfig(weights=LossWeights(glo=-1.0)), "loss weight glo must be >= 0"),
+        ],
+    )
+    def test_errors_name_the_field(self, cfg, message):
+        with pytest.raises(ValueError) as excinfo:
+            cfg.validate()
+        assert str(excinfo.value) == message
 
     def test_bad_loc_target_rejected(self):
         with pytest.raises(ValueError, match="loc_target"):
