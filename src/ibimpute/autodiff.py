@@ -1,6 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every model and loss in this package is built from the ops here.  Forward ops
+The engine holds only the ops the model uses: ``add``, ``mul``, ``matmul``,
+``exp``, ``clip``, ``transpose`` and ``softmax``, plus :func:`custom_node` for
+a composite with a hand-written backward, and :func:`grad_check`.  Forward ops
 compute with numpy and, when a :class:`Tape` is active, append one node per
 call that has an input needing a gradient; :meth:`Tape.backward` walks the
 nodes once in reverse, so a chain of k ops costs k backward visits and never
@@ -23,14 +25,15 @@ the forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
 ``g @ w.T`` for the input and ``a.T @ g`` for the weight, with no
 ``[..., in, out]`` per-batch product to sum.  This path also takes an affine
 layer's ``bias`` and ``relu=True``: the layer is then one node, holding one
-output array, whose forward and backward do the float ops of a matmul node,
-an add node and a relu node in their order, so the values are the same to
-the bit.  Only a batched right operand, such as attention's ``q @ k.T``,
-takes numpy's broadcasting matmul (no bias or ReLU) and sums its gradients
-back down to the operand shapes.
+output array, whose forward adds the bias and applies the ReLU in place in
+the GEMM result, and whose backward masks the output gradient where the
+output is not positive before the two GEMMs and the bias sum.  Only a batched
+right operand, such as attention's ``q @ k.T``, takes numpy's broadcasting
+matmul (no bias or ReLU) and sums its gradients back down to the operand
+shapes.
 
 :func:`custom_node` records a composite computed with numpy as one node with
-a hand-written backward; the loss terms in :mod:`ibimpute.losses` use it.
+a hand-written backward; every loss term in :mod:`ibimpute.losses` is one.
 
 Importing this module tells glibc's allocator to serve arrays up to 32 MiB
 from its heap and to keep freed heap memory rather than hand it back to the
@@ -63,7 +66,8 @@ class ShapeMismatchError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input outside an op's mathematical domain (log of <= 0, etc.)."""
+    """Input outside a computation's mathematical domain (the log of a value
+    <= 0, as in :func:`ibimpute.losses.reg_loss`)."""
 
 
 class TapeError(RuntimeError):
@@ -131,32 +135,14 @@ class Tensor:
     def __radd__(self, other):
         return add(_lift(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
 
     def __rmul__(self, other):
         return mul(_lift(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return negate(self)
-
     def __matmul__(self, other):
         return matmul(self, _lift(other))
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
 
 
 def _lift(x) -> Tensor:
@@ -321,21 +307,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward, need)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_binary("sub", np.subtract, a, b))
-    need_a, need_b = need = _needs((a, b))
-
-    def backward(g):
-        ga = gb = None
-        if need_a:
-            ga = _unbroadcast(g, a.shape)
-        if need_b:
-            gb = _unbroadcast(-g, b.shape)
-        return ga, gb
-
-    return _record(out, (a, b), backward, need)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_binary("mul", np.multiply, a, b))
     need_a, need_b = need = _needs((a, b))
@@ -346,23 +317,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             ga = _unbroadcast(g * b.data, a.shape)
         if need_b:
             gb = _unbroadcast(g * a.data, b.shape)
-        return ga, gb
-
-    return _record(out, (a, b), backward, need)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if np.any(b.data == 0.0):
-        raise DomainError("div: zero divisor")
-    out = Tensor(_binary("div", np.divide, a, b))
-    need_a, need_b = need = _needs((a, b))
-
-    def backward(g):
-        ga = gb = None
-        if need_a:
-            ga = _unbroadcast(g / b.data, a.shape)
-        if need_b:
-            gb = _unbroadcast(((-g) * a.data) / (b.data * b.data), b.shape)
         return ga, gb
 
     return _record(out, (a, b), backward, need)
@@ -396,8 +350,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
         need = _needs(inputs)
 
         def backward_shared(g):
-            # the float ops of separate relu, add and matmul nodes; out > 0
-            # exactly where the pre-activation is > 0
+            # out > 0 exactly where the pre-activation is > 0
             if relu:
                 g = g * (out.data > 0.0)
             g2 = g.reshape(-1, n_out)
@@ -435,38 +388,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
     return _record(out, (a, b), backward, need)
 
 
-def negate(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
-
-
 def exp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data))
     return _record(out, (a,), lambda g: (g * out.data,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
-        raise DomainError("sqrt: input must be non-negative")
-    out = Tensor(np.sqrt(a.data))
-    return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
-
-
-def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-    return _record(out, (a,), lambda g: ((g * 2.0) * a.data,))
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -476,46 +400,12 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * mask,))
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(np.float64, copy=False),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(np.float64, copy=False),)
-
-    return _record(out, (a,), backward)
-
-
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    if count == 0:
-        raise ShapeMismatchError("mean: reduction over zero elements")
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-
-    def backward(g):
-        if axis is None:
-            g_full = np.broadcast_to(g, a.shape)
-        else:
-            g_full = np.broadcast_to(g if keepdims else np.expand_dims(g, axis), a.shape)
-        return (g_full / count,)
-
-    return _record(out, (a,), backward)
-
-
 def transpose(a: Tensor) -> Tensor:
     """Swap the trailing two dims."""
     if a.ndim < 2:
         raise ShapeMismatchError(f"transpose: needs ndim >= 2, got shape {a.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2))
     return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def softmax(a: Tensor) -> Tensor:

@@ -12,16 +12,16 @@ Three ingredients combine into the training objective:
 
 ``total_objective`` forms the weighted sum and a float breakdown for logs.
 
-``reg_loss``, ``loc_loss`` and ``cosine_align_loss`` are one tape node each
-(:func:`~ibimpute.autodiff.custom_node`): the forward computes with numpy and
-the backward is written by hand.  Both do the float ops of the chain of
-elementwise ops these terms used to be built from, in its order, so values
-and gradients are the same to the bit: each backward uses the one scalar
-that chain broadcast, and adds a tensor's two gradient branches in the order
-:meth:`~ibimpute.autodiff.Tape.backward` added them (sigma's log branch,
-then its square branch; a row's ``g / norm``, then its norm branch), not the
-closed forms, which differ by an ulp or two.  ``infonce_loss`` and
-``total_objective`` are still built from autodiff ops.
+Each term is one tape node (:func:`~ibimpute.autodiff.custom_node`): the
+forward computes with numpy and the backward is written by hand.  Both do
+the float ops of the chain of elementwise ops these terms used to be built
+from, in its order, so values and gradients are the same to the bit: each
+backward uses the one scalar that chain broadcast, and adds a tensor's two
+gradient branches in the order :meth:`~ibimpute.autodiff.Tape.backward`
+added them (sigma's log branch, then its square branch; a row's
+``g / norm``, then its norm branch; the InfoNCE scores' logsumexp branch
+plus their matching-pair branch), not the closed forms, which differ by an
+ulp or two.
 """
 
 from __future__ import annotations
@@ -30,18 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    DomainError,
-    Tensor,
-    custom_node,
-    exp,
-    log,
-    reshape,
-    sqrt,
-    square,
-    tmean,
-    tsum,
-)
+from .autodiff import DomainError, Tensor, custom_node
 from .model import LatentDistribution
 
 GLO_INFONCE = "infonce"
@@ -156,21 +145,9 @@ def _rows(name: str, t: Tensor) -> np.ndarray:
     return t.data.reshape(-1, t.shape[-1])
 
 
-def _as_rows(name: str, t: Tensor) -> Tensor:
-    rows = _rows(name, t)
-    return t if t.ndim == 2 else reshape(t, rows.shape)
-
-
-def _l2_normalize_rows(name: str, t: Tensor) -> Tensor:
-    norms_sq = tsum(square(t), axis=-1, keepdims=True)
-    if np.any(norms_sq.data == 0.0):
-        raise ValueError(f"{name}: zero-norm row cannot be normalized")
-    return t / sqrt(norms_sq)
-
-
 def _unit_rows(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` scaled to unit L2 norm, and their norms [rows, 1]; the float
-    ops of :func:`_l2_normalize_rows`."""
+    """``rows`` scaled to unit L2 norm, and their norms [rows, 1]: each row
+    divided by the square root of its sum of squares."""
     norms_sq = (rows * rows).sum(axis=-1, keepdims=True)
     if np.any(norms_sq == 0.0):
         raise ValueError(f"{name}: zero-norm row cannot be normalized")
@@ -189,25 +166,40 @@ def infonce_loss(z_proj: Tensor, z_target: Tensor, temperature: float = 0.1) -> 
     """
     if temperature <= 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    a = _as_rows("infonce_loss", z_proj)
-    b = _as_rows("infonce_loss", z_target).detach()
+    name = "infonce_loss"
+    a = _rows(name, z_proj)
+    b = _rows(name, z_target)
     if a.shape != b.shape:
-        raise ValueError(
-            f"infonce_loss: row shapes differ: {a.shape} vs {b.shape}"
-        )
+        raise ValueError(f"{name}: row shapes differ: {a.shape} vs {b.shape}")
     n_rows = a.shape[0]
     if n_rows < 2:
-        raise ValueError("infonce_loss: need at least 2 rows to form negatives")
-    na = _l2_normalize_rows("infonce_loss", a)
-    nb = _l2_normalize_rows("infonce_loss", b)
-    scores = (na @ nb.transpose()) * (1.0 / temperature)      # [R, R]
-    # constant row max keeps exp bounded; the gradient is unchanged
-    row_max = Tensor(scores.data.max(axis=-1, keepdims=True))
-    shifted = exp(scores - row_max)
-    lse = log(tsum(shifted, axis=-1, keepdims=True)) + row_max  # [R, 1]
-    eye = Tensor(np.eye(n_rows))
-    matching = tsum(scores * eye, axis=-1, keepdims=True)        # [R, 1]
-    return tmean(lse - matching)
+        raise ValueError(f"{name}: need at least 2 rows to form negatives")
+    na, r = _unit_rows(name, a)
+    # a C-contiguous transpose: the GEMMs' last bits depend on the layout
+    nb_t = np.ascontiguousarray(_unit_rows(name, b)[0].T)
+    inv_t = 1.0 / temperature
+    scores = (na @ nb_t) * inv_t  # [R, R]
+    # the row max keeps exp bounded and takes no gradient
+    row_max = scores.max(axis=-1, keepdims=True)
+    shifted = np.exp(scores - row_max)
+    sums = shifted.sum(axis=-1, keepdims=True)
+    # the chain's (scores * eye).sum(-1): adding the zeros changes no bit
+    matching = scores.diagonal()[:, None]
+
+    def backward(g, need):
+        g_row = np.broadcast_to(g, (n_rows, 1)) / n_rows
+        # the logsumexp branch, plus the matching-pair branch on the diagonal;
+        # off it, that branch is (-g_row) * 0.0 = -0.0 (g > 0), and adding
+        # -0.0 changes no bit, so the [R, R] identity is never built
+        g_scores = (g_row / sums) * shifted
+        g_scores[np.diag_indices(n_rows)] += -g_row[:, 0]
+        g_scores *= inv_t
+        g_na = g_scores @ nb_t.T
+        g_r = (((-g_na) * a) / (r * r)).sum(axis=-1, keepdims=True)
+        g_a = g_na / r + (((g_r * 0.5) / r) * 2.0) * a
+        return (g_a.reshape(z_proj.shape),)
+
+    return custom_node(((np.log(sums) + row_max) - matching).mean(), (z_proj,), backward)
 
 
 def cosine_align_loss(z_proj: Tensor, z_target: Tensor) -> Tensor:

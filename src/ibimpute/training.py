@@ -251,9 +251,12 @@ def train_step(
             row_norms = np.sum(
                 z_target.data.reshape(-1, z_target.shape[-1]) ** 2, axis=-1
             )
-            if np.any(row_norms == 0.0):
-                # a fully dead relu row has no alignment signal; skip the
-                # global term this batch instead of failing on cos(a, 0)
+            if np.any(row_norms == 0.0) or (
+                weights.glo_variant == GLO_INFONCE and len(row_norms) < 2
+            ):
+                # a fully dead relu row has no alignment signal, and a lone
+                # row has no negatives to contrast with; skip the global term
+                # this batch instead of failing on cos(a, 0) or on no negatives
                 z_target = None
         with Tape() as tape:
             dist = model.encode(Tensor(x_masked_in))

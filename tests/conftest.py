@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ibimpute.autodiff import Tensor, custom_node
 from ibimpute.data import MaskSpec, make_synthetic
 from ibimpute.losses import LossWeights
 from ibimpute.model import ImputationModel, ModelConfig
@@ -43,3 +44,15 @@ def _rand(shape, seed, low=-2.0, high=2.0) -> np.ndarray:
 def rand():
     """Seeded uniform array factory for test inputs."""
     return _rand
+
+
+def _sum_all(t: Tensor) -> Tensor:
+    """The sum of every entry of ``t`` as one taped scalar, whose backward
+    hands each entry the output gradient."""
+    return custom_node(t.data.sum(), (t,), lambda g, need: (np.broadcast_to(g, t.shape),))
+
+
+@pytest.fixture(scope="session")
+def sum_all():
+    """A scalar loss for tape tests: the sum of every entry, as one node."""
+    return _sum_all

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from ibimpute.autodiff import (
     GLIBC_KEEPS_FREED_MEMORY,
-    DomainError,
     Gradients,
     ShapeMismatchError,
     Tape,
@@ -17,40 +16,25 @@ from ibimpute.autodiff import (
     Tensor,
     add,
     clip,
-    div,
     exp,
     grad_check,
-    log,
     matmul,
     mul,
-    negate,
-    relu,
-    reshape,
     softmax,
-    sqrt,
-    square,
-    sub,
-    tmean,
     transpose,
-    tsum,
 )
 
 N_GRAD_POINTS = 20
 
 
-def _points(seed, shape, low=-2.0, high=2.0, avoid_zero=False):
+def _sq(t):
+    return mul(t, t)
+
+
+def _assert_op_grads(f, seed, shape=(3, 3)):
     rng = np.random.default_rng(seed)
     for _ in range(N_GRAD_POINTS):
-        x = rng.uniform(low, high, size=shape)
-        if avoid_zero:
-            # keep entries away from the kink so central differences are valid
-            x = np.where(np.abs(x) < 1e-2, np.sign(x + 1e-12) * 1e-2, x)
-        yield x
-
-
-def _assert_op_grads(f, seed, shape=(3, 3), low=-2.0, high=2.0, avoid_zero=False):
-    for x in _points(seed, shape, low, high, avoid_zero):
-        report = grad_check(f, Tensor(x), eps=1e-5, tol=1e-4)
+        report = grad_check(f, Tensor(rng.uniform(-2.0, 2.0, size=shape)), eps=1e-5, tol=1e-4)
         assert report.passed, f"max rel err {report.max_rel_err}"
 
 
@@ -63,10 +47,6 @@ class TestForwardExamples:
     def test_softmax_uniform(self):
         out = softmax(Tensor([0.0, 0.0, 0.0]))
         assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-
-    def test_sum_of_mean(self):
-        out = tsum(tmean(Tensor([[2.0, 4.0]]), axis=-1))
-        assert out.item() == 3.0
 
     def test_add_broadcasting_leading_and_trailing(self):
         a = Tensor(np.ones((2, 3, 4)))
@@ -100,56 +80,40 @@ class TestForwardErrors:
         with pytest.raises(ShapeMismatchError):
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            log(Tensor([1.0, 0.0]))
-
-    def test_sqrt_domain(self):
-        with pytest.raises(DomainError):
-            sqrt(Tensor([-0.5]))
-
-    def test_div_by_zero(self):
-        with pytest.raises(DomainError):
-            div(Tensor([1.0]), Tensor([0.0]))
-
-    def test_mean_empty_axis(self):
-        with pytest.raises(ShapeMismatchError):
-            tmean(Tensor(np.ones((0, 2))), axis=0)
-
 
 class TestBackwardExamples:
-    def test_grad_of_sum_square(self):
+    def test_grad_of_sum_square(self, sum_all):
         w = Tensor([3.0], trainable=True)
         with Tape() as tape:
-            loss = tsum(square(w))
+            loss = sum_all(_sq(w))
         assert np.array_equal(tape.backward(loss).of(w), [6.0])
 
-    def test_grad_of_sum_is_ones(self):
+    def test_grad_of_sum_is_ones(self, sum_all):
         w = Tensor(np.arange(5.0), trainable=True)
         with Tape() as tape:
-            loss = tsum(w)
+            loss = sum_all(w)
         assert np.array_equal(tape.backward(loss).of(w), np.ones(5))
 
-    def test_grad_of_sum_exp(self):
+    def test_grad_of_sum_exp(self, sum_all):
         w = Tensor([0.0, 1.0], trainable=True)
         with Tape() as tape:
-            loss = tsum(exp(w))
+            loss = sum_all(exp(w))
         assert np.allclose(tape.backward(loss).of(w), [1.0, np.e], atol=1e-12)
 
-    def test_unused_watched_leaf_gets_zeros(self):
+    def test_unused_watched_leaf_gets_zeros(self, sum_all):
         w = Tensor(np.ones((2, 2)))
         u = Tensor(np.ones(3))
         with Tape() as tape:
             tape.watch(u)
-            loss = tsum(w)
+            loss = sum_all(w)
         grads = tape.backward(loss)
         assert np.array_equal(grads.of(u), np.zeros(3))
 
-    def test_gradient_accumulates_over_reuse(self):
+    def test_gradient_accumulates_over_reuse(self, sum_all):
         w = Tensor([2.0])
         with Tape() as tape:
             tape.watch(w)
-            loss = tsum(mul(w, w) + w)
+            loss = sum_all(mul(w, w) + w)
         assert np.array_equal(tape.backward(loss).of(w), [5.0])
 
 
@@ -157,23 +121,23 @@ class TestBackwardErrors:
     def test_non_scalar_loss(self):
         w = Tensor(np.ones(3))
         with Tape() as tape:
-            out = square(w)
+            out = _sq(w)
         with pytest.raises(TapeError):
             tape.backward(out)
 
-    def test_loss_not_on_tape(self):
+    def test_loss_not_on_tape(self, sum_all):
         w = Tensor(np.ones(3))
         with Tape() as tape:
             tape.watch(w)
-            tsum(square(w))
+            sum_all(_sq(w))
         stranger = Tensor(1.0)
         with pytest.raises(TapeError):
             tape.backward(stranger)
 
-    def test_unknown_tensor_lookup(self):
+    def test_unknown_tensor_lookup(self, sum_all):
         w = Tensor([1.0])
         with Tape() as tape:
-            loss = tsum(w)
+            loss = sum_all(w)
         grads = tape.backward(loss)
         with pytest.raises(TapeError):
             grads.of(Tensor([1.0]))
@@ -186,131 +150,93 @@ class TestBackwardErrors:
 
 
 class TestPerOpGradients:
-    def test_add(self):
+    def test_add(self, sum_all):
         c = Tensor(np.random.default_rng(1).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(add(x, c)), seed=10)
-        _assert_op_grads(lambda x: tsum(add(c, x)), seed=11)
+        _assert_op_grads(lambda x: sum_all(add(x, c)), seed=10)
+        _assert_op_grads(lambda x: sum_all(add(c, x)), seed=11)
 
-    def test_sub(self):
-        c = Tensor(np.random.default_rng(2).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(sub(x, c)), seed=12)
-        _assert_op_grads(lambda x: tsum(sub(c, x)), seed=13)
-
-    def test_mul(self):
+    def test_mul(self, sum_all):
         c = Tensor(np.random.default_rng(3).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(mul(x, c)), seed=14)
+        _assert_op_grads(lambda x: sum_all(mul(x, c)), seed=14)
 
-    def test_div_numerator(self):
-        c = Tensor(np.random.default_rng(4).uniform(0.5, 2.0, size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(div(x, c)), seed=15)
-
-    def test_div_denominator(self):
-        c = Tensor(np.random.default_rng(5).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(div(c, x)), seed=16, low=0.1, high=2.0)
-
-    def test_matmul_left_and_right(self):
+    def test_matmul_left_and_right(self, sum_all):
         c = Tensor(np.random.default_rng(6).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(matmul(x, c)), seed=17)
-        _assert_op_grads(lambda x: tsum(matmul(c, x)), seed=18)
+        _assert_op_grads(lambda x: sum_all(matmul(x, c)), seed=17)
+        _assert_op_grads(lambda x: sum_all(matmul(c, x)), seed=18)
 
-    def test_matmul_batched(self):
+    def test_matmul_batched(self, sum_all):
         c = Tensor(np.random.default_rng(7).normal(size=(3, 2)))
-        _assert_op_grads(lambda x: tsum(matmul(x, c)), seed=19, shape=(4, 2, 3))
+        _assert_op_grads(lambda x: sum_all(matmul(x, c)), seed=19, shape=(4, 2, 3))
 
     @pytest.mark.parametrize("lead", [(4,), (2, 3)])
-    def test_matmul_shared_weight(self, lead):
+    def test_matmul_shared_weight(self, lead, sum_all):
         x = Tensor(np.random.default_rng(36).normal(size=lead + (2, 3)))
-        _assert_op_grads(lambda w: tsum(square(matmul(x, w))), seed=37, shape=(3, 2))
+        _assert_op_grads(lambda w: sum_all(_sq(matmul(x, w))), seed=37, shape=(3, 2))
 
     @pytest.mark.parametrize("relu_on", [False, True])
-    def test_matmul_bias_relu(self, relu_on):
+    def test_matmul_bias_relu(self, relu_on, sum_all):
         rng = np.random.default_rng(47)
         x = Tensor(rng.normal(size=(2, 4, 3)))
         w = Tensor(rng.normal(size=(3, 2)))
         b = Tensor(rng.normal(size=(2,)))
 
         def loss(x, w, b):
-            return tsum(square(matmul(x, w, bias=b, relu=relu_on)))
+            return sum_all(_sq(matmul(x, w, bias=b, relu=relu_on)))
 
         _assert_op_grads(lambda t: loss(x, t, b), seed=48, shape=(3, 2))
         _assert_op_grads(lambda t: loss(x, w, t), seed=49, shape=(2,))
         _assert_op_grads(lambda t: loss(t, w, b), seed=50, shape=(2, 4, 3))
 
-    def test_negate(self):
-        _assert_op_grads(lambda x: tsum(negate(x)), seed=20)
+    def test_exp(self, sum_all):
+        _assert_op_grads(lambda x: sum_all(exp(x)), seed=21)
 
-    def test_exp(self):
-        _assert_op_grads(lambda x: tsum(exp(x)), seed=21)
-
-    def test_log(self):
-        _assert_op_grads(lambda x: tsum(log(x)), seed=22, low=0.1, high=2.0)
-
-    def test_sqrt(self):
-        _assert_op_grads(lambda x: tsum(sqrt(x)), seed=23, low=0.1, high=2.0)
-
-    def test_square(self):
-        _assert_op_grads(lambda x: tsum(square(x)), seed=24)
-
-    def test_relu(self):
-        _assert_op_grads(lambda x: tsum(relu(x)), seed=25, avoid_zero=True)
-
-    def test_clip(self):
+    def test_clip(self, sum_all):
         # bounds sit between sample points so no entry lands on a kink
-        _assert_op_grads(lambda x: tsum(clip(x, -1.0005, 1.0005)), seed=26)
+        _assert_op_grads(lambda x: sum_all(clip(x, -1.0005, 1.0005)), seed=26)
 
-    def test_sum_axis_keepdims(self):
-        _assert_op_grads(lambda x: tsum(square(tsum(x, axis=0, keepdims=True))), seed=27)
-
-    def test_mean_axis(self):
-        _assert_op_grads(lambda x: tsum(square(tmean(x, axis=1))), seed=28)
-
-    def test_mean_all(self):
-        _assert_op_grads(lambda x: tmean(square(x)), seed=29)
-
-    def test_transpose(self):
+    def test_transpose(self, sum_all):
         c = Tensor(np.random.default_rng(9).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(matmul(transpose(x), c)), seed=32)
+        _assert_op_grads(lambda x: sum_all(matmul(transpose(x), c)), seed=32)
 
-    def test_reshape(self):
-        _assert_op_grads(lambda x: tsum(square(reshape(x, (9,)))), seed=33)
-
-    def test_softmax(self):
+    def test_softmax(self, sum_all):
         c = Tensor(np.random.default_rng(10).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: tsum(mul(softmax(x), c)), seed=34)
+        _assert_op_grads(lambda x: sum_all(mul(softmax(x), c)), seed=34)
 
-    def test_broadcast_bias_gradient(self):
+    def test_broadcast_bias_gradient(self, sum_all):
         x = Tensor(np.random.default_rng(11).normal(size=(4, 2, 3)))
-        _assert_op_grads(lambda b: tsum(square(add(x, b))), seed=35, shape=(3,))
+        _assert_op_grads(lambda b: sum_all(_sq(add(x, b))), seed=35, shape=(3,))
 
 
 class TestSharedWeightMatmul:
     """A 2-D right operand folds the left operand's leading dims into rows."""
 
     @staticmethod
-    def _taped(a, b, g):
+    def _taped(a, b, g, sum_all):
         """Forward of ``a @ b`` and the gradients of ``sum((a @ b) * g)``."""
         ta, tb = Tensor(a), Tensor(b)
         with Tape() as tape:
             tape.watch(ta, tb)
             out = matmul(ta, tb)
-            loss = tsum(mul(out, Tensor(g)))
+            loss = sum_all(mul(out, Tensor(g)))
         grads = tape.backward(loss)
         return out.data, grads.of(ta), grads.of(tb)
 
     @pytest.mark.parametrize("lead", [(5,), (2, 3), (1,)])
-    def test_matches_batched_then_summed_reference(self, lead):
+    def test_matches_batched_then_summed_reference(self, lead, sum_all):
         rng = np.random.default_rng(38)
         a = rng.normal(size=lead + (4, 6))
         w = rng.normal(size=(6, 3))
         g = rng.normal(size=lead + (4, 3))
-        out, ga, gw = self._taped(a, w, g)
+        out, ga, gw = self._taped(a, w, g, sum_all)
         gw_ref = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, 6, 3).sum(axis=0)
         np.testing.assert_allclose(out, np.matmul(a, w), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(ga, np.matmul(g, w.T), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gw, gw_ref, rtol=1e-12, atol=1e-12)
 
-    def test_zero_length_leading_dim(self):
-        out, ga, gw = self._taped(np.ones((0, 3, 4)), np.ones((4, 5)), np.ones((0, 3, 5)))
+    def test_zero_length_leading_dim(self, sum_all):
+        out, ga, gw = self._taped(
+            np.ones((0, 3, 4)), np.ones((4, 5)), np.ones((0, 3, 5)), sum_all
+        )
         assert out.shape == (0, 3, 5)
         assert ga.shape == (0, 3, 4)
         assert np.array_equal(gw, np.zeros((4, 5)))
@@ -319,19 +245,19 @@ class TestSharedWeightMatmul:
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 4\) and \(5, 6\)"):
             matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 6))))
 
-    def test_two_d_is_bytes_of_np_matmul(self):
+    def test_two_d_is_bytes_of_np_matmul(self, sum_all):
         rng = np.random.default_rng(39)
         a, w, g = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
-        out, ga, gw = self._taped(a, w, g)
+        out, ga, gw = self._taped(a, w, g, sum_all)
         assert np.array_equal(out, np.matmul(a, w))
         assert np.array_equal(ga, np.matmul(g, w.T))
         assert np.array_equal(gw, np.matmul(a.T, g))
 
-    def test_batched_right_operand_is_bytes_of_np_matmul(self):
+    def test_batched_right_operand_is_bytes_of_np_matmul(self, sum_all):
         rng = np.random.default_rng(40)
         a, b = rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 5, 3))
         g = rng.normal(size=(2, 4, 3))
-        out, ga, gb = self._taped(a, b, g)
+        out, ga, gb = self._taped(a, b, g, sum_all)
         assert np.array_equal(out, np.matmul(a, b))
         assert np.array_equal(ga, np.matmul(g, np.swapaxes(b, -1, -2)))
         assert np.array_equal(gb, np.matmul(np.swapaxes(a, -1, -2), g))
@@ -358,7 +284,7 @@ class TestSharedWeightMatmul:
         assert geps is None
         assert np.array_equal(gx, 2.0 * eps.data)
 
-    def test_backward_builds_no_per_batch_weight_stack(self):
+    def test_backward_builds_no_per_batch_weight_stack(self, sum_all):
         # the [64, 256, 256] stack a batched weight gradient would sum is 33.5 MB
         rng = np.random.default_rng(41)
         a = Tensor(rng.normal(size=(64, 21, 256)))
@@ -367,7 +293,7 @@ class TestSharedWeightMatmul:
         try:
             with Tape() as tape:
                 tape.watch(a, w)
-                loss = tsum(matmul(a, w))
+                loss = sum_all(matmul(a, w))
             grads = tape.backward(loss)
             grads.of(a), grads.of(w)
             peak = tracemalloc.get_traced_memory()[1]
@@ -378,13 +304,14 @@ class TestSharedWeightMatmul:
 
 
 def _composite_affine(a, w, b, relu_on):
-    """The affine layer as the model built it before matmul took a bias:
-    matmul, add and relu nodes."""
+    """The affine layer as separate matmul and add nodes, then the ReLU as a
+    product with the constant mask of the positive entries, whose gradient is
+    ``g * (pre > 0)``."""
     out = add(matmul(a, w), b)
-    return relu(out) if relu_on else out
+    return mul(out, Tensor(out.data > 0.0)) if relu_on else out
 
 
-def _run_taped(f, inputs, watch):
+def _run_taped(f, inputs, watch, sum_all):
     """``f(*inputs)``'s value and, for each watched input, the gradient of
     ``sum(f(*inputs) * G)`` with a fixed random ``G``."""
     tensors = [Tensor(x) for x in inputs]
@@ -392,29 +319,29 @@ def _run_taped(f, inputs, watch):
         tape.watch(*[t for t, w in zip(tensors, watch) if w])
         out = f(*tensors)
         g = np.random.default_rng(0).normal(size=out.shape)
-        loss = tsum(mul(out, Tensor(g)))
+        loss = sum_all(mul(out, Tensor(g)))
     grads = tape.backward(loss)
     return out.data, [grads.of(t) for t, w in zip(tensors, watch) if w], len(tape.nodes)
 
 
 class TestFusedAffine:
-    """``matmul(a, w, bias=, relu=)`` is one node with the bytes of the
-    matmul, add and relu nodes it replaces."""
+    """``matmul(a, w, bias=, relu=)`` is one node with the values and
+    gradients of separate matmul and add nodes and a ReLU mask."""
 
     @pytest.mark.parametrize("lead", [(3, 5), (2, 3, 5)])
     @pytest.mark.parametrize("relu_on", [False, True])
     @pytest.mark.parametrize("watch_a", [True, False])
-    def test_bytes_of_matmul_add_relu(self, lead, relu_on, watch_a):
+    def test_bytes_of_matmul_add_relu(self, lead, relu_on, watch_a, sum_all):
         rng = np.random.default_rng(51)
         inputs = (rng.normal(size=lead + (6,)), rng.normal(size=(6, 4)), rng.normal(size=4))
         watch = (watch_a, True, True)
         out, grads, nodes = _run_taped(
-            lambda a, w, b: matmul(a, w, bias=b, relu=relu_on), inputs, watch
+            lambda a, w, b: matmul(a, w, bias=b, relu=relu_on), inputs, watch, sum_all
         )
         ref_out, ref_grads, ref_nodes = _run_taped(
-            lambda a, w, b: _composite_affine(a, w, b, relu_on), inputs, watch
+            lambda a, w, b: _composite_affine(a, w, b, relu_on), inputs, watch, sum_all
         )
-        assert (nodes, ref_nodes) == (3, 4 + relu_on)  # then mul and tsum
+        assert (nodes, ref_nodes) == (3, 4 + relu_on)  # then mul and sum_all
         assert np.array_equal(out, ref_out)
         if relu_on:
             assert (out == 0.0).any() and (out > 0.0).any()
@@ -422,7 +349,7 @@ class TestFusedAffine:
         for g, ref in zip(grads, ref_grads):
             assert np.array_equal(g, ref)
 
-    def test_hidden_feeding_two_heads_is_bytes_of_composite(self):
+    def test_hidden_feeding_two_heads_is_bytes_of_composite(self, sum_all):
         # the encoder's mu and log_std heads: their input gradients add up
         rng = np.random.default_rng(52)
         inputs = (rng.normal(size=(2, 3, 6)), rng.normal(size=(6, 6)), rng.normal(size=6),
@@ -439,8 +366,10 @@ class TestFusedAffine:
         def fused(a, w, b, relu_on):
             return matmul(a, w, bias=b, relu=relu_on)
 
-        out, grads, _ = _run_taped(heads(fused), inputs, (True,) * 7)
-        ref_out, ref_grads, _ = _run_taped(heads(_composite_affine), inputs, (True,) * 7)
+        out, grads, _ = _run_taped(heads(fused), inputs, (True,) * 7, sum_all)
+        ref_out, ref_grads, _ = _run_taped(
+            heads(_composite_affine), inputs, (True,) * 7, sum_all
+        )
         assert np.array_equal(out, ref_out)
         for g, ref in zip(grads, ref_grads):
             assert np.array_equal(g, ref)
@@ -475,29 +404,29 @@ class TestBufferPool:
     reuses freed memory instead of faulting in new pages."""
 
     @staticmethod
-    def _step(a, w):
+    def _step(a, w, sum_all):
         """Taped forward and backward of ``sum(exp(a @ w) * a @ w)``; returns
         every large array it made: outputs, views of them and gradients."""
         with Tape() as tape:
             tape.watch(a, w)
             y = matmul(a, w)
             z = mul(exp(y), y)
-            loss = tsum(z)
+            loss = sum_all(z)
         grads = tape.backward(loss)
         return [y.data, z.data, transpose(z).data, grads.of(a), grads.of(w)]
 
     @pytest.mark.parametrize("held", ["output", "reshape", "transpose", "gradient"])
-    def test_live_array_is_never_handed_out_again(self, held):
+    def test_live_array_is_never_handed_out_again(self, held, sum_all):
         rng = np.random.default_rng(42)
         a = Tensor(rng.normal(size=(8, 21, 256)) * 0.1)
         w = Tensor(rng.normal(size=(256, 256)) * 0.1)
         with Tape() as tape:
             tape.watch(a, w)
             y = exp(matmul(a, w))
-            loss = tsum(square(y))
+            loss = sum_all(_sq(y))
         keep = {
             "output": lambda: y.data,
-            "reshape": lambda: reshape(y, (-1, 256)).data,
+            "reshape": lambda: y.data.reshape(-1, 256),
             "transpose": lambda: transpose(y).data,
             "gradient": lambda: tape.backward(loss).of(a),
         }[held]()
@@ -505,7 +434,7 @@ class TestBufferPool:
         before = keep.copy()
         del y, loss, tape
         for _ in range(3):
-            for later in self._step(a, w):
+            for later in self._step(a, w, sum_all):
                 assert not np.shares_memory(keep, later)
         assert np.array_equal(keep, before)
 
@@ -557,7 +486,7 @@ class TestBufferPool:
 
         return faults
 
-    def test_repeated_step_allocates_no_new_buffer(self):
+    def test_repeated_step_allocates_no_new_buffer(self, sum_all):
         rng = np.random.default_rng(43)
         a = Tensor(rng.normal(size=(64, 21, 256)))
         w = Tensor(rng.normal(size=(256, 256)))
@@ -565,7 +494,7 @@ class TestBufferPool:
         def step():
             with Tape() as tape:
                 tape.watch(a, w)
-                loss = tsum(matmul(a, w))
+                loss = sum_all(matmul(a, w))
             assert len(tape.nodes) == 2
             tape.backward(loss).of(w)
 
@@ -605,29 +534,29 @@ class TestGradCheckHarness:
         assert report.passed
         assert report.max_rel_err == 0.0
 
-    def test_masked_mse_style_function(self):
+    def test_masked_mse_style_function(self, sum_all):
         rng = np.random.default_rng(12)
         target = Tensor(rng.normal(size=(4, 3)))
         mask = Tensor((rng.uniform(size=(4, 3)) > 0.4).astype(float))
         count = float(mask.data.sum())
 
         def f(x):
-            return tsum(square(sub(x, target)) * mask) * (1.0 / count)
+            return sum_all(_sq(x + (-target.data)) * mask) * (1.0 / count)
 
         report = grad_check(f, Tensor(rng.normal(size=(4, 3))))
         assert report.passed
 
-    def test_rejects_nonpositive_eps(self):
+    def test_rejects_nonpositive_eps(self, sum_all):
         with pytest.raises(ValueError):
-            grad_check(lambda x: tsum(x), Tensor([1.0]), eps=0.0)
+            grad_check(sum_all, Tensor([1.0]), eps=0.0)
 
     def test_rejects_nonscalar_f(self):
         with pytest.raises(TapeError):
-            grad_check(lambda x: square(x), Tensor([1.0, 2.0]))
+            grad_check(_sq, Tensor([1.0, 2.0]))
 
 
 class TestTapeMechanics:
-    def test_node_count_linear_in_chain_length(self):
+    def test_node_count_linear_in_chain_length(self, sum_all):
         x = Tensor(np.ones(4))
         for k in (5, 50):
             with Tape() as tape:
@@ -635,18 +564,18 @@ class TestTapeMechanics:
                 out = x
                 for _ in range(k):
                     out = add(out, x)
-                loss = tsum(out)
+                loss = sum_all(out)
             assert len(tape.nodes) == k + 1  # k adds + final sum
             tape.backward(loss)
 
-    def test_backward_visits_each_node_once(self):
+    def test_backward_visits_each_node_once(self, sum_all):
         x = Tensor(np.ones(3))
         with Tape() as tape:
             tape.watch(x)
             out = x
             for _ in range(10):
                 out = mul(out, x)
-            loss = tsum(out)
+            loss = sum_all(out)
         assert len(tape.nodes) == 11
         calls = []
         for node in tape.nodes:
@@ -658,14 +587,14 @@ class TestTapeMechanics:
         assert len(calls) == len(tape.nodes)
         assert len(set(id(c) for c in calls)) == len(tape.nodes)
 
-    def test_lookup_rule(self):
+    def test_lookup_rule(self, sum_all):
         w = Tensor(np.ones(3), trainable=True)
         u = Tensor(np.ones(2), trainable=True)
         v = Tensor(np.ones(2))
         c = Tensor(np.full(3, 2.0))
         with Tape() as tape:
             tape.watch(v)
-            loss = tsum(mul(square(w), c))
+            loss = sum_all(mul(_sq(w), c))
         grads = tape.backward(loss)
         assert np.array_equal(grads.of(w), [4.0, 4.0, 4.0])
         assert np.array_equal(grads.of(u), np.zeros(2))  # trainable, unused
@@ -673,13 +602,13 @@ class TestTapeMechanics:
         with pytest.raises(TapeError):
             grads.of(c)  # a constant the tape saw
 
-    def test_watched_intermediate_keeps_its_gradient(self):
+    def test_watched_intermediate_keeps_its_gradient(self, sum_all):
         x = Tensor([0.5, -1.0], trainable=True)
         with Tape() as tape:
             y = exp(x)
             tape.watch(y)
-            z = square(y)
-            loss = tsum(z)
+            z = _sq(y)
+            loss = sum_all(z)
         grads = tape.backward(loss)
         assert np.array_equal(grads.of(y), 2.0 * y.data)
         assert np.array_equal(grads.of(x), 2.0 * y.data * y.data)
@@ -687,20 +616,20 @@ class TestTapeMechanics:
             grads.of(z)  # not watched: freed once its node used it
 
     @pytest.mark.parametrize("op", [
-        add, sub, mul, div, matmul,
+        add, mul, matmul,
         pytest.param(lambda a, b: exp(a), id="exp"),
     ])
-    def test_op_on_constants_records_no_node(self, op):
+    def test_op_on_constants_records_no_node(self, op, sum_all):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.full((2, 2), 2.0))
         with Tape() as tape:
-            tsum(square(op(a, b)))
+            sum_all(_sq(op(a, b)))
         assert tape.nodes == []
 
-    def test_op_with_one_tracked_input_records_a_node(self):
+    def test_op_with_one_tracked_input_records_a_node(self, sum_all):
         a, w = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)), trainable=True)
         with Tape() as tape:
             y = matmul(a, w)
-            loss = tsum(square(y))
+            loss = sum_all(_sq(y))
         assert len(tape.nodes) == 3
         assert tape.nodes[0].out is y and tape.nodes[-1].out is loss
 
@@ -711,23 +640,23 @@ class TestTapeMechanics:
         add(before, before)  # outside the with block: nothing recorded
         assert tape.nodes == []
 
-    def test_detach_blocks_gradient(self):
+    def test_detach_blocks_gradient(self, sum_all):
         w = Tensor([2.0])
         with Tape() as tape:
             tape.watch(w)
-            frozen = square(w).detach()
-            loss = tsum(mul(w, frozen))
+            frozen = _sq(w).detach()
+            loss = sum_all(mul(w, frozen))
         # d/dw of w * const(w^2) is just w^2 = 4, not 3w^2 = 12
         assert np.array_equal(tape.backward(loss).of(w), [4.0])
 
-    def test_forward_determinism(self):
+    def test_forward_determinism(self, sum_all):
         x = np.random.default_rng(13).normal(size=(5, 5))
 
         def run():
             with Tape() as tape:
                 t = Tensor(x, trainable=True)
                 tape.watch(t)
-                loss = tmean(square(matmul(t, t)))
+                loss = sum_all(_sq(matmul(t, t)))
             return loss.item(), tape.backward(loss).of(t)
 
         l1, g1 = run()
@@ -743,10 +672,3 @@ class TestTapeMechanics:
 @settings(max_examples=50, deadline=None)
 def test_add_commutes_bitwise(a, b):
     assert np.array_equal(add(Tensor(a), Tensor(b)).data, add(Tensor(b), Tensor(a)).data)
-
-
-@given(hnp.arrays(np.float64, (2, 4), elements=st.floats(-10, 10)))
-@settings(max_examples=50, deadline=None)
-def test_sum_matches_numpy(a):
-    assert tsum(Tensor(a)).item() == a.sum()
-    assert np.array_equal(tsum(Tensor(a), axis=1).data, a.sum(axis=1))

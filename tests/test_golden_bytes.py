@@ -2,8 +2,9 @@
 
 A short deterministic fit must write the same ``training_log.csv`` and
 ``checkpoint.bin`` bytes, save the same mid-epoch train state and resume from
-it to the same bytes.  Any change to the optimizer, the clipping or the
-parameter storage that moves a single bit of a parameter shows here.
+it to the same bytes; so must the same fit with the InfoNCE global term.  Any
+change to the optimizer, the clipping, the loss terms or the parameter storage
+that moves a single bit of a parameter shows here.
 
 The CLI artifacts are pinned too: what ``train``, ``eval`` (point and block
 masks, normalized and source-scale), ``export-latents`` and ``impute`` write
@@ -21,6 +22,7 @@ import pytest
 
 from ibimpute.cli import main
 from ibimpute.data import Dataset, MaskSpec, make_synthetic, write_csv
+from ibimpute.losses import GLO_INFONCE, LossWeights
 from ibimpute.model import ModelConfig
 from ibimpute.training import (
     TrainConfig,
@@ -121,6 +123,34 @@ def test_output_bytes_are_pinned(outputs, attention, name):
 @pytest.mark.parametrize("attention", [False, True])
 def test_resume_ends_in_the_full_runs_state(outputs, attention):
     assert outputs[attention]["resumed/final_state.bin"] == outputs[attention]["final_state.bin"]
+
+
+# (use_attention, output) -> sha256 of the fit with the InfoNCE global term
+INFONCE_DIGESTS = {
+    (False, "training_log.csv"):
+        "a1efec99c67b8f42839ee864dae17800697cc1301607fa171bf129e7fc57eac6",
+    (False, "checkpoint.bin"):
+        "386e54b9ee8f8c69108c08844a624bf453af014292b490f64b16a19690c71cea",
+    (True, "training_log.csv"):
+        "611670e05ac878c3245d90e52ca03cd7abf85171eaee837bfe4bfbd616e330c7",
+    (True, "checkpoint.bin"):
+        "f9ab3f758608f9ead30bd7e2e2cfa7d91ffbc36e320da8d56d1c430357f217df",
+}
+
+
+@pytest.fixture(scope="module")
+def infonce_outputs(tmp_path_factory):
+    infonce = dataclasses.replace(TRAIN_CFG, weights=LossWeights(glo_variant=GLO_INFONCE))
+    root = tmp_path_factory.mktemp("infonce")
+    return {
+        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), infonce)
+        for attention in (False, True)
+    }
+
+
+@pytest.mark.parametrize("attention, name", sorted(INFONCE_DIGESTS))
+def test_infonce_fit_bytes_are_pinned(infonce_outputs, attention, name):
+    assert infonce_outputs[attention][name] == INFONCE_DIGESTS[attention, name]
 
 
 @pytest.mark.parametrize("attention", [False, True])

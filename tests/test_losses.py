@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,20 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibimpute.autodiff import (
-    DomainError,
-    Tape,
-    Tensor,
-    exp,
-    grad_check,
-    log,
-    negate,
-    reshape,
-    sqrt,
-    square,
-    tmean,
-    tsum,
-)
+from ibimpute.autodiff import DomainError, Tape, Tensor, grad_check, mul
 from ibimpute.losses import (
     GLO_COSINE,
     GLO_INFONCE,
@@ -282,35 +270,6 @@ class TestCosineAlign:
         assert np.array_equal(g_live, g_const)
 
 
-def _composite_reg(dist):
-    """reg_loss as it was built from autodiff ops before it was one node."""
-    mu, sigma = dist.mu, dist.sigma
-    per = square(mu) + square(sigma) - log(square(sigma)) - 1.0
-    kl = tsum(per, axis=-1) * 0.5
-    return tmean(kl) if kl.ndim > 0 else kl
-
-
-def _composite_loc(x, x_hat, target_mask):
-    """loc_loss as it was built from autodiff ops before it was one node."""
-    count = float(target_mask.data.sum())
-    sq = square(x - x_hat) * target_mask
-    return tsum(sq) * (1.0 / count)
-
-
-def _composite_cosine(z_proj, z_target):
-    """cosine_align_loss as it was built from autodiff ops before it was one
-    node."""
-
-    def rows(t):
-        return t if t.ndim == 2 else reshape(t, (-1, t.shape[-1]))
-
-    def normalize(t):
-        return t / sqrt(tsum(square(t), axis=-1, keepdims=True))
-
-    cos = tsum(normalize(rows(z_proj)) * normalize(rows(z_target).detach()), axis=-1)
-    return negate(tmean(cos))
-
-
 def _weighted(term, inputs, weight):
     """``term(*inputs) * weight``, every input watched: the value, each
     input's gradient and the node count."""
@@ -322,18 +281,34 @@ def _weighted(term, inputs, weight):
     return loss.data, [grads.of(t) for t in tensors], len(tape.nodes)
 
 
+INFONCE_CASES = {"2d": (9, 16), "3d": (8, 7, 32), "4d": (2, 3, 5, 4), "near_duplicate": (12, 8)}
+
+
+def _infonce_inputs(case, seed):
+    """``z_proj`` and ``z_target`` of :data:`INFONCE_CASES` ``case``; the
+    near-duplicate targets are one row plus noise of 1e-6."""
+    rng = np.random.default_rng([63, seed])
+    shape = INFONCE_CASES[case]
+    z_proj = rng.normal(size=shape)
+    if case == "near_duplicate":
+        return z_proj, rng.normal(size=shape[-1]) + 1e-6 * rng.normal(size=shape)
+    return z_proj, rng.normal(size=shape)
+
+
 class TestOneNodeTerms:
-    """reg, loc and cosine are one node each, with the bytes of the
-    autodiff-op chains they replace."""
+    """Each loss term is one node, with the value and gradient bytes of the
+    chain of autodiff ops (square, tsum, sqrt, div, log, tmean, ...) it was
+    built from before.  Those ops are gone, so :data:`ONE_NODE_DIGESTS` pins
+    the sha256 of the bytes each chain gave for the same inputs."""
 
     @staticmethod
-    def _assert_bytes_of(term, composite, inputs, weight):
-        value, grads, nodes = _weighted(term, inputs, weight)
-        ref_value, ref_grads, ref_nodes = _weighted(composite, inputs, weight)
-        assert nodes == 2 < ref_nodes  # the term, then the weight
-        assert np.array_equal(value, ref_value)
-        for g, ref in zip(grads, ref_grads):
-            assert np.array_equal(g, ref)
+    def _assert_pinned(key, term, inputs):
+        value, grads, nodes = _weighted(term, inputs, key[2])
+        assert nodes == 2  # the term, then the weight
+        digest = hashlib.sha256(value.tobytes())
+        for g in grads:
+            digest.update(np.ascontiguousarray(g).tobytes())
+        assert digest.hexdigest() == ONE_NODE_DIGESTS[key]
 
     @pytest.mark.parametrize("shape", [(5,), (7, 32), (8, 7, 32)])
     @pytest.mark.parametrize("weight", [1.0, 0.01, 0.3])
@@ -345,10 +320,7 @@ class TestOneNodeTerms:
         def term(mu, sigma):
             return reg_loss(LatentDistribution(mu=mu, sigma=sigma))
 
-        def composite(mu, sigma):
-            return _composite_reg(LatentDistribution(mu=mu, sigma=sigma))
-
-        self._assert_bytes_of(term, composite, inputs, weight)
+        self._assert_pinned(("reg", shape, weight, seed), term, inputs)
 
     @pytest.mark.parametrize("shape", [(12,), (8, 96, 7)])
     @pytest.mark.parametrize("weight", [1.0, 0.3, 0.7])
@@ -357,7 +329,7 @@ class TestOneNodeTerms:
         rng = np.random.default_rng([61, seed])
         mask = (rng.uniform(size=shape) > 0.3).astype(float)
         inputs = (rng.normal(size=shape), rng.normal(size=shape), mask)
-        self._assert_bytes_of(loc_loss, _composite_loc, inputs, weight)
+        self._assert_pinned(("loc", shape, weight, seed), loc_loss, inputs)
 
     @pytest.mark.parametrize("shape", [(9, 16), (8, 7, 32), (2, 3, 5, 4)])
     @pytest.mark.parametrize("weight", [1.0, 0.1, 0.3])
@@ -365,13 +337,19 @@ class TestOneNodeTerms:
     def test_cosine_is_bytes_of_composite(self, shape, weight, seed):
         rng = np.random.default_rng([62, seed])
         inputs = (rng.normal(size=shape), rng.normal(size=shape))
-        self._assert_bytes_of(cosine_align_loss, _composite_cosine, inputs, weight)
+        self._assert_pinned(("cosine", shape, weight, seed), cosine_align_loss, inputs)
+
+    @pytest.mark.parametrize("case", sorted(INFONCE_CASES))
+    @pytest.mark.parametrize("weight", [1.0, 0.1, 0.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_infonce_is_bytes_of_composite(self, case, weight, seed):
+        inputs = _infonce_inputs(case, seed)
+        self._assert_pinned(("infonce", case, weight, seed), infonce_loss, inputs)
 
     def test_tiny_sigma_is_a_domain_error_as_before(self):
+        # sigma**2 underflows to 0, whose log the chain's log op refused
         with pytest.raises(DomainError, match="strictly positive"):
             reg_loss(_dist([0.0], [1e-170]))
-        with pytest.raises(DomainError, match="strictly positive"):
-            _composite_reg(_dist([0.0], [1e-170]))
 
 
 class TestTotalObjective:
@@ -404,17 +382,17 @@ class TestTotalObjective:
         assert bd.reg == 0.0 and bd.glo == 0.0
         assert abs(bd.total - 3.0) < 1e-12
 
-    def test_zero_weight_term_off_gradient(self, rand):
+    def test_zero_weight_term_off_gradient(self, rand, sum_all):
         # a zero-weight term never enters the summed tensor, so its
         # gradient path is dead even while its value is logged
         w = LossWeights(reg=0.0, loc=1.0, glo=0.0)
         t = Tensor(rand((2, 2), seed=22), trainable=True)
-        from ibimpute.autodiff import square, tmean
 
         with Tape() as tape:
             tape.watch(t)
-            reg_term = tmean(square(t))
-            loc_term = tmean(square(t - 1.0))
+            shifted = t + (-1.0)
+            reg_term = sum_all(mul(t, t)) * (1.0 / t.data.size)
+            loc_term = sum_all(mul(shifted, shifted)) * (1.0 / t.data.size)
             total, _ = total_objective(w, reg=reg_term, loc=loc_term)
         g = tape.backward(total).of(t)
         expected = 2.0 * (t.data - 1.0) / t.data.size
@@ -464,3 +442,226 @@ class TestLossWeightsValidation:
         assert (w.reg, w.loc, w.glo) == (0.01, 1.0, 0.1)
         assert w.glo_variant == GLO_COSINE
         assert w.temperature == 0.1
+
+
+# (term, shape or INFONCE_CASES case, weight, seed) -> sha256 of the value
+# bytes of ``term(*inputs) * weight``, then of each input's gradient bytes,
+# as the autodiff-op chain each term was built from gave them
+ONE_NODE_DIGESTS = {
+    ("reg", (5,), 1.0, 0):
+        "dbe5756401137e15e0d1405c222b080e6b9e99d4b39f664e66b0d9817c19bd43",
+    ("reg", (5,), 1.0, 1):
+        "66e301debab6179a634a9aedaec09d72f29c0ec4c10df55ac6f68893dc2bf402",
+    ("reg", (5,), 1.0, 2):
+        "9e8ef37db029af500bae0fa5079ee3c953db7f9cc78199a4bf7e9b5f945be360",
+    ("reg", (5,), 0.01, 0):
+        "d444ca4a88a5ae45b574a7b741af402e7c71e50e8c948ecac6bb827e28d77e25",
+    ("reg", (5,), 0.01, 1):
+        "3cc12d9fa9e9541f6f12dc7646ed0e56229826e8b9a256ef9aa1a7a8825df917",
+    ("reg", (5,), 0.01, 2):
+        "89d6986e20568ae5e1bf734a4e930028b1664afa6a47a90b2ed07e5d4764cb88",
+    ("reg", (5,), 0.3, 0):
+        "c36487d11b2756b86d9a1b50c609e12b7f598af1df9c440fe555f399206c1e7b",
+    ("reg", (5,), 0.3, 1):
+        "9961b02b652b0ab8fa43d13a2cce01dc88120258399222014c7e882c4e03aafa",
+    ("reg", (5,), 0.3, 2):
+        "40b7bfdfaadb2082f5688829c353dc1f2563e97dd162fdad2a17680b903916fb",
+    ("reg", (7, 32), 1.0, 0):
+        "782c4993f7628d5e5003ed35a387a3b505a10f4d318e953ad314b58df60df4c5",
+    ("reg", (7, 32), 1.0, 1):
+        "c44490d2f638457636616c5e7f7cdb2be28cd22c37ea49a436808208aa35b00a",
+    ("reg", (7, 32), 1.0, 2):
+        "4232255721d4dde6f11322f4fbf8ca692c5f38fb74da2600d7009440e607b476",
+    ("reg", (7, 32), 0.01, 0):
+        "009830adc569da5125863b9ee4b4c8b1b606b0f35f26dd494f9e1591edfee1c3",
+    ("reg", (7, 32), 0.01, 1):
+        "a29202e94bffba19ad93eacb76f25b0dce2950f831fb66f8e1f283f632314d2c",
+    ("reg", (7, 32), 0.01, 2):
+        "5f844ddc152fc5a99120b8bc58313fa6f92a9b9aec0a9a6bd218b9891787cba0",
+    ("reg", (7, 32), 0.3, 0):
+        "c88a1c32128519df9c5d1314a6fd1d6f7b0df6b249b047135af9d84eca967009",
+    ("reg", (7, 32), 0.3, 1):
+        "07088caf331d955498d183fc14a0c3e81d3df873b765379d7c9a9d36b7fb352f",
+    ("reg", (7, 32), 0.3, 2):
+        "af60b7552d00060e4ae695cb6eff5a6e2c444b21087bba6db8bc8bffa6e66d6e",
+    ("reg", (8, 7, 32), 1.0, 0):
+        "f6ad660fae16c4930d1315d600ad5e76e52a1a0ff7f66837e664cc240baa355b",
+    ("reg", (8, 7, 32), 1.0, 1):
+        "e6f85b7d88f3574cd2197d9f90cdbb95f1fce21d8fd26013148357b0aa2045a0",
+    ("reg", (8, 7, 32), 1.0, 2):
+        "8143cd159dae825c9944c0ca251baca05186038fa40be48b16dd31755110ad10",
+    ("reg", (8, 7, 32), 0.01, 0):
+        "47fda98d713ff1b282527d183849b73d42ed4f1f5de6eadf270642e03c85fa54",
+    ("reg", (8, 7, 32), 0.01, 1):
+        "8553f785de1ceb1e6ca6945e914fb7b396c2bbbdf6c5f11bdab79fb9dfd8f8f0",
+    ("reg", (8, 7, 32), 0.01, 2):
+        "9d77528cdd81681f33737de1c85bb17038124fd913eb1d1574e3071fb8f92c99",
+    ("reg", (8, 7, 32), 0.3, 0):
+        "2c7b09cdb5365944276bb2b4ffd2d724bbb1037a2e4efef1945286a3416391fb",
+    ("reg", (8, 7, 32), 0.3, 1):
+        "93950dda1809a75c67dc66fce4323b480a53596ed2c6b01695a36007c1d608f3",
+    ("reg", (8, 7, 32), 0.3, 2):
+        "dee7c5e12336e419234e237d5e87bd6b40a030fef4973b617e450b41d2e3af69",
+    ("loc", (12,), 1.0, 0):
+        "6e858bd83784ae4034b58be854769b45716a53898c3a4698a5a25fa53e83419f",
+    ("loc", (12,), 1.0, 1):
+        "6b04205e1781df55d3aafdcc2a710bc8acef8137a2d9863ba5908531be49c0b5",
+    ("loc", (12,), 1.0, 2):
+        "fe9efc679da8666eba961cfba7157567593185389fc01b3d3273c95398d8ac36",
+    ("loc", (12,), 0.3, 0):
+        "a71ddfe9b7fb96c6ba089e67844ee2f0f7ac8be705d81ecb6a08a9090de2ee13",
+    ("loc", (12,), 0.3, 1):
+        "dac277ee7f18a863b32b9f85a9d50b2e69c58c3b8eec8be91ca2651dfb4c2665",
+    ("loc", (12,), 0.3, 2):
+        "f0d07c310f9ad0cac87737d2e2ff65ee5a37f1a4be61d12049495aa63bab9486",
+    ("loc", (12,), 0.7, 0):
+        "910e910f878fea352841fde4ec4fd57560492c6bf1d1c79b689261fdec75ad8a",
+    ("loc", (12,), 0.7, 1):
+        "eba02e1a5cb81c3391fd0a136522c224b8e7066aa9dae2c1712a0abf1e389a89",
+    ("loc", (12,), 0.7, 2):
+        "279d3a123a0d68ebf28edd57bb01a0e8a93ee2830ab5a9cddea8dabbc097e2b8",
+    ("loc", (8, 96, 7), 1.0, 0):
+        "1f200fdc890950533d58ff744b7cb621a7de2fd8f4b8fdb2e3d3253e1704e305",
+    ("loc", (8, 96, 7), 1.0, 1):
+        "b88d6395841927574ab15d41e71b864bd3fd02a960e507f2b02dac85629407aa",
+    ("loc", (8, 96, 7), 1.0, 2):
+        "b5992f7923a13157705f958972736f3e7ca59b5f2799d430bfa3b8dc1eeb1a89",
+    ("loc", (8, 96, 7), 0.3, 0):
+        "7a9334ca8f54e4836b9e05a33c565b2261cbb6ac07d0c8b720fd4cd20c929870",
+    ("loc", (8, 96, 7), 0.3, 1):
+        "dc46a1aa88cfab9f8568a7579a5a26b41b890cc5e8e12011495e79c298c0ea5e",
+    ("loc", (8, 96, 7), 0.3, 2):
+        "31196f0e44a3d5d3b08c2d16b8b7274ae629e74828043a484a8b1c4af9dda0e4",
+    ("loc", (8, 96, 7), 0.7, 0):
+        "0450ac9b28e14c3787607304688e9f1feeb2efeed1d25ab0523c75f3743f2d21",
+    ("loc", (8, 96, 7), 0.7, 1):
+        "e677c16aec20c1e540dbc21fc711de1a8fd88ab218440810e8a8ba2db3fa7e4c",
+    ("loc", (8, 96, 7), 0.7, 2):
+        "b4e0a2a4b7088ff67bfc2ce534f7089b67228a78e47737618f63ec8544574f81",
+    ("cosine", (9, 16), 1.0, 0):
+        "768e3ad6ab209cbc264be579c1644ac4c5487a835aa4eb888d81ae91589be6c1",
+    ("cosine", (9, 16), 1.0, 1):
+        "e0bc7daa7b091577612965cdd90455b5e9b8da8fd037587a9d2a8017680ff3cc",
+    ("cosine", (9, 16), 1.0, 2):
+        "9f9d71187d21033b9cefc230251f4438ff5b47b057240443d5a44c9b60a05e81",
+    ("cosine", (9, 16), 0.1, 0):
+        "df56c0def5e1e39bf2c1b9803a08be4ccf9544594fa6195d7f6d87fd0e700575",
+    ("cosine", (9, 16), 0.1, 1):
+        "b5b9db336203b9832a28db599ee442136278b01ce9e76464cce7c87e2c7568ee",
+    ("cosine", (9, 16), 0.1, 2):
+        "0345f03df501fe6046c2b4b9c425288763ec2665a010bb212fdea81555296bea",
+    ("cosine", (9, 16), 0.3, 0):
+        "362b4c623e995b858015c0867b49cfbb041954dde30c663b6a0a4ed082fc5381",
+    ("cosine", (9, 16), 0.3, 1):
+        "07f295c03b7cdc0fd5bb7841b22a735a7778b2a292ef6ba6bba31e3b143f353c",
+    ("cosine", (9, 16), 0.3, 2):
+        "f743cc71eddf2f0d563949f578df5bdf819a2398c3b97d9187d881f5bd278f38",
+    ("cosine", (8, 7, 32), 1.0, 0):
+        "f7590c8267b7c05e5fd0d4c98d38e9aea3dcc0bd0366c953d6181c53c1db65c6",
+    ("cosine", (8, 7, 32), 1.0, 1):
+        "1f0ae398e0d9db6aca936be5e50943ae2dd55f8bd9b85ab49d2baa64b31b35cf",
+    ("cosine", (8, 7, 32), 1.0, 2):
+        "2deb01e1bc69672dfc12b5520721e01ffb31d8cdc9a2b378bd336755e9c348c8",
+    ("cosine", (8, 7, 32), 0.1, 0):
+        "39cf00e9fed872749d0ea90a976fc6a2b1c9c1d9dae0cd61f36a1d6d4236e00d",
+    ("cosine", (8, 7, 32), 0.1, 1):
+        "5fa91848240efbf1d123e45ae4c4c4bb448e6050259c6ab56c6acd0051ccd37e",
+    ("cosine", (8, 7, 32), 0.1, 2):
+        "4c640f0656a332b3949e41be54708b732b5a341a87d5b3460be599f0bb88400d",
+    ("cosine", (8, 7, 32), 0.3, 0):
+        "c63ef7052cc95ea9f34a20a10075b7650ec58438c99e963329d37d5a1f576525",
+    ("cosine", (8, 7, 32), 0.3, 1):
+        "148974b40dae9f62ee160baf0883092c07389e013cd59f1172a7e39133ae763e",
+    ("cosine", (8, 7, 32), 0.3, 2):
+        "839280e3d91f13b1a2962377c611df39211a85c4b8b976fea3726d7635bfe73a",
+    ("cosine", (2, 3, 5, 4), 1.0, 0):
+        "62989d1da61059859ce7a3a82b768e1fdd64235c64dbc323f2df0653e4750dff",
+    ("cosine", (2, 3, 5, 4), 1.0, 1):
+        "84fe9ef7f3a84a51b2e96a1e2208d95c5e9fde2148309627118fc24f01746389",
+    ("cosine", (2, 3, 5, 4), 1.0, 2):
+        "868edb7a899dbebcc42646cb217ac01d71e7c28fdaf31aa73e8e8ed513142775",
+    ("cosine", (2, 3, 5, 4), 0.1, 0):
+        "ebc15773699b92707226248840fc0ae102d3b6cfd9b2b7b62fdaefb0d6134711",
+    ("cosine", (2, 3, 5, 4), 0.1, 1):
+        "a1bbdd5b104bd9be61f5dc4861f2d53090b40c32a6d16504516fb6bb7147646e",
+    ("cosine", (2, 3, 5, 4), 0.1, 2):
+        "7541711f7677b92029b3d2639e4a88250b01827b27da5ee0585e7c8ced6f0891",
+    ("cosine", (2, 3, 5, 4), 0.3, 0):
+        "235f5375a5129040e1da034a2c06140605fd44e9023c8ea5aedc79ce0a5bde12",
+    ("cosine", (2, 3, 5, 4), 0.3, 1):
+        "1e4fa8465575de593d8ff25e847b68d58cd6c45df5b04830f6a045e8639dfb52",
+    ("cosine", (2, 3, 5, 4), 0.3, 2):
+        "464eb80d8ac957650ff8dd9c9b9ac6da287e0f86120158f5c3d4f4f608a78087",
+    ("infonce", "2d", 1.0, 0):
+        "8ff4c47092fdd9091e191e5706a598631a3be906cae06f7c45adb1036dbabe19",
+    ("infonce", "2d", 1.0, 1):
+        "8eb44ed14a9e695724313618c1c1f873153ebce61c06fb70c53ae137c3ab5904",
+    ("infonce", "2d", 1.0, 2):
+        "cbf830546be9726d5f6c9b6b1cb92835e3a5a702426b36965d67f2fe15391ea5",
+    ("infonce", "2d", 0.1, 0):
+        "0ccc670971c63386b55534996823eb0b410c4647f6c17f6433d94f975c383d6d",
+    ("infonce", "2d", 0.1, 1):
+        "6c7df16de208c73854ba35f2fdf64599567b71cc5b6b3af5f42d4043842684dd",
+    ("infonce", "2d", 0.1, 2):
+        "2f0a447067f62cfff3ba079cf02e70e42b40cfcf273f786926bebd52fab99554",
+    ("infonce", "2d", 0.3, 0):
+        "4937d02f1652256bdb04e45c2ab0d7b538e0dec864b157bded5a258952a9d431",
+    ("infonce", "2d", 0.3, 1):
+        "915bdfffe1e4fa1f3bbbaff271b72222c2c6ff51c91ef27c0cdb39efa1d176bc",
+    ("infonce", "2d", 0.3, 2):
+        "3b66a1f1444daea1e21e0135d3c9da79dd3ba4a0af0f25b0e57f8253c6d70a12",
+    ("infonce", "3d", 1.0, 0):
+        "e2ee066335177f089cb16f7aed81c1b5b5b8f673981983a713c519992f6523f8",
+    ("infonce", "3d", 1.0, 1):
+        "f60c197c64b03ebddc88f98de48e306914850efcd128441efe8d5670d4787011",
+    ("infonce", "3d", 1.0, 2):
+        "77f7a2f50708850ecdde13bc508ae4302046268daa2c9fb527a2bcde249cd161",
+    ("infonce", "3d", 0.1, 0):
+        "fa458a0437b3431a5afbd779a3ea865c85a12e36e7b468289ac3fbecff402f58",
+    ("infonce", "3d", 0.1, 1):
+        "d9f11f4e8fe574f97fc22f192ff42019dd3e9515e0ed1e16ac47ac50b6eb0878",
+    ("infonce", "3d", 0.1, 2):
+        "ddccf32d05d00ca62aacc66a93bcac2dc668ee87af428228c0175b4880767e0d",
+    ("infonce", "3d", 0.3, 0):
+        "77fc2def74d3953763d14cb318c1fef332a3325a62b243efafdb5b8dfe7bc442",
+    ("infonce", "3d", 0.3, 1):
+        "71fa641815bc7f5b8d3b3c071b3367b8789ccd0ad54aed26f7ff16ee93f43013",
+    ("infonce", "3d", 0.3, 2):
+        "55c8a97ae327845872a8f283a5e07afb80fd825328a559efa53299ed4c80b7ee",
+    ("infonce", "4d", 1.0, 0):
+        "49337de9741576588fe9d7237094f98cf5d13d2ed6bf66cb8fb5c616b2a99e13",
+    ("infonce", "4d", 1.0, 1):
+        "b59baacbc073a52249d5460c0ce4557b8bbeee5fb1a5fc55a934d681639ec80e",
+    ("infonce", "4d", 1.0, 2):
+        "bc1bf700e001cd0d8ba935c1e4a8b5040ca4475bd55935e2d3ac38f8ebb71bca",
+    ("infonce", "4d", 0.1, 0):
+        "9c88de73af526af715e5537846acd5e3dd6acd1976adaf2e8a4109ab764563a4",
+    ("infonce", "4d", 0.1, 1):
+        "eed5e36e7539a050a589513156913fa8da1d8c4ad807bf22b778a21d811273aa",
+    ("infonce", "4d", 0.1, 2):
+        "de4896d2c609b49c2fb39bdb8d12adfb135845673816ff152bd51ad5653b6a4e",
+    ("infonce", "4d", 0.3, 0):
+        "79b65039cf45705f478556e8af7e3cbff8bb106de48ef23799ea257c6ba418ce",
+    ("infonce", "4d", 0.3, 1):
+        "6807ae71d4c94ed4d570e45a21451a455d5d0851aa6103fbea991222d8e4b0e2",
+    ("infonce", "4d", 0.3, 2):
+        "8abd374c25cc1ae8e9f8c32735811d382ad1c01a5072df689c94b5247ac6e777",
+    ("infonce", "near_duplicate", 1.0, 0):
+        "90f75964238e20678e8e80d7c1188a8415614a05f5d3e10b0a9ff08007c55249",
+    ("infonce", "near_duplicate", 1.0, 1):
+        "10fdfa82deb09313fa074d2a1f3a84136b60b738c4687a1f37386731829b4c5d",
+    ("infonce", "near_duplicate", 1.0, 2):
+        "4c4e1a00d3053e64787ba8a0be2a38a6fc8edaedd87ece8a19b2262676fb0f5d",
+    ("infonce", "near_duplicate", 0.1, 0):
+        "603afd5c26a6ef062349676173df190216ef4005bb1b7d8ba033b286da17b931",
+    ("infonce", "near_duplicate", 0.1, 1):
+        "875f2fe0facf299774085935e0ac97a7c10e678beb74483c02c2c96db2d0ca0a",
+    ("infonce", "near_duplicate", 0.1, 2):
+        "c8e23cd6d15f5cd33dc894314cbec510fe94f68308e1d35be6f883b10fbcdb84",
+    ("infonce", "near_duplicate", 0.3, 0):
+        "effbec77bdee5c2222ef0a25f4ccea95152ae10c02ce72a2b7dfa4dad3128014",
+    ("infonce", "near_duplicate", 0.3, 1):
+        "ef02754133791bb5cad1078733dd9e9d24924344fa3545d71e4232b769a84415",
+    ("infonce", "near_duplicate", 0.3, 2):
+        "19ae7041711f3b31322785469717566f587d55ff9da9b80aa1b6c3819a9bcf04",
+}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibimpute.autodiff import Tape, Tensor, grad_check, square, tmean, tsum
+from ibimpute.autodiff import Tape, Tensor, grad_check, mul
 from ibimpute.data import MaskSpec, Normalizer, Window, apply_mask, make_synthetic, make_windows
 from ibimpute.model import (
     CHECKPOINT_MAGIC,
@@ -154,30 +154,34 @@ class TestForwardValues:
             tiny_model.encode(x)
 
 
+def _mean_square(t, sum_all):
+    return sum_all(mul(t, t)) * (1.0 / t.data.size)
+
+
 class TestGradientsThroughModel:
-    def test_encoder_input_gradient(self, tiny_model, rand):
+    def test_encoder_input_gradient(self, tiny_model, rand, sum_all):
         def f(at):
             dist = tiny_model.encode(at)
-            return tmean(square(dist.mu)) + tmean(square(dist.sigma))
+            return _mean_square(dist.mu, sum_all) + _mean_square(dist.sigma, sum_all)
 
         report = grad_check(f, Tensor(rand((2, 8, 2), seed=16)), eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
-    def test_decoder_weight_gradient(self, tiny_model, rand):
+    def test_decoder_weight_gradient(self, tiny_model, rand, sum_all):
         z = rand((2, 2, 4), seed=17)
         original = tiny_model.params["decoder.hidden.w"]
 
         def f(at):
             tiny_model.params["decoder.hidden.w"] = at
             try:
-                return tmean(square(tiny_model.decode(z)))
+                return _mean_square(tiny_model.decode(z), sum_all)
             finally:
                 tiny_model.params["decoder.hidden.w"] = original
 
         report = grad_check(f, Tensor(original.data.copy()), eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
-    def test_attention_weight_gradient(self, rand):
+    def test_attention_weight_gradient(self, rand, sum_all):
         cfg = ModelConfig(window_len=8, n_vars=3, d_model=4, hidden_dim=6, use_attention=True)
         model = ImputationModel(cfg, seed=18)
         x = rand((2, 8, 3), seed=19)
@@ -186,7 +190,7 @@ class TestGradientsThroughModel:
         def f(at):
             model.params["encoder.attn.wq"] = at
             try:
-                return tmean(square(model.encode(x).mu))
+                return _mean_square(model.encode(x).mu, sum_all)
             finally:
                 model.params["encoder.attn.wq"] = original
 
@@ -218,14 +222,14 @@ class TestReparameterize:
         assert abs(z.mean()) < 0.02
         assert 0.97 < z.var() < 1.03
 
-    def test_gradient_reaches_mu_and_sigma(self, rand):
+    def test_gradient_reaches_mu_and_sigma(self, rand, sum_all):
         mu = Tensor(rand((2, 3), seed=25))
         sigma = Tensor(np.abs(rand((2, 3), seed=26)) + 0.5)
         with Tape() as tape:
             tape.watch(mu)
             tape.watch(sigma)
             z = reparameterize(LatentDistribution(mu=mu, sigma=sigma), seed=27)
-            loss = tsum(z)
+            loss = sum_all(z)
         grads = tape.backward(loss)
         assert np.array_equal(grads.of(mu), np.ones((2, 3)))
         eps = (z.data - mu.data) / sigma.data

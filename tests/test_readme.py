@@ -1,5 +1,7 @@
-"""The README's code blocks run as written."""
+"""The README's code blocks run as written, and its op list matches the
+autodiff engine."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import ibimpute
+from ibimpute import autodiff
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +55,30 @@ def test_library_use_block_runs(capsys):
     assert len(lines) == 2
     mae, mse, alignment = map(float, lines[1].split())
     assert mae > 0.0 and mse > 0.0 and -1.0 <= alignment <= 1.0
+
+
+def _autodiff_paragraph_names() -> set[str]:
+    """Each backticked name in the README paragraph on the autodiff engine,
+    with its ``ibimpute.autodiff.`` prefix and any call arguments dropped;
+    spans such as ``x @ w + b`` or ``bias=`` are not names."""
+    (paragraph,) = [
+        p for p in README.read_text().split("\n\n") if p.startswith("The autodiff engine")
+    ]
+    name = re.compile(r"([A-Za-z_][\w.]*)(\(.*\))?")
+    matches = [name.fullmatch(span) for span in re.findall(r"`([^`]+)`", paragraph)]
+    found = {m.group(1).removeprefix("ibimpute.autodiff").lstrip(".") for m in matches if m}
+    return found - {""}
+
+
+def test_autodiff_paragraph_names_what_the_engine_defines():
+    names = _autodiff_paragraph_names()
+    for name in names:
+        obj = autodiff
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README names {name}, which ibimpute.autodiff lacks"
+            obj = getattr(obj, part)
+    public = {
+        name for name, f in inspect.getmembers(autodiff, inspect.isfunction)
+        if f.__module__ == autodiff.__name__ and not name.startswith("_")
+    }
+    assert public - names == set(), "public autodiff functions the README does not name"

@@ -12,11 +12,13 @@ from ibimpute.data import MaskSpec, apply_mask, make_synthetic, make_windows, no
 from ibimpute.data import Normalizer
 from ibimpute.autodiff import Tape, Tensor
 from ibimpute.losses import (
+    GLO_COSINE,
     GLO_INFONCE,
     GLO_NONE,
     LossBreakdown,
     LossWeights,
     cosine_align_loss,
+    infonce_loss,
     loc_loss,
     reg_loss,
     total_objective,
@@ -302,8 +304,10 @@ class TestTrainStep:
 
 class TestTapedStepCost:
     """Deterministic counts of what a training step's tape holds: its nodes
-    and, at the default width, its memory.  The affine layers and the loss
-    terms are one node each."""
+    and, at the default width, its memory, with the cosine global term.  The
+    affine layers and the loss terms are one node each."""
+
+    variant = GLO_COSINE
 
     @staticmethod
     def _inputs(cfg, batch):
@@ -312,10 +316,11 @@ class TestTapedStepCost:
         m_art = (rng.uniform(size=x.shape) > 0.5).astype(float)
         return Tensor(x * m_art), Tensor(x), Tensor(np.ones_like(x))
 
-    @staticmethod
-    def _taped_forward(model, inputs):
-        """The taped half of :func:`train_step` with the default weights."""
+    def _taped_forward(self, model, inputs):
+        """The taped half of :func:`train_step` with the default weights and
+        the global term :attr:`variant`."""
         x_in, x, target_mask = inputs
+        weights = LossWeights(glo_variant=self.variant)
         z_target = model.encode(x.data).mu.detach()
         with Tape() as tape:
             dist = model.encode(x_in)
@@ -323,19 +328,25 @@ class TestTapedStepCost:
             x_hat = model.decode(z)
             reg = reg_loss(dist)
             loc = loc_loss(x, x_hat, target_mask)
-            glo = cosine_align_loss(model.project(z), z_target)
-            total, _ = total_objective(LossWeights(), reg=reg, loc=loc, glo=glo)
+            z_proj = model.project(z)
+            if self.variant == GLO_INFONCE:
+                glo = infonce_loss(z_proj, z_target, weights.temperature)
+            else:
+                glo = cosine_align_loss(z_proj, z_target)
+            total, _ = total_objective(weights, reg=reg, loc=loc, glo=glo)
         return tape, total
 
     def test_protocol_shape_step_records_at_most_20_nodes(self):
-        # 51 when each affine layer was matmul, add and relu nodes and the
-        # loss terms were chains of elementwise nodes
+        # 51 (cosine) when each affine layer was matmul, add and relu nodes
+        # and the loss terms were chains of elementwise nodes; 35 (InfoNCE)
+        # when only the InfoNCE term still was
         cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
         tape, _ = self._taped_forward(ImputationModel(cfg, seed=1), self._inputs(cfg, 8))
         assert len(tape.nodes) <= 20, len(tape.nodes)
 
     def test_default_width_step_memory(self):
         # 93.0 MB live and a 110.8 MB backward peak with the longer chains
+        # (cosine); 129.8 MB and 173.2 MB with the InfoNCE chain
         cfg = ModelConfig(window_len=96, n_vars=21)
         model = ImputationModel(cfg, seed=1)
         inputs = self._inputs(cfg, 64)
@@ -350,6 +361,12 @@ class TestTapedStepCost:
             tracemalloc.stop()
         assert live < 60e6, f"live after forward {live / 1e6:.1f} MB"
         assert peak < 80e6, f"backward peak {peak / 1e6:.1f} MB"
+
+
+class TestTapedStepCostInfonce(TestTapedStepCost):
+    """The same counts with the InfoNCE global term."""
+
+    variant = GLO_INFONCE
 
 
 class TestTrainConfigValidation:
@@ -480,6 +497,18 @@ class TestFit:
         )
         with pytest.raises(TrainingError, match="three consecutive"):
             fit(small_dataset, MODEL_CFG, small_train_cfg)
+
+    @pytest.mark.parametrize("batch_size", [2, 4, 7])
+    def test_infonce_survives_a_trailing_one_row_batch(self, batch_size):
+        # one variable and 29 training windows: the last batch is a single
+        # window, so a single latent row with no negatives
+        model_cfg = ModelConfig(window_len=16, n_vars=1, d_model=8, hidden_dim=8)
+        weights = LossWeights(glo_variant=GLO_INFONCE)
+        train_cfg = TrainConfig(epochs=1, batch_size=batch_size, weights=weights)
+        result = fit(make_synthetic(1, 400, seed=1), model_cfg, train_cfg)
+        assert len(result.log_rows) == math.ceil(29 / batch_size)
+        *_, glo, total = result.log_rows[-1]
+        assert glo == 0.0 and math.isfinite(total)
 
     def test_invalid_config_rejected_before_work(self, small_dataset):
         with pytest.raises(ValueError):
