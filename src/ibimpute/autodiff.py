@@ -65,11 +65,6 @@ class ShapeMismatchError(ValueError):
     """Operands do not conform for the requested op."""
 
 
-class DomainError(ValueError):
-    """Input outside a computation's mathematical domain (the log of a value
-    <= 0, as in :func:`ibimpute.losses.reg_loss`)."""
-
-
 class TapeError(RuntimeError):
     """Misuse of the recording tape."""
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import DomainError, ShapeMismatchError, TapeError
+from .autodiff import ShapeMismatchError, TapeError
 from .config import ConfigError, RunConfig
 from .data import (
     CsvFormatError,
@@ -44,6 +44,7 @@ from .evaluation import (
     write_ablation_csv,
     write_sweep_csv,
 )
+from .losses import DomainError
 from .model import CheckpointError, ImputationModel, NumericError, load_checkpoint
 from .rng import STREAM_EVAL_MASK, derive
 from .training import TrainingError, fit, write_training_log

@@ -17,10 +17,12 @@ same, for both :func:`write_csv` and ``ibimpute impute``.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -30,6 +32,9 @@ from .rng import STREAM_SYNTH, SplitMix64, derive
 
 POINT = "point"
 BLOCK = "block"
+# raw draws a block mask takes from its window's stream per vectorized batch;
+# the stream is the window's own, so drawing past its last use changes nothing
+_DRAW_CHUNK = 64
 
 
 class CsvFormatError(ValueError):
@@ -326,22 +331,23 @@ def _point_mask(window: Window, spec: MaskSpec, rng: SplitMix64) -> np.ndarray:
 
 
 def _block_mask_column(
-    hidden: np.ndarray, obs: np.ndarray, spec: MaskSpec, rng: SplitMix64
+    hidden: np.ndarray, obs: np.ndarray, spec: MaskSpec, draws: Iterator[int]
 ) -> None:
-    """Hide runs in one variable's column (in place) until the quota is met.
+    """Hide runs in one variable's clear column (in place) until the quota is met.
 
     Runs have length ``L = min(block_len, T)``.  In the first phase a start
     ``s`` is free iff ``hidden[max(s-1, 0) : min(s+L+1, T)]`` holds no hidden
     cell, so one un-hidden cell separates runs and every run has exactly
     length ``L``.  Once no start is free, the second phase drops that gap and
-    only requires ``hidden[s : s+L]`` to be clear.  Each run's start is drawn
-    uniformly from the free starts with one ``rng.below``; the final run is
-    truncated to the remaining quota of observed cells.  If both phases stall
-    before the quota is met, the remaining observed cells are hidden left to
-    right.
+    only requires ``hidden[s : s+L]`` to be clear.  Each run's start is
+    ``free[u % len(free)]`` for the next raw draw ``u``, as ``rng.below``
+    would pick it; the final run is truncated to the remaining quota of
+    observed cells.  If both phases stall before the quota is met, the
+    remaining observed cells are hidden left to right.
 
-    Each placed run costs one prefix-sum pass over the column, which finds
-    every free start at once.
+    The free starts are kept in a sorted list.  The first phase begins with
+    every start free, the second rebuilds the list once with a prefix-sum
+    pass, and each placed run deletes the starts it blocks by bisection.
     """
     t = hidden.shape[0]
     n_obs = int(obs.sum())
@@ -353,20 +359,16 @@ def _block_mask_column(
     # un-hidden cells, so the count of hidden observed cells is kept by
     # adding each run's observed cells.
     obs_before = [0, *np.cumsum(is_obs).tolist()]
-    n_hidden = int((hidden & is_obs).sum())
+    n_hidden = 0
     length = min(spec.block_len, t)
-    s_all = np.arange(t - length + 1)
-    counts = np.zeros(t + 1, dtype=np.int64)  # counts[i]: hidden cells in [0, i)
+    free = list(range(t - length + 1))
     for pad in (1, 0):
-        # start s is free iff hidden[lo[s] : hi[s]] holds no hidden cell
-        lo = np.maximum(s_all - pad, 0)
-        hi = np.minimum(s_all + length + pad, t)
-        while n_hidden < quota:
+        if pad == 0 and n_hidden < quota:
+            counts = np.zeros(t + 1, dtype=np.int64)  # hidden cells in [0, i)
             hidden.cumsum(out=counts[1:])
-            starts = (counts[hi] == counts[lo]).nonzero()[0]
-            if starts.size == 0:
-                break
-            s = int(starts[rng.below(starts.size)])
+            free = (counts[length:] == counts[: t - length + 1]).nonzero()[0].tolist()
+        while n_hidden < quota and free:
+            s = free[next(draws) % len(free)]
             remaining = quota - n_hidden
             run = length
             if obs_before[s + length] - obs_before[s] > remaining:
@@ -374,9 +376,20 @@ def _block_mask_column(
                 run = int(np.flatnonzero(is_obs[s : s + length])[remaining - 1]) + 1
             hidden[s : s + run] = True
             n_hidden += obs_before[s + run] - obs_before[s]
+            # the starts whose padded span meets [s, s + run)
+            del free[
+                bisect.bisect_left(free, s - length - pad + 1) :
+                bisect.bisect_right(free, s + run + pad - 1)
+            ]
     if n_hidden < quota:
         rest = np.flatnonzero(is_obs & ~hidden)[: quota - n_hidden]
         hidden[rest] = True
+
+
+def _chunked_draws(rng: SplitMix64) -> Iterator[int]:
+    """``rng``'s raw outputs one by one, generated ``_DRAW_CHUNK`` at a time."""
+    while True:
+        yield from rng.u64s(_DRAW_CHUNK).tolist()
 
 
 def apply_mask(window: Window, spec: MaskSpec) -> Window:
@@ -392,8 +405,9 @@ def apply_mask(window: Window, spec: MaskSpec) -> Window:
     else:
         t, n = window.shape
         hidden = np.zeros((t, n), dtype=bool)
+        draws = _chunked_draws(rng)
         for col in range(n):
-            _block_mask_column(hidden[:, col], window.m_obs[:, col], spec, rng)
+            _block_mask_column(hidden[:, col], window.m_obs[:, col], spec, draws)
         m_art = np.where(hidden & (window.m_obs == 1.0), 0.0, 1.0)
     return replace(window, m_art=m_art)
 

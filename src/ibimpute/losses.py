@@ -30,8 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DomainError, Tensor, custom_node
+from .autodiff import Tensor, custom_node
 from .model import LatentDistribution
+
+
+class DomainError(ValueError):
+    """Input outside a computation's mathematical domain (the log of a value
+    <= 0, as in :func:`reg_loss`)."""
+
 
 GLO_INFONCE = "infonce"
 GLO_COSINE = "cosine"

@@ -8,8 +8,11 @@ child streams (mask generation, shuffling, latent noise, ...) are derived by
 hashing a parent seed with integer tags, so an entire experiment replays from
 the two top-level seeds recorded in run provenance.
 
-Uniform doubles are ``(u64 >> 11) * 2**-53`` in ``[0, 1)``; normals come from
-the Box-Muller transform on pairs of uniforms.
+:meth:`SplitMix64.u64s` is that vectorized pass: ``n`` raw outputs at once,
+bit-identical to ``n`` calls of ``next_u64``.  Uniform doubles are
+``(u64 >> 11) * 2**-53`` in ``[0, 1)``; normals come from the Box-Muller
+transform on pairs of uniforms.  Integers in ``[0, bound)`` are ``u64 % bound``,
+one raw output each, whether drawn singly (``below``) or from a ``u64s`` batch.
 """
 
 from __future__ import annotations
@@ -76,14 +79,16 @@ class SplitMix64:
         """One double in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles in [0, 1); bit-identical to ``n`` uniform() calls."""
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
+    def u64s(self, n: int) -> np.ndarray:
+        """``n`` raw outputs as uint64; bit-identical to ``n`` next_u64() calls."""
         idx = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         idx += np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        return (_mix64_array(idx) >> np.uint64(11)) * 2.0**-53
+        return _mix64_array(idx)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """``n`` doubles in [0, 1); bit-identical to ``n`` uniform() calls."""
+        return (self.u64s(n) >> np.uint64(11)) * 2.0**-53
 
     def normals(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller; consumes 2*ceil(n/2) uniforms."""
@@ -113,9 +118,10 @@ class SplitMix64:
         return self.next_u64() % bound
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+        """Fisher-Yates permutation of range(n); swap ``i`` takes the draw
+        ``below(i + 1)`` would, all ``n - 1`` of them from one ``u64s``."""
+        perm = list(range(n))
+        for i, u in zip(range(n - 1, 0, -1), self.u64s(max(n - 1, 0)).tolist()):
+            j = u % (i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=int)

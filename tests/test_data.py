@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ibimpute import data
 from ibimpute.data import (
     BLOCK,
     POINT,
@@ -574,8 +575,13 @@ def _assert_block_mask_matches_reference(window, spec):
 @st.composite
 def _block_cases(draw):
     t = draw(st.integers(min_value=1, max_value=130))
-    n = draw(st.integers(min_value=1, max_value=3))
-    block_len = draw(st.integers(min_value=1, max_value=min(t, 12)))
+    # up to 8 variables, so one window's draws can span several chunks
+    n = draw(st.integers(min_value=1, max_value=8))
+    block_len = draw(
+        st.integers(min_value=1, max_value=min(t, 12))
+        | st.integers(min_value=1, max_value=t)
+        | st.just(t)
+    )
     rate = draw(
         st.sampled_from([0.0, 0.05, 0.5, 0.9, 0.99])
         | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -585,6 +591,8 @@ def _block_cases(draw):
     m_obs = (np.random.default_rng(obs_seed).random((t, n)) >= missing).astype(
         np.float64
     )
+    all_missing = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n))
+    m_obs[:, all_missing] = 0.0
     window = Window(
         x=np.zeros((t, n)),
         m_obs=m_obs,
@@ -613,6 +621,19 @@ class TestBlockMaskMatchesReference:
         assert [w.index for w in windows] == list(range(8))
         for w in windows:
             _assert_block_mask_matches_reference(w, spec)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_draw_chunk_size_does_not_change_bits(self, monkeypatch, chunk):
+        # 8 variables at rate 0.9 and block_len 1 take far more draws per
+        # window than any of these chunks hold
+        monkeypatch.setattr(data, "_DRAW_CHUNK", chunk)
+        m_obs = (np.random.default_rng(chunk).random((40, 8)) >= 0.2).astype(np.float64)
+        m_obs[:, 5] = 0.0  # an all-missing column takes no draws
+        for block_len in (1, 3, 40):
+            spec = MaskSpec(pattern=BLOCK, rate=0.9, block_len=block_len, seed=chunk)
+            for index in range(3):
+                window = Window(x=np.zeros((40, 8)), m_obs=m_obs, index=index)
+                _assert_block_mask_matches_reference(window, spec)
 
 
 class TestMaskSpecValidation:

@@ -2,9 +2,10 @@
 
 A short deterministic fit must write the same ``training_log.csv`` and
 ``checkpoint.bin`` bytes, save the same mid-epoch train state and resume from
-it to the same bytes; so must the same fit with the InfoNCE global term.  Any
-change to the optimizer, the clipping, the loss terms or the parameter storage
-that moves a single bit of a parameter shows here.
+it to the same bytes; so must the same fit with the InfoNCE global term and
+the same fit under block masks.  Any change to the optimizer, the clipping,
+the loss terms, the parameter storage or the training masks that moves a single
+bit of a parameter shows here.
 
 The CLI artifacts are pinned too: what ``train``, ``eval`` (point and block
 masks, normalized and source-scale), ``export-latents`` and ``impute`` write
@@ -151,6 +152,36 @@ def infonce_outputs(tmp_path_factory):
 @pytest.mark.parametrize("attention, name", sorted(INFONCE_DIGESTS))
 def test_infonce_fit_bytes_are_pinned(infonce_outputs, attention, name):
     assert infonce_outputs[attention][name] == INFONCE_DIGESTS[attention, name]
+
+
+# (use_attention, output) -> sha256 of the fit under block masks
+BLOCK_DIGESTS = {
+    (False, "training_log.csv"):
+        "fc0b90b38153c27a1db12c2066093528d7c972c0c12483c436842e1beb0a445a",
+    (False, "checkpoint.bin"):
+        "3e8662311b9d0934d55233f6d8302aac28e7966aaa7532559020631bd65419f7",
+    (True, "training_log.csv"):
+        "38a72c32e3888812266d15a541d909e30afb50c949ef1360f522485fa573ee2f",
+    (True, "checkpoint.bin"):
+        "627718f4e81d28466546c76cba80c62b361aa41d2566dcffb2517f6b151739e6",
+}
+
+
+@pytest.fixture(scope="module")
+def block_outputs(tmp_path_factory):
+    block = dataclasses.replace(
+        TRAIN_CFG, mask_spec=MaskSpec(pattern="block", rate=0.7, block_len=4)
+    )
+    root = tmp_path_factory.mktemp("block")
+    return {
+        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), block)
+        for attention in (False, True)
+    }
+
+
+@pytest.mark.parametrize("attention, name", sorted(BLOCK_DIGESTS))
+def test_block_mask_fit_bytes_are_pinned(block_outputs, attention, name):
+    assert block_outputs[attention][name] == BLOCK_DIGESTS[attention, name]
 
 
 @pytest.mark.parametrize("attention", [False, True])

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibimpute.autodiff import DomainError, Tape, Tensor, grad_check, mul
+from ibimpute.autodiff import Tape, Tensor, grad_check, mul
 from ibimpute.losses import (
+    DomainError,
     GLO_COSINE,
     GLO_INFONCE,
     GLO_NONE,

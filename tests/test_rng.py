@@ -7,14 +7,14 @@ from ibimpute.rng import SplitMix64, derive, mix64
 
 
 def test_mix64_known_values():
-    # finalizer of the first few states of seed 0; frozen reference outputs
-    # computed once from the splitmix64 recurrence and pinned here
+    # the first outputs of splitmix64 seeded with 0, as published with the
+    # reference C implementation
     s = SplitMix64(0)
-    first = [s.next_u64() for _ in range(3)]
-    s2 = SplitMix64(0)
-    assert [s2.next_u64() for _ in range(3)] == first
-    assert all(0 <= v < 2**64 for v in first)
-    assert len(set(first)) == 3
+    assert [s.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
 
 
 def test_derive_is_order_sensitive():
@@ -36,6 +36,15 @@ def test_bulk_uniforms_match_sequential(seed, n):
     b = SplitMix64(seed)
     bulk = b.uniforms(n)
     assert np.array_equal(seq, bulk)
+    assert a._state == b._state
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+def test_bulk_u64s_match_sequential(n):
+    a, b = SplitMix64(derive(17, n)), SplitMix64(derive(17, n))
+    bulk = a.u64s(n)
+    assert bulk.dtype == np.uint64
+    assert bulk.tolist() == [b.next_u64() for _ in range(n)]
     assert a._state == b._state
 
 
@@ -80,6 +89,25 @@ def test_below_bounds():
 def test_permutation_is_a_permutation(n):
     perm = SplitMix64(derive(11, n)).permutation(n)
     assert sorted(perm.tolist()) == list(range(n))
+
+
+def _sequential_permutation(rng, n):
+    """Fisher-Yates with one ``below`` draw per swap, the oracle for the
+    bulk-drawn ``SplitMix64.permutation``."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 249])
+def test_permutation_matches_sequential_oracle(n):
+    a, b = SplitMix64(derive(23, n)), SplitMix64(derive(23, n))
+    got, want = a.permutation(n), _sequential_permutation(b, n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert a._state == b._state
 
 
 def test_permutation_deterministic_and_seed_sensitive():
