@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -148,8 +149,8 @@ def _cmd_synth(args) -> None:
         raise UsageError("--vars must be >= 1")
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    if args.noise_std < 0:
-        raise UsageError("--noise-std must be >= 0")
+    if not 0.0 <= args.noise_std < math.inf:
+        raise UsageError("--noise-std must be a finite number >= 0")
     from .data import make_synthetic
 
     ds = make_synthetic(args.vars, args.steps, args.seed, args.noise_std)
@@ -298,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         args.func(args)
         return 0
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -4,17 +4,24 @@ A run config is a text file of ``dotted.key = value`` lines (``#`` starts a
 comment).  Every key is declared in a registry with a type and a default, so
 unknown keys and malformed values fail loudly.  Any key can be overridden on
 the command line.  The fully resolved config serializes to a canonical,
-byte-stable echo for provenance.
+byte-stable echo for provenance.  :meth:`RunConfig.load_dataset` loads the
+run's series, parsing a CSV source once per run directory.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
-from .data import Dataset, MaskSpec, check_split_fractions, load_csv, make_synthetic
+from .data import LOADER_FORMAT, Dataset, MaskSpec, check_split_fractions, load_csv, make_synthetic
 from .losses import LossWeights
-from .model import ModelConfig
+from .model import DATASET_CACHE, CheckpointError, ModelConfig, read_container, write_container
 from .training import LOC_TARGET_OBSERVED, TrainConfig
+
+DATASET_CACHE_FILE = "dataset.bin"
 
 
 class ConfigError(ValueError):
@@ -30,9 +37,12 @@ def _parse_int(s: str) -> int:
 
 def _parse_float(s: str) -> float:
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         raise ConfigError(f"expected a number, got {s!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _parse_bool(s: str) -> bool:
@@ -198,6 +208,8 @@ class RunConfig:
         for key in ("eval.rates", "eval.patterns"):
             if not self.values[key]:
                 raise ConfigError(f"{key} needs at least one entry")
+        if self.values["data.synth_noise_std"] < 0.0:
+            raise ConfigError("data.synth_noise_std must be >= 0")
         for r in self.values["eval.rates"]:
             if not (0.0 < r < 1.0):
                 raise ConfigError(f"eval.rates entries must lie in (0, 1), got {r}")
@@ -216,15 +228,30 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def load_dataset(self) -> Dataset:
+        """The run's series, then the checks that need its width.
+
+        A CSV ``data.source`` is parsed once per run directory: the parse is
+        kept in ``<output_dir>/dataset.bin``, keyed by the sha256 of the CSV's
+        bytes and :data:`data.LOADER_FORMAT`, and later calls return it
+        instead of parsing again.  Any unreadable, corrupt or stale file is a
+        miss, never an error: the CSV is parsed as if the file were absent and
+        the parse replaces it.  A CSV that fails to parse writes nothing.
+        """
         source = self.values["data.source"]
         if source == "synthetic":
-            return make_synthetic(
+            ds = make_synthetic(
                 n_vars=self.values["data.synth_vars"],
                 t_total=self.values["data.synth_steps"],
                 seed=self.values["data.synth_seed"],
                 noise_std=self.values["data.synth_noise_std"],
             )
-        return load_csv(source)
+        else:
+            ds = _load_csv_cached(source, Path(self.values["output_dir"]) / DATASET_CACHE_FILE)
+        try:
+            self.train_config().validate(key=_train_key, n_vars=ds.n_vars)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return ds
 
     def model_config(self, n_vars: int) -> ModelConfig:
         return ModelConfig(
@@ -271,3 +298,55 @@ class RunConfig:
             clip_norm=self.values["train.clip_norm"],
             loc_target=self.values["train.loc_target"],
         )
+
+
+def _sha256_of(path) -> str:
+    """The hex sha256 of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _payload_sha256(names: list[str], values, native_mask) -> str:
+    """The hex sha256 of a parse: its names, its shape and both arrays' bytes."""
+    digest = hashlib.sha256(json.dumps([names, list(values.shape)]).encode("utf-8"))
+    digest.update(values.tobytes())
+    digest.update(native_mask.tobytes())
+    return digest.hexdigest()
+
+
+def _load_csv_cached(source: str, cache: Path) -> Dataset:
+    """``load_csv(source)``, or the parse kept in ``cache`` under the same key."""
+    try:
+        digest = _sha256_of(source)
+    except OSError:
+        return load_csv(source)  # which reports the unreadable file as it always has
+    key = f"{digest}/{LOADER_FORMAT}"
+    try:
+        _, header, arrays = read_container(str(cache), DATASET_CACHE)
+        names, values, mask = header["variable_names"], arrays["values"], arrays["native_mask"]
+        hit = header["dataset_key"] == key and header["payload_sha256"] == _payload_sha256(
+            names, values, mask
+        )
+    except (OSError, CheckpointError, KeyError):
+        hit = False  # no cache, or one damaged past reading
+    if hit:
+        return Dataset(values, mask, names)
+    ds = load_csv(source)
+    header = {
+        "dataset_key": key,
+        "payload_sha256": _payload_sha256(ds.variable_names, ds.values, ds.native_mask),
+        "variable_names": ds.variable_names,
+    }
+    try:
+        # keep the parse only if the bytes parsed are the bytes hashed
+        if _sha256_of(source) == digest:
+            cache.parent.mkdir(parents=True, exist_ok=True)
+            write_container(
+                str(cache), None, header, {"values": ds.values, "native_mask": ds.native_mask}
+            )
+    except OSError:
+        pass  # the cache only saves time; a run directory that cannot take it still runs
+    return ds

@@ -35,6 +35,9 @@ BLOCK = "block"
 # raw draws a block mask takes from its window's stream per vectorized batch;
 # the stream is the window's own, so drawing past its last use changes nothing
 _DRAW_CHUNK = 64
+# the version of what load_csv makes of a file's bytes; a kept parse is keyed
+# by it, so change it whenever the same bytes would parse differently
+LOADER_FORMAT = 1
 
 
 class CsvFormatError(ValueError):

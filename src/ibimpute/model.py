@@ -30,6 +30,11 @@ LOG_STD_BOUND = 13.8  # exp(+-13.8) keeps sigma within (1e-6, 1e6)
 CHECKPOINT_MAGIC = b"IBCKPT1\n"
 CHECKPOINT_VERSION = 1
 _CONFIG_KEYS = ("window_len", "n_vars", "d_model", "hidden_dim", "use_attention")
+# the container's kinds, as its reader names them; each reader refuses the others
+MODEL_CHECKPOINT = "model checkpoint"
+TRAIN_STATE = "training-state file"
+DATASET_CACHE = "dataset cache"
+_HEADER_LABELS = {MODEL_CHECKPOINT: "config", TRAIN_STATE: "state", DATASET_CACHE: "dataset"}
 
 
 class NumericError(RuntimeError):
@@ -230,16 +235,27 @@ def reparameterize(dist: LatentDistribution, seed: int) -> Tensor:
     return dist.mu + dist.sigma * eps
 
 
+def _kind_of(header: dict) -> str:
+    """Which of the container's three kinds a header belongs to: a dataset
+    cache's header carries ``dataset_key``, a model checkpoint's
+    ``has_normalizer``, and a training state's neither."""
+    if "dataset_key" in header:
+        return DATASET_CACHE
+    return MODEL_CHECKPOINT if "has_normalizer" in header else TRAIN_STATE
+
+
 def write_container(
-    path: str, config: ModelConfig, header: dict, arrays: dict[str, np.ndarray]
+    path: str, config: ModelConfig | None, header: dict, arrays: dict[str, np.ndarray]
 ) -> None:
     """Write the one on-disk format: magic, version, a JSON header (the config
-    echo plus ``header``), then named little-endian float64 arrays.
+    echo, if there is a ``config``, plus ``header``), then named little-endian
+    float64 arrays.  A model checkpoint and a training state echo their
+    :class:`ModelConfig`; a dataset cache has none to echo.
 
     The write is atomic (see :func:`data.atomic_write`), so a process killed
     mid-write leaves the previous file whole.
     """
-    echo = {key: getattr(config, key) for key in _CONFIG_KEYS}
+    echo = {} if config is None else {key: getattr(config, key) for key in _CONFIG_KEYS}
     blob = json.dumps({**echo, **header}, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -256,15 +272,15 @@ def write_container(
 
 
 def read_container(
-    path: str, train_state: bool
-) -> tuple[ModelConfig, dict, dict[str, np.ndarray]]:
+    path: str, kind: str
+) -> tuple[ModelConfig | None, dict, dict[str, np.ndarray]]:
     """Parse a file from :func:`write_container` into (config, header, arrays).
 
-    A model checkpoint's header carries ``has_normalizer``; a train state's
-    carries its step counters instead, and ``train_state`` says which one the
-    caller expects.  Every length is checked against the bytes left before
-    anything is sliced or allocated, so any corrupt input raises
-    :class:`CheckpointError`.
+    ``kind`` is the kind the caller expects, :data:`MODEL_CHECKPOINT`,
+    :data:`TRAIN_STATE` or :data:`DATASET_CACHE`, and a file of another kind
+    is refused.  The config is None for a dataset cache.  Every length is
+    checked against the bytes left before anything is sliced or allocated,
+    so any corrupt input raises :class:`CheckpointError`.
     """
     with open(path, "rb") as fh:
         buf = memoryview(fh.read())
@@ -285,25 +301,26 @@ def read_container(
     (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    kind = "state" if train_state else "config"
+    label = _HEADER_LABELS[kind]
     (blob_len,) = unpack("<I")
     try:
         header = json.loads(str(take(blob_len), "utf-8"))
     except ValueError:
         header = None
     if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: corrupt {kind} header")
-    try:
-        config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
-        config.validate()
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: {kind} header missing {exc}") from None
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {kind} header: {exc}") from None
-    if train_state and "has_normalizer" in header:
-        raise CheckpointError(f"{path}: a model checkpoint, not a training-state file")
-    if not train_state and "has_normalizer" not in header:
-        raise CheckpointError(f"{path}: a training-state file, not a model checkpoint")
+        raise CheckpointError(f"{path}: corrupt {label} header")
+    found = _kind_of(header)
+    config = None
+    if found != DATASET_CACHE:
+        try:
+            config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
+            config.validate()
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: {label} header missing {exc}") from None
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {label} header: {exc}") from None
+    if found != kind:
+        raise CheckpointError(f"{path}: a {found}, not a {kind}")
 
     arrays: dict[str, np.ndarray] = {}
     (count,) = unpack("<I")
@@ -359,7 +376,7 @@ def save_checkpoint(path: str, model: ImputationModel) -> None:
 
 
 def load_checkpoint(path: str) -> ImputationModel:
-    cfg, header, arrays = read_container(path, train_state=False)
+    cfg, header, arrays = read_container(path, MODEL_CHECKPOINT)
     normalizer = None
     if header["has_normalizer"]:
         mean = arrays.pop("normalizer.mean", None)

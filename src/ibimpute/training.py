@@ -51,6 +51,7 @@ from .losses import (
     total_objective,
 )
 from .model import (
+    TRAIN_STATE,
     CheckpointError,
     ImputationModel,
     ModelConfig,
@@ -98,10 +99,12 @@ class TrainConfig:
     clip_norm: float = 5.0                # 0 disables clipping
     loc_target: str = LOC_TARGET_OBSERVED
 
-    def validate(self, key=lambda field: field) -> None:
+    def validate(self, key=lambda field: field, n_vars: int | None = None) -> None:
         """Raise ValueError for an invalid setting, named by ``key(field)``
         with ``field`` the TrainConfig field, or the LossWeights field of a
-        loss weight; by default the field name itself."""
+        loss weight; by default the field name itself.  Given the data's
+        ``n_vars``, also check what depends on it: the contrast term needs
+        two latent rows, one per (window, variable), in a full batch."""
         if self.epochs < 1:
             raise ValueError(f"{key('epochs')} must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -131,12 +134,14 @@ class TrainConfig:
         if self.loc_target == LOC_TARGET_HIDDEN and self.mask_spec.rate == 0.0:
             raise ValueError(f"{key('loc_target')} 'hidden' needs a mask rate > 0")
         if (
-            self.weights.glo_variant == GLO_INFONCE
+            n_vars is not None
+            and self.weights.glo_variant == GLO_INFONCE
             and self.weights.glo > 0.0
-            and self.batch_size < 2
+            and self.batch_size * n_vars < 2
         ):
             raise ValueError(
-                f"{key('batch_size')} must be >= 2 when the contrast term is active"
+                f"{key('batch_size')} must be >= 2 when the contrast term is active "
+                "on one variable"
             )
 
     def strides(self, window_len: int) -> tuple[int, int]:
@@ -353,7 +358,7 @@ def fit(
     whole run, including steps done before ``start_state`` was captured);
     the returned state resumes bit-exactly.
     """
-    cfg.validate()
+    cfg.validate(n_vars=model_cfg.n_vars)
     model_cfg.validate()
 
     window_len = model_cfg.window_len
@@ -524,7 +529,7 @@ def save_train_state(path: str, state: TrainState, model_cfg: ModelConfig) -> No
 
 
 def load_train_state(path: str) -> tuple[TrainState, ModelConfig]:
-    model_cfg, header, arrays = read_container(path, train_state=True)
+    model_cfg, header, arrays = read_container(path, TRAIN_STATE)
     groups: dict[str, dict[str, np.ndarray]] = {prefix: {} for prefix in _STATE_GROUPS}
     for name, arr in arrays.items():
         prefix, _, rest = name.partition(".")

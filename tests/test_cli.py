@@ -1,13 +1,16 @@
 import csv
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ibimpute
+from ibimpute import config
 from ibimpute.cli import main
 from ibimpute.data import Window, load_csv
 from ibimpute.model import load_checkpoint
@@ -42,6 +45,25 @@ def _train(tmp_path, extra=""):
     rc = main(["train", "--config", cfg_path, "--quiet"])
     assert rc == 0
     return cfg_path, out_dir
+
+
+def _write_csv_cfg(tmp_path, epochs=1):
+    """TINY_CFG with its series written to a CSV and read back from there."""
+    data = tmp_path / "data.csv"
+    assert main(["synth", "--vars", "2", "--steps", "240", "--seed", "3", "--out", str(data)]) == 0
+    text = TINY_CFG.replace("data.source = synthetic", f"data.source = {data}")
+    text = text.replace("train.epochs = 1", f"train.epochs = {epochs}")
+    path = tmp_path / "csv_run.cfg"
+    path.write_text(text + f"output_dir = {tmp_path / 'run'}\n")
+    return str(path), tmp_path / "run"
+
+
+def _child_env() -> dict:
+    """The environment of an ``ibimpute`` child that imports the package this
+    test imported, installed or not."""
+    src = str(Path(ibimpute.__file__).resolve().parent.parent)
+    pythonpath = os.environ.get("PYTHONPATH", "")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, pythonpath]))}
 
 
 class TestSynthCommand:
@@ -100,6 +122,39 @@ class TestArgumentErrors:
         assert main([command, "--config", cfg_path, "--quiet", "--override", override]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["train", "--override", "train.learning_rate=inf"],
+            ["train", "--override", "train.weights.reg=nan"],
+            ["train", "--override", "train.clip_norm=nan"],
+            ["train", "--override", "train.adam_eps=nan"],
+            ["train", "--override", "train.weights.temperature=nan"],
+            ["train", "--override", "data.synth_noise_std=-1"],
+            ["synth", "--noise-std", "nan"],
+            ["synth", "--noise-std", "inf"],
+        ],
+        ids=lambda args: f"{args[0]}:{args[-1]}",
+    )
+    def test_non_finite_or_negative_number_exits_1_before_any_work(self, tmp_path, capsys, args):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        if args[0] == "synth":
+            argv = args + ["--vars", "2", "--steps", "30", "--out", str(out_dir / "data.csv")]
+        else:
+            argv = args + ["--config", cfg_path, "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+    def test_contrast_on_one_variable_with_batch_one_exits_1(self, tmp_path, capsys):
+        cfg_path, _ = _write_cfg(tmp_path)
+        argv = ["train", "--config", cfg_path, "--quiet"]
+        for item in ("train.batch_size=1", "train.weights.glo_variant=infonce"):
+            argv += ["--override", item]
+        assert main(argv + ["--override", "data.synth_vars=1"]) == 1
+        assert "train.batch_size must be >= 2" in capsys.readouterr().err
+        assert main(argv + ["--override", "data.synth_vars=2"]) == 0
 
 
 class TestTrainCommand:
@@ -173,6 +228,93 @@ class TestEvalCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: mask pattern=point rate=0.3 hid no observed values"]
         assert not (out_dir / "report.csv").exists()
+
+
+class TestDatasetCache:
+    """Commands on a CSV source share one parse per run directory."""
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["eval"], ["report.csv", "alignment.csv"]),
+            (["export-latents"], ["latents.csv", "alignment.txt"]),
+            (["ablate", "--override", "eval.rates=0.5"], ["ablation.csv"]),
+        ],
+        ids=["eval", "export-latents", "ablate"],
+    )
+    def test_same_bytes_with_and_without_the_cache(self, tmp_path, monkeypatch, argv, outputs):
+        cfg_path, out_dir = _write_csv_cfg(tmp_path)
+        argv = argv + ["--config", cfg_path, "--quiet"]
+        assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+        cache = out_dir / "dataset.bin"
+        kept = cache.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(config, "load_csv", _no_parse)
+            assert main(argv) == 0  # train's parse, not a new one
+        with_cache = {name: (out_dir / name).read_bytes() for name in outputs}
+        cache.unlink()
+        assert main(argv) == 0
+        assert {name: (out_dir / name).read_bytes() for name in outputs} == with_cache
+        assert cache.read_bytes() == kept
+
+    def test_malformed_csv_fails_as_before_and_leaves_nothing(self, tmp_path, capsys):
+        cfg_path, out_dir = _write_csv_cfg(tmp_path)
+        data = tmp_path / "data.csv"
+        data.write_text("v1,v2\n1,2\n3\n")
+        assert main(["train", "--config", cfg_path, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {data}: line 3: expected 2 cells, got 1\n"
+        assert not out_dir.exists()
+
+
+def _no_parse(path, raw=None):
+    raise AssertionError("parsed the CSV on a cache hit")
+
+
+def test_sigkilled_train_leaves_whole_files(tmp_path, monkeypatch):
+    """SIGKILL a real ``ibimpute train`` child at several points of its run:
+    each file it leaves under its own name is whole, and an ``eval`` on what
+    it left writes what an ``eval`` from a fresh run directory writes."""
+    cfg_path, _ = _write_csv_cfg(tmp_path, epochs=200)
+    text = Path(cfg_path).read_text()
+
+    def child(out_dir):
+        argv = ["train", "--config", cfg_path, "--quiet", "--override", f"output_dir={out_dir}"]
+        return subprocess.Popen(
+            [sys.executable, "-m", "ibimpute", *argv],
+            env=_child_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+
+    start = time.perf_counter()
+    assert child(tmp_path / "whole").wait(timeout=300) == 0
+    full_run = time.perf_counter() - start
+    killed = with_checkpoint = 0
+    for k, share in enumerate((0.05, 0.3, 0.5, 0.7, 0.85)):
+        out_dir = tmp_path / f"kill{k}"
+        proc = child(out_dir)
+        try:
+            proc.wait(timeout=share * full_run)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGKILL)
+        killed += proc.wait(timeout=60) == -signal.SIGKILL
+        if (out_dir / "dataset.bin").exists():
+            cfg = config.RunConfig.from_sources(text, [f"output_dir={out_dir}"])
+            with monkeypatch.context() as patch:
+                patch.setattr(config, "load_csv", _no_parse)
+                kept = cfg.load_dataset()
+            assert kept.values.tobytes() == load_csv(cfg["data.source"]).values.tobytes()
+        checkpoint = out_dir / "checkpoint.bin"
+        if not checkpoint.exists():
+            continue
+        load_checkpoint(str(checkpoint))
+        with_checkpoint += 1
+        fresh = tmp_path / f"fresh{k}"
+        for run_dir in (out_dir, fresh):
+            argv = ["eval", "--config", cfg_path, "--quiet", "--checkpoint", str(checkpoint)]
+            assert main(argv + ["--override", f"output_dir={run_dir}"]) == 0
+        assert (out_dir / "report.csv").read_bytes() == (fresh / "report.csv").read_bytes()
+    assert killed >= 1 and with_checkpoint >= 1
 
 
 class TestImputeCommand:
@@ -461,9 +603,6 @@ class TestSideFilesAreAtomic:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
-        # the child imports the package this test imported, installed or not
-        src = str(Path(ibimpute.__file__).resolve().parent.parent)
-        pythonpath = os.environ.get("PYTHONPATH", "")
         out = tmp_path / "m.csv"
         proc = subprocess.run(
             [
@@ -480,7 +619,7 @@ class TestModuleEntryPoint:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, pythonpath]))},
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 6

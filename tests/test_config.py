@@ -1,11 +1,26 @@
+import numpy as np
 import pytest
 
+from ibimpute import config
 from ibimpute.config import (
+    DATASET_CACHE_FILE,
     ConfigError,
     RunConfig,
     parse_config_text,
     parse_override,
 )
+from ibimpute.data import CsvFormatError, load_csv
+from ibimpute.model import (
+    DATASET_CACHE,
+    CheckpointError,
+    ImputationModel,
+    ModelConfig,
+    load_checkpoint,
+    read_container,
+    save_checkpoint,
+    write_container,
+)
+from ibimpute.training import TrainState, load_train_state, save_train_state
 
 
 class TestParseConfigText:
@@ -109,8 +124,6 @@ class TestRunConfig:
              "loss weight train.weights.loc or train.weights.glo must be positive"),
             ("train.loc_target = hidden\nmask.rate = 0\n",
              "train.loc_target 'hidden' needs a mask rate > 0"),
-            ("train.batch_size = 1\ntrain.weights.glo_variant = infonce\n",
-             "train.batch_size must be >= 2 when the contrast term is active"),
         ],
     )
     def test_train_section_errors_name_the_key(self, text, message):
@@ -198,7 +211,141 @@ class TestDerivedObjects:
     def test_csv_dataset_loading(self, tmp_path):
         p = tmp_path / "input.csv"
         p.write_text("a,b\n1,2\n3,4\n")
-        cfg = RunConfig.from_sources(f"data.source = {p}\n")
+        cfg = RunConfig.from_sources(f"data.source = {p}\noutput_dir = {tmp_path / 'run'}\n")
         ds = cfg.load_dataset()
         assert ds.values.shape == (2, 2)
         assert ds.variable_names == ["a", "b"]
+
+    def test_contrast_batch_counts_latent_rows(self):
+        # InfoNCE contrasts latent rows, one per (window, variable): a
+        # one-window batch has negatives once there are two variables
+        text = "train.batch_size = 1\ntrain.weights.glo_variant = infonce\n"
+        two = RunConfig.from_sources(text + "data.synth_vars = 2\ndata.synth_steps = 50\n")
+        assert two.load_dataset().n_vars == 2
+        one = RunConfig.from_sources(text + "data.synth_vars = 1\ndata.synth_steps = 50\n")
+        with pytest.raises(ConfigError) as excinfo:
+            one.load_dataset()
+        assert str(excinfo.value) == (
+            "train.batch_size must be >= 2 when the contrast term is active on one variable"
+        )
+
+
+# cells that parse to -0.0, a subnormal, a huge value, gaps, padded names and
+# a quoted comma
+CACHE_CSV = b''' a ,b,"c,d"\r\n-0.0,4.9e-324,\r\n,-0,1.7976931348623157e308\r\n3.25,,-1e-300\r\n'''
+
+
+def _cached_run(tmp_path, csv_bytes=CACHE_CSV):
+    """A run config on a CSV source, the CSV's path and the cache's path."""
+    src = tmp_path / "input.csv"
+    src.write_bytes(csv_bytes)
+    cfg = RunConfig.from_sources(f"data.source = {src}\noutput_dir = {tmp_path / 'run'}\n")
+    return cfg, src, tmp_path / "run" / DATASET_CACHE_FILE
+
+
+def _same_parse(ds, path) -> bool:
+    ref = load_csv(str(path))
+    return (
+        ds.values.tobytes() == ref.values.tobytes()
+        and ds.native_mask.tobytes() == ref.native_mask.tobytes()
+        and ds.values.shape == ref.values.shape
+        and ds.variable_names == ref.variable_names
+    )
+
+
+def _no_parse(path, raw=None):
+    raise AssertionError("parsed the CSV on a cache hit")
+
+
+class TestDatasetCache:
+    """``RunConfig.load_dataset`` keeps a CSV's parse in the run directory."""
+
+    def test_hit_returns_the_parse_bit_for_bit(self, tmp_path, monkeypatch):
+        cfg, src, cache = _cached_run(tmp_path)
+        assert not cache.exists()
+        first = cfg.load_dataset()
+        assert cache.is_file()
+        monkeypatch.setattr(config, "load_csv", _no_parse)
+        hit = cfg.load_dataset()
+        assert _same_parse(first, src) and _same_parse(hit, src)
+        assert np.signbit(hit.values[0, 0]) and hit.values[0, 1] == 5e-324
+        assert hit.variable_names == ["a", "b", "c,d"]
+
+    def test_one_byte_edit_invalidates(self, tmp_path, monkeypatch):
+        cfg, src, cache = _cached_run(tmp_path)
+        cfg.load_dataset()
+        before = cache.read_bytes()
+        src.write_bytes(CACHE_CSV.replace(b"3.25", b"3.26"))
+        ds = cfg.load_dataset()
+        assert ds.values[2, 0] == 3.26 and _same_parse(ds, src)
+        assert cache.read_bytes() != before
+        monkeypatch.setattr(config, "load_csv", _no_parse)
+        assert _same_parse(cfg.load_dataset(), src)
+
+    def test_new_loader_format_invalidates(self, tmp_path, monkeypatch):
+        cfg, src, cache = _cached_run(tmp_path)
+        cfg.load_dataset()
+        before = cache.read_bytes()
+        monkeypatch.setattr(config, "LOADER_FORMAT", config.LOADER_FORMAT + 1)
+        assert _same_parse(cfg.load_dataset(), src)
+        assert cache.read_bytes() != before
+
+    def _damage_is_a_miss(self, cfg, src, cache, good: bytes, damaged: bytes):
+        cache.write_bytes(damaged)
+        assert _same_parse(cfg.load_dataset(), src)
+        assert cache.read_bytes() == good  # re-parsed and rewritten
+
+    def test_truncated_cache_is_reparsed_and_rewritten(self, tmp_path):
+        cfg, src, cache = _cached_run(tmp_path)
+        cfg.load_dataset()
+        good = cache.read_bytes()
+        for n in range(len(good)):
+            self._damage_is_a_miss(cfg, src, cache, good, good[:n])
+
+    def test_bit_flipped_cache_is_reparsed_and_rewritten(self, tmp_path):
+        cfg, src, cache = _cached_run(tmp_path)
+        cfg.load_dataset()
+        good = cache.read_bytes()
+        for at in range(len(good)):
+            damaged = bytearray(good)
+            damaged[at] ^= 1 << (at % 8)
+            self._damage_is_a_miss(cfg, src, cache, good, bytes(damaged))
+
+    def test_other_kinds_are_misses_and_refuse_a_cache(self, tmp_path):
+        cfg, src, cache = _cached_run(tmp_path)
+        cfg.load_dataset()
+        good = cache.read_bytes()
+        model_cfg = ModelConfig(window_len=3, n_vars=3, d_model=2, hidden_dim=2)
+        model = ImputationModel(model_cfg, seed=1)
+        other = tmp_path / "other.bin"
+        save_checkpoint(str(other), model)
+        self._damage_is_a_miss(cfg, src, cache, good, other.read_bytes())
+        params = {k: t.data for k, t in model.params.items()}
+        save_train_state(str(other), TrainState(params=params), model_cfg)
+        self._damage_is_a_miss(cfg, src, cache, good, other.read_bytes())
+        with pytest.raises(CheckpointError, match="a dataset cache, not a model checkpoint"):
+            load_checkpoint(str(cache))
+        with pytest.raises(CheckpointError, match="a dataset cache, not a training-state file"):
+            load_train_state(str(cache))
+
+    def test_reshaped_payload_is_a_miss(self, tmp_path):
+        # the same bytes and header, read back as a 3 x 4 parse of a 4 x 3 file
+        cfg, src, cache = _cached_run(tmp_path, b"a,b,c\n1,2,3\n4,5,6\n7,8,9\n0,1,2\n")
+        cfg.load_dataset()
+        good = cache.read_bytes()
+        _, header, arrays = read_container(str(cache), DATASET_CACHE)
+        reshaped = {name: arr.reshape(3, 4) for name, arr in arrays.items()}
+        write_container(str(cache), None, header, reshaped)
+        self._damage_is_a_miss(cfg, src, cache, good, cache.read_bytes())
+
+    def test_malformed_csv_leaves_no_cache(self, tmp_path):
+        cfg, src, cache = _cached_run(tmp_path, b"a,b\n1,2\n3,x\n")
+        with pytest.raises(CsvFormatError) as excinfo:
+            cfg.load_dataset()
+        assert str(excinfo.value) == f"{src}: line 3: non-numeric cell 'x' in column 'b'"
+        assert not cache.parent.exists()
+
+    def test_unwritable_run_directory_still_loads(self, tmp_path):
+        cfg, src, cache = _cached_run(tmp_path)
+        cache.parent.write_text("a file where the run directory should be")
+        assert _same_parse(cfg.load_dataset(), src)

@@ -378,9 +378,12 @@ class TestTrainConfigValidation:
             TrainConfig(epochs=0).validate()
 
     def test_contrast_needs_batch_of_two(self):
+        # two latent rows: two windows of one variable, or one window of two
         cfg = TrainConfig(batch_size=1, weights=LossWeights(glo_variant=GLO_INFONCE))
         with pytest.raises(ValueError, match="batch_size"):
-            cfg.validate()
+            cfg.validate(n_vars=1)
+        cfg.validate(n_vars=2)
+        cfg.validate()  # the width is not known yet
 
     def test_hidden_target_needs_masking(self):
         cfg = TrainConfig(loc_target="hidden", mask_spec=MaskSpec(rate=0.0))
@@ -509,6 +512,15 @@ class TestFit:
         assert len(result.log_rows) == math.ceil(29 / batch_size)
         *_, glo, total = result.log_rows[-1]
         assert glo == 0.0 and math.isfinite(total)
+
+    def test_infonce_trains_batches_of_one_window_on_two_variables(self):
+        model_cfg = ModelConfig(window_len=16, n_vars=2, d_model=8, hidden_dim=8)
+        weights = LossWeights(glo_variant=GLO_INFONCE)
+        train_cfg = TrainConfig(epochs=1, batch_size=1, weights=weights)
+        result = fit(make_synthetic(2, 160, seed=1), model_cfg, train_cfg)
+        assert all(glo != 0.0 and math.isfinite(total) for *_, glo, total in result.log_rows)
+        with pytest.raises(ValueError, match="batch_size"):
+            fit(make_synthetic(1, 160, seed=1), dataclasses.replace(model_cfg, n_vars=1), train_cfg)
 
     def test_invalid_config_rejected_before_work(self, small_dataset):
         with pytest.raises(ValueError):
