@@ -18,13 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, TapeError
+from .autodiff import TapeError
 from .config import ConfigError, RunConfig
 from .data import (
-    CsvFormatError,
     Dataset,
-    MaskError,
-    SplitError,
     Window,
     apply_mask,
     atomic_write,
@@ -35,7 +32,6 @@ from .data import (
 )
 from .evaluation import (
     EvalEntry,
-    EvaluationError,
     alignment_score,
     average_entry,
     evaluate,
@@ -45,7 +41,6 @@ from .evaluation import (
     write_ablation_csv,
     write_sweep_csv,
 )
-from .losses import DomainError
 from .model import CheckpointError, ImputationModel, NumericError, load_checkpoint
 from .rng import STREAM_EVAL_MASK, derive
 from .training import TrainingError, fit, write_training_log
@@ -302,21 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        CsvFormatError,
-        SplitError,
-        MaskError,
-        CheckpointError,
-        TrainingError,
-        EvaluationError,
-        NumericError,
-        DomainError,
-        ShapeMismatchError,
-        TapeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CheckpointError, TrainingError, NumericError, TapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,12 @@
 """Flat, typed key=value run configuration.
 
 A run config is a text file of ``dotted.key = value`` lines (``#`` starts a
-comment).  Every key is declared in a registry with a type and a default, so
-unknown keys and malformed values fail loudly.  Any key can be overridden on
-the command line.  The fully resolved config serializes to a canonical,
-byte-stable echo for provenance.  :meth:`RunConfig.load_dataset` loads the
+comment).  Every key is declared in one registry with a parser, so unknown
+keys and malformed values fail loudly.  A run-level key states its default;
+a key that a config object holds names its dataclass field, which gives the
+default, and the builders pass the key's value there.  Any key can be
+overridden on the command line.  The fully resolved config serializes to a
+canonical, byte-stable echo for provenance.  :meth:`RunConfig.load_dataset` loads the
 run's series, parsing a CSV source once per run directory.
 """
 
@@ -13,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import LOADER_FORMAT, Dataset, MaskSpec, check_split_fractions, load_csv, make_synthetic
 from .losses import LossWeights
 from .model import DATASET_CACHE, CheckpointError, ModelConfig, read_container, write_container
-from .training import LOC_TARGET_OBSERVED, TrainConfig
+from .training import TrainConfig
 
 DATASET_CACHE_FILE = "dataset.bin"
 
@@ -88,7 +90,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# key -> (parser, default)
+# key -> (parser, default) for a run-level setting, or (parser, class, field)
+# for one a config object holds: its default is that dataclass field's, and
+# the builders of RunConfig pass its value to that field
 _REGISTRY: dict[str, tuple] = {
     "data.source": (_parse_str, "synthetic"),
     "data.synth_vars": (_parse_int, 7),
@@ -96,36 +100,52 @@ _REGISTRY: dict[str, tuple] = {
     "data.synth_seed": (_parse_int, 1),
     "data.synth_noise_std": (_parse_float, 0.1),
     "window.length": (_parse_int, 96),
-    "window.train_stride": (_parse_optint, None),
-    "window.val_stride": (_parse_optint, None),
-    "model.d_model": (_parse_int, 256),
-    "model.hidden_dim": (_parse_int, 256),
-    "model.attention": (_parse_bool, False),
-    "train.epochs": (_parse_int, 30),
-    "train.batch_size": (_parse_int, 64),
-    "train.learning_rate": (_parse_float, 0.001),
-    "train.adam_beta1": (_parse_float, 0.9),
-    "train.adam_beta2": (_parse_float, 0.999),
-    "train.adam_eps": (_parse_float, 1e-8),
-    "train.seed": (_parse_int, 0),
-    "train.early_stop_patience": (_parse_int, 0),
-    "train.clip_norm": (_parse_float, 5.0),
-    "train.loc_target": (_parse_str, LOC_TARGET_OBSERVED),
-    "train.split": (_parse_floatlist, [0.6, 0.2, 0.2]),
-    "train.weights.reg": (_parse_float, 0.01),
-    "train.weights.loc": (_parse_float, 1.0),
-    "train.weights.glo": (_parse_float, 0.1),
-    "train.weights.glo_variant": (_parse_str, "cosine"),
-    "train.weights.temperature": (_parse_float, 0.1),
-    "mask.pattern": (_parse_str, "point"),
-    "mask.rate": (_parse_float, 0.5),
-    "mask.block_len": (_parse_int, 4),
+    "window.train_stride": (_parse_optint, TrainConfig, "train_stride"),
+    "window.val_stride": (_parse_optint, TrainConfig, "val_stride"),
+    "model.d_model": (_parse_int, ModelConfig, "d_model"),
+    "model.hidden_dim": (_parse_int, ModelConfig, "hidden_dim"),
+    "model.attention": (_parse_bool, ModelConfig, "use_attention"),
+    "train.epochs": (_parse_int, TrainConfig, "epochs"),
+    "train.batch_size": (_parse_int, TrainConfig, "batch_size"),
+    "train.learning_rate": (_parse_float, TrainConfig, "learning_rate"),
+    "train.adam_beta1": (_parse_float, TrainConfig, "adam_beta1"),
+    "train.adam_beta2": (_parse_float, TrainConfig, "adam_beta2"),
+    "train.adam_eps": (_parse_float, TrainConfig, "adam_eps"),
+    "train.seed": (_parse_int, TrainConfig, "seed"),
+    "train.early_stop_patience": (_parse_int, TrainConfig, "early_stop_patience"),
+    "train.clip_norm": (_parse_float, TrainConfig, "clip_norm"),
+    "train.loc_target": (_parse_str, TrainConfig, "loc_target"),
+    "train.split": (_parse_floatlist, TrainConfig, "split"),
+    "train.weights.reg": (_parse_float, LossWeights, "reg"),
+    "train.weights.loc": (_parse_float, LossWeights, "loc"),
+    "train.weights.glo": (_parse_float, LossWeights, "glo"),
+    "train.weights.glo_variant": (_parse_str, LossWeights, "glo_variant"),
+    "train.weights.temperature": (_parse_float, LossWeights, "temperature"),
+    "mask.pattern": (_parse_str, MaskSpec, "pattern"),
+    "mask.rate": (_parse_float, MaskSpec, "rate"),
+    "mask.block_len": (_parse_int, MaskSpec, "block_len"),
     "eval.rates": (_parse_floatlist, [0.1, 0.3, 0.5, 0.7, 0.9]),
     "eval.patterns": (_parse_strlist, ["point"]),
     "eval.seed": (_parse_int, 1),
     "eval.normalized": (_parse_bool, True),
     "output_dir": (_parse_str, "runs/out"),
 }
+
+# TrainConfig or LossWeights field -> its key, to name it in their errors
+_TRAIN_KEYS = {
+    entry[2]: key
+    for key, entry in _REGISTRY.items()
+    if len(entry) == 3 and entry[1] in (TrainConfig, LossWeights)
+}
+
+
+def _default(entry: tuple):
+    """A key's default: its own, or its field's, a tuple given as the list
+    its parser makes."""
+    if len(entry) == 2:
+        return entry[1]
+    default = entry[1].__dataclass_fields__[entry[2]].default
+    return list(default) if isinstance(default, tuple) else default
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -152,18 +172,6 @@ def parse_override(item: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-_WEIGHT_FIELDS = {f.name for f in fields(LossWeights)}
-
-
-def _train_key(field: str) -> str:
-    """The registry key of a TrainConfig or LossWeights field."""
-    if field.endswith("_stride"):
-        return f"window.{field}"
-    if field in _WEIGHT_FIELDS:
-        return f"train.weights.{field}"
-    return f"train.{field}"
-
-
 @dataclass
 class RunConfig:
     """Fully resolved configuration: defaults, file values, then overrides."""
@@ -180,14 +188,14 @@ class RunConfig:
             key, value = parse_override(item)
             raw[key] = value
         values: dict[str, object] = {}
-        for key, (parser, default) in _REGISTRY.items():
+        for key, entry in _REGISTRY.items():
             if key in raw:
                 try:
-                    values[key] = parser(raw.pop(key))
+                    values[key] = entry[0](raw.pop(key))
                 except ConfigError as exc:
                     raise ConfigError(f"config key {key!r}: {exc}") from None
             else:
-                values[key] = default
+                values[key] = _default(entry)
         if raw:
             unknown = ", ".join(sorted(raw))
             raise ConfigError(f"unknown config keys: {unknown}")
@@ -208,6 +216,9 @@ class RunConfig:
         for key in ("eval.rates", "eval.patterns"):
             if not self.values[key]:
                 raise ConfigError(f"{key} needs at least one entry")
+        for key in ("data.synth_vars", "data.synth_steps"):
+            if self.values[key] < 1:
+                raise ConfigError(f"{key} must be >= 1, got {self.values[key]}")
         if self.values["data.synth_noise_std"] < 0.0:
             raise ConfigError("data.synth_noise_std must be >= 0")
         for r in self.values["eval.rates"]:
@@ -219,7 +230,7 @@ class RunConfig:
             check_split_fractions(split)
             for pattern in self.values["eval.patterns"]:
                 replace(self.mask_spec(), pattern=pattern).validate(model_cfg.window_len)
-            self.train_config().validate(key=_train_key)
+            self.train_config().validate(key=_TRAIN_KEYS.__getitem__)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -248,55 +259,32 @@ class RunConfig:
         else:
             ds = _load_csv_cached(source, Path(self.values["output_dir"]) / DATASET_CACHE_FILE)
         try:
-            self.train_config().validate(key=_train_key, n_vars=ds.n_vars)
+            self.train_config().validate(key=_TRAIN_KEYS.__getitem__, n_vars=ds.n_vars)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return ds
 
+    def _held(self, cls) -> dict[str, object]:
+        """The values of the keys that set fields of ``cls``, by field."""
+        return {
+            entry[2]: self.values[key]
+            for key, entry in _REGISTRY.items()
+            if len(entry) == 3 and entry[1] is cls
+        }
+
     def model_config(self, n_vars: int) -> ModelConfig:
         return ModelConfig(
-            window_len=self.values["window.length"],
-            n_vars=n_vars,
-            d_model=self.values["model.d_model"],
-            hidden_dim=self.values["model.hidden_dim"],
-            use_attention=self.values["model.attention"],
+            window_len=self.values["window.length"], n_vars=n_vars, **self._held(ModelConfig)
         )
 
     def mask_spec(self, seed: int = 0) -> MaskSpec:
-        return MaskSpec(
-            pattern=self.values["mask.pattern"],
-            rate=self.values["mask.rate"],
-            block_len=self.values["mask.block_len"],
-            seed=seed,
-        )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            reg=self.values["train.weights.reg"],
-            loc=self.values["train.weights.loc"],
-            glo=self.values["train.weights.glo"],
-            glo_variant=self.values["train.weights.glo_variant"],
-            temperature=self.values["train.weights.temperature"],
-        )
+        return MaskSpec(seed=seed, **self._held(MaskSpec))
 
     def train_config(self) -> TrainConfig:
-        split = self.values["train.split"]
+        held = self._held(TrainConfig)
+        held["split"] = tuple(held["split"])
         return TrainConfig(
-            epochs=self.values["train.epochs"],
-            batch_size=self.values["train.batch_size"],
-            learning_rate=self.values["train.learning_rate"],
-            adam_beta1=self.values["train.adam_beta1"],
-            adam_beta2=self.values["train.adam_beta2"],
-            adam_eps=self.values["train.adam_eps"],
-            seed=self.values["train.seed"],
-            weights=self.loss_weights(),
-            mask_spec=self.mask_spec(),
-            early_stop_patience=self.values["train.early_stop_patience"],
-            split=(split[0], split[1], split[2]),
-            train_stride=self.values["window.train_stride"],
-            val_stride=self.values["window.val_stride"],
-            clip_norm=self.values["train.clip_norm"],
-            loc_target=self.values["train.loc_target"],
+            weights=LossWeights(**self._held(LossWeights)), mask_spec=self.mask_spec(), **held
         )
 
 

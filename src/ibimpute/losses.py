@@ -11,6 +11,8 @@ Three ingredients combine into the training objective:
   never flow into ``z_target``.
 
 ``total_objective`` forms the weighted sum and a float breakdown for logs.
+A term with weight 0 is off: ``LossWeights.glo = 0`` is the one switch for
+the global term, and ``glo_variant`` only picks which global term runs.
 
 Each term is one tape node (:func:`~ibimpute.autodiff.custom_node`): the
 forward computes with numpy and the backward is written by hand.  Both do
@@ -41,13 +43,16 @@ class DomainError(ValueError):
 
 GLO_INFONCE = "infonce"
 GLO_COSINE = "cosine"
-GLO_NONE = "none"
-GLO_VARIANTS = (GLO_INFONCE, GLO_COSINE, GLO_NONE)
+GLO_VARIANTS = (GLO_INFONCE, GLO_COSINE)
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the objective terms plus the global-term configuration."""
+    """Weights of the objective terms plus the global-term configuration.
+
+    A term with weight 0 is off; so ``glo = 0`` alone turns the global term
+    off, as the paper's ablations do.
+    """
 
     reg: float = 0.01
     loc: float = 1.0
@@ -62,13 +67,12 @@ class LossWeights:
                 raise ValueError(f"loss weight {key(name)} must be >= 0")
         if self.glo_variant not in GLO_VARIANTS:
             raise ValueError(
-                f"{key('glo_variant')} must be one of {GLO_VARIANTS}, got {self.glo_variant!r}"
+                f"{key('glo_variant')} must be one of {GLO_VARIANTS}, got {self.glo_variant!r}; "
+                f"set {key('glo')} = 0 to turn the global term off"
             )
         if self.temperature <= 0.0:
             raise ValueError(f"{key('temperature')} must be > 0, got {self.temperature}")
-        if for_training and self.loc == 0.0 and (
-            self.glo == 0.0 or self.glo_variant == GLO_NONE
-        ):
+        if for_training and self.loc == 0.0 and self.glo == 0.0:
             raise ValueError(
                 f"training needs a data-fit term: loss weight {key('loc')} or "
                 f"{key('glo')} must be positive"
@@ -243,18 +247,14 @@ def total_objective(
     """Weighted sum of the supplied terms.
 
     Terms may be omitted (None); a missing term contributes nothing and is
-    logged as 0.  Zero-weight terms are skipped in the sum, so their value
-    still appears in the breakdown but never touches the gradient.
+    logged as 0.  Zero-weight terms are skipped in the sum, so they never
+    touch the gradient; a zero-weight regularizer or local term still logs
+    its value, but the global term at weight 0 is off and logs 0.
     """
     weights.validate()
-    use_glo = weights.glo_variant != GLO_NONE
     total: Tensor | None = None
-    for w, term, enabled in (
-        (weights.reg, reg, True),
-        (weights.loc, loc, True),
-        (weights.glo, glo, use_glo),
-    ):
-        if term is None or not enabled or w == 0.0:
+    for w, term in ((weights.reg, reg), (weights.loc, loc), (weights.glo, glo)):
+        if term is None or w == 0.0:
             continue
         piece = term * w
         total = piece if total is None else total + piece
@@ -263,7 +263,7 @@ def total_objective(
     breakdown = LossBreakdown(
         reg=float(reg.data) if reg is not None else 0.0,
         loc=float(loc.data) if loc is not None else 0.0,
-        glo=float(glo.data) if glo is not None and use_glo else 0.0,
+        glo=float(glo.data) if glo is not None and weights.glo > 0.0 else 0.0,
         total=float(total.data),
     )
     return total, breakdown

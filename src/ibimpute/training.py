@@ -41,7 +41,6 @@ from .data import (
 from .evaluation import masked_error_sums
 from .losses import (
     GLO_INFONCE,
-    GLO_NONE,
     LossBreakdown,
     LossWeights,
     cosine_align_loss,
@@ -206,7 +205,8 @@ def clip_gradients(grad: np.ndarray, sizes: list[int], max_norm: float) -> bool:
 
     The squared norm adds one partial sum per parameter, whose sizes
     ``sizes`` lists in buffer order, so its rounding is that of a sum taken
-    parameter by parameter.
+    parameter by parameter.  When the squares of a finite ``grad`` overflow,
+    it is first divided by its largest magnitude, whose squares cannot.
     """
     if max_norm <= 0.0:
         return False
@@ -219,6 +219,9 @@ def clip_gradients(grad: np.ndarray, sizes: list[int], max_norm: float) -> bool:
     norm = np.sqrt(total)
     if norm <= max_norm:
         return False
+    if not np.isfinite(norm):
+        grad /= np.max(np.abs(grad))
+        norm = np.sqrt(float(np.sum(grad * grad)))
     grad *= max_norm / norm
     return True
 
@@ -241,7 +244,6 @@ def train_step(
         raise ValueError("train_step: empty batch")
     x, m_obs, m_art = stack_windows(batch)
     x_masked_in = x * m_obs * m_art
-    use_glo = weights.glo_variant != GLO_NONE and weights.glo > 0.0
 
     if loc_target == LOC_TARGET_OBSERVED:
         target_mask = m_obs
@@ -250,7 +252,7 @@ def train_step(
 
     try:
         z_target = None
-        if use_glo:
+        if weights.glo > 0.0:
             # stop-gradient branch: no tape active, output is a plain constant
             z_target = model.encode(x * m_obs).mu.detach()
             row_norms = np.sum(
@@ -343,6 +345,7 @@ def validation_mae(model: ImputationModel, masked: list[Window]) -> float:
     return abs_sum / count
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NumericError and isfinite catch the results
 def fit(
     dataset: Dataset,
     model_cfg: ModelConfig,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ibimpute
-from ibimpute import config
+from ibimpute import cli, config
 from ibimpute.cli import main
 from ibimpute.data import Window, load_csv
 from ibimpute.model import load_checkpoint
@@ -115,6 +115,8 @@ class TestArgumentErrors:
             ("train", "model.d_model=0"),
             ("train", "window.length=0"),
             ("train", "train.split=0.5,0.3,0.3"),
+            ("train", "data.synth_vars=0"),
+            ("train", "data.synth_steps=0"),
         ],
     )
     def test_bad_config_value_exits_1_before_any_work(self, tmp_path, capsys, command, override):
@@ -147,6 +149,31 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            key
+            for key, entry in config._REGISTRY.items()
+            if entry[0] in (config._parse_int, config._parse_optint,
+                            config._parse_float, config._parse_floatlist)
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "junk"])
+    def test_numeric_key_refuses_non_numbers(self, tmp_path, capsys, key, value):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        argv = ["train", "--config", cfg_path, "--quiet", "--override", f"{key}={value}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r}: expected ")
+        assert not out_dir.exists()
+
+    def test_glo_variant_none_exits_1_naming_the_weight(self, tmp_path, capsys):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        argv = ["train", "--config", cfg_path, "--override", "train.weights.glo_variant=none"]
+        assert main(argv) == 1
+        assert "set train.weights.glo = 0 to turn the global term off" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_contrast_on_one_variable_with_batch_one_exits_1(self, tmp_path, capsys):
         cfg_path, _ = _write_cfg(tmp_path)
         argv = ["train", "--config", cfg_path, "--quiet"]
@@ -155,6 +182,26 @@ class TestArgumentErrors:
         assert main(argv + ["--override", "data.synth_vars=1"]) == 1
         assert "train.batch_size must be >= 2" in capsys.readouterr().err
         assert main(argv + ["--override", "data.synth_vars=2"]) == 0
+
+
+class TestRuntimeErrors:
+    def test_out_of_memory_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "fit", no_memory)
+        cfg_path, _ = _write_cfg(tmp_path)
+        assert main(["train", "--config", cfg_path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+    def test_overflowing_learning_rate_exits_2_without_numpy_warnings(self, tmp_path, capsys):
+        # the suite turns warnings into errors, so a raw RuntimeWarning would raise here
+        cfg_path, _ = _write_cfg(tmp_path)
+        argv = ["train", "--config", cfg_path, "--quiet", "--override", "train.learning_rate=1e300"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: three consecutive non-finite training steps; aborting\n"
 
 
 class TestTrainCommand:

@@ -9,7 +9,7 @@ from ibimpute.config import (
     parse_config_text,
     parse_override,
 )
-from ibimpute.data import CsvFormatError, load_csv
+from ibimpute.data import CsvFormatError, MaskSpec, load_csv
 from ibimpute.model import (
     DATASET_CACHE,
     CheckpointError,
@@ -20,7 +20,7 @@ from ibimpute.model import (
     save_checkpoint,
     write_container,
 )
-from ibimpute.training import TrainState, load_train_state, save_train_state
+from ibimpute.training import TrainConfig, TrainState, load_train_state, save_train_state
 
 
 class TestParseConfigText:
@@ -86,6 +86,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="glo_variant"):
             RunConfig.from_sources("train.weights.glo_variant = off\n")
 
+    def test_variant_none_points_at_the_glo_weight(self):
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_sources("train.weights.glo_variant = none\n")
+        assert str(excinfo.value) == (
+            "train.weights.glo_variant must be one of ('infonce', 'cosine'), got 'none'; "
+            "set train.weights.glo = 0 to turn the global term off"
+        )
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -117,7 +125,8 @@ class TestRunConfig:
             ("train.weights.loc = -1\n", "loss weight train.weights.loc must be >= 0"),
             ("train.weights.glo = -1\n", "loss weight train.weights.glo must be >= 0"),
             ("train.weights.glo_variant = off\n",
-             "train.weights.glo_variant must be one of ('infonce', 'cosine', 'none'), got 'off'"),
+             "train.weights.glo_variant must be one of ('infonce', 'cosine'), got 'off'; "
+             "set train.weights.glo = 0 to turn the global term off"),
             ("train.weights.temperature = 0\n", "train.weights.temperature must be > 0, got 0.0"),
             ("train.weights.loc = 0\ntrain.weights.glo = 0\n",
              "training needs a data-fit term: "
@@ -184,6 +193,12 @@ class TestResolvedText:
 
 
 class TestDerivedObjects:
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = RunConfig.from_sources()
+        assert cfg.model_config(n_vars=3) == ModelConfig(window_len=96, n_vars=3)
+        assert cfg.mask_spec(seed=4) == MaskSpec(seed=4)
+        assert cfg.train_config() == TrainConfig()
+
     def test_model_config(self):
         cfg = RunConfig.from_sources("model.d_model = 8\nwindow.length = 24\n")
         mc = cfg.model_config(n_vars=3)

@@ -11,7 +11,6 @@ from ibimpute.losses import (
     DomainError,
     GLO_COSINE,
     GLO_INFONCE,
-    GLO_NONE,
     LossWeights,
     cosine_align_loss,
     infonce_loss,
@@ -373,7 +372,7 @@ class TestTotalObjective:
         assert abs(bd.total - 0.42) < 1e-12
 
     def test_glo_none_ignores_glo(self):
-        w = LossWeights(glo_variant=GLO_NONE)
+        w = LossWeights(glo=0.0)
         total, bd = total_objective(w, reg=Tensor(1.0), loc=Tensor(1.0), glo=Tensor(5.0))
         assert bd.glo == 0.0
         assert abs(bd.total - (0.01 + 1.0)) < 1e-12

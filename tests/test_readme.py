@@ -10,6 +10,7 @@ from pathlib import Path
 
 import ibimpute
 from ibimpute import autodiff
+from ibimpute.config import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,6 +48,17 @@ def test_quickstart_runs_and_writes_every_artifact(tmp_path):
     assert len(artifacts) == 8
     for name in artifacts:
         assert (tmp_path / "runs" / "demo" / name).is_file(), name
+
+
+def test_configuration_reference_lists_the_defaults():
+    documented = {}
+    for line in _block("## Configuration reference", "ini").splitlines():
+        key, _, value = line.split(";")[0].partition(" = ")
+        documented[key] = value.strip()
+    echoed = dict(
+        line.split(" = ", 1) for line in RunConfig.from_sources().resolved_text().splitlines()
+    )
+    assert documented == echoed
 
 
 def test_library_use_block_runs(capsys):

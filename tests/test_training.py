@@ -14,7 +14,6 @@ from ibimpute.autodiff import Tape, Tensor
 from ibimpute.losses import (
     GLO_COSINE,
     GLO_INFONCE,
-    GLO_NONE,
     LossBreakdown,
     LossWeights,
     cosine_align_loss,
@@ -188,6 +187,14 @@ class TestClipGradients:
         assert abs(math.sqrt(float(np.sum(grad * grad))) - 1.0) < 1e-12
         assert abs(grad[0] / grad[2] - 3.0 / 4.0) < 1e-12
 
+    def test_overflowing_squares_still_clip_to_max_norm(self):
+        # fit runs under np.errstate(over="ignore"); the squares overflow to inf
+        grad = np.array([1e200, -1e200, 3.0])
+        with np.errstate(over="ignore"):
+            assert clip_gradients(grad, [2, 1], 5.0)
+        assert abs(float(np.linalg.norm(grad)) - 5.0) < 1e-12
+        assert np.array_equal(np.sign(grad), [1.0, -1.0, 1.0])
+
     def test_zero_threshold_disables(self):
         grad = np.array([100.0])
         assert not clip_gradients(grad, [1], 0.0)
@@ -230,7 +237,7 @@ class TestTrainStep:
     def test_glo_none_skips_projector(self):
         model = self._tiny(43)
         before = model.params["projector.w"].data.copy()
-        weights = LossWeights(glo=0.0, glo_variant=GLO_NONE)
+        weights = LossWeights(glo=0.0)
         train_step(model, _masked_batch(seed=44), weights, Adam(0.01), step_seed=45)
         # nothing feeds the projector, so its gradient is zero
         assert np.array_equal(model.params["projector.w"].data, before)
