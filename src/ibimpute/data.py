@@ -451,6 +451,7 @@ def normalize_window(window: Window, norm: Normalizer) -> Window:
     return replace(window, x=norm.normalize(window.x) * window.m_obs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Dataset's finiteness check reports the result
 def make_synthetic(
     n_vars: int, t_total: int, seed: int, noise_std: float = 0.1
 ) -> Dataset:

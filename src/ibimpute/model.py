@@ -30,11 +30,10 @@ LOG_STD_BOUND = 13.8  # exp(+-13.8) keeps sigma within (1e-6, 1e6)
 CHECKPOINT_MAGIC = b"IBCKPT1\n"
 CHECKPOINT_VERSION = 1
 _CONFIG_KEYS = ("window_len", "n_vars", "d_model", "hidden_dim", "use_attention")
-# the container's kinds, as its reader names them; each reader refuses the others
+# the container's kinds, as its reader names them; each reader refuses the other
 MODEL_CHECKPOINT = "model checkpoint"
-TRAIN_STATE = "training-state file"
 DATASET_CACHE = "dataset cache"
-_HEADER_LABELS = {MODEL_CHECKPOINT: "config", TRAIN_STATE: "state", DATASET_CACHE: "dataset"}
+_HEADER_LABELS = {MODEL_CHECKPOINT: "config", DATASET_CACHE: "dataset"}
 
 
 class NumericError(RuntimeError):
@@ -235,22 +234,13 @@ def reparameterize(dist: LatentDistribution, seed: int) -> Tensor:
     return dist.mu + dist.sigma * eps
 
 
-def _kind_of(header: dict) -> str:
-    """Which of the container's three kinds a header belongs to: a dataset
-    cache's header carries ``dataset_key``, a model checkpoint's
-    ``has_normalizer``, and a training state's neither."""
-    if "dataset_key" in header:
-        return DATASET_CACHE
-    return MODEL_CHECKPOINT if "has_normalizer" in header else TRAIN_STATE
-
-
 def write_container(
     path: str, config: ModelConfig | None, header: dict, arrays: dict[str, np.ndarray]
 ) -> None:
     """Write the one on-disk format: magic, version, a JSON header (the config
     echo, if there is a ``config``, plus ``header``), then named little-endian
-    float64 arrays.  A model checkpoint and a training state echo their
-    :class:`ModelConfig`; a dataset cache has none to echo.
+    float64 arrays.  A model checkpoint echoes its :class:`ModelConfig`; a
+    dataset cache has none to echo.
 
     The write is atomic (see :func:`data.atomic_write`), so a process killed
     mid-write leaves the previous file whole.
@@ -276,9 +266,10 @@ def read_container(
 ) -> tuple[ModelConfig | None, dict, dict[str, np.ndarray]]:
     """Parse a file from :func:`write_container` into (config, header, arrays).
 
-    ``kind`` is the kind the caller expects, :data:`MODEL_CHECKPOINT`,
-    :data:`TRAIN_STATE` or :data:`DATASET_CACHE`, and a file of another kind
-    is refused.  The config is None for a dataset cache.  Every length is
+    ``kind`` is the kind the caller expects, :data:`MODEL_CHECKPOINT` or
+    :data:`DATASET_CACHE`, and a file of the other kind is refused: a header
+    with ``dataset_key`` is a dataset cache's, any other a model checkpoint's.
+    The config is None for a dataset cache.  Every length is
     checked against the bytes left before anything is sliced or allocated,
     so any corrupt input raises :class:`CheckpointError`.
     """
@@ -309,9 +300,11 @@ def read_container(
         header = None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt {label} header")
-    found = _kind_of(header)
+    found = DATASET_CACHE if "dataset_key" in header else MODEL_CHECKPOINT
+    if found != kind:
+        raise CheckpointError(f"{path}: a {found}, not a {kind}")
     config = None
-    if found != DATASET_CACHE:
+    if kind == MODEL_CHECKPOINT:
         try:
             config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
             config.validate()
@@ -319,8 +312,6 @@ def read_container(
             raise CheckpointError(f"{path}: {label} header missing {exc}") from None
         except ValueError as exc:
             raise CheckpointError(f"{path}: {label} header: {exc}") from None
-    if found != kind:
-        raise CheckpointError(f"{path}: a {found}, not a {kind}")
 
     arrays: dict[str, np.ndarray] = {}
     (count,) = unpack("<I")
@@ -357,14 +348,6 @@ def _param_mismatch(config: ModelConfig, arrays: dict) -> str | None:
     return f"unexpected arrays {sorted(extra)}" if extra else None
 
 
-def check_params(path: str, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
-    """Raise CheckpointError unless ``arrays`` holds exactly the parameters,
-    with their shapes, that ``config`` implies."""
-    mismatch = _param_mismatch(config, arrays)
-    if mismatch:
-        raise CheckpointError(f"{path}: {mismatch}")
-
-
 def save_checkpoint(path: str, model: ImputationModel) -> None:
     """Write the model's config, parameters and normalizer as one container."""
     arrays = {name: t.data for name, t in model.params.items()}
@@ -377,6 +360,8 @@ def save_checkpoint(path: str, model: ImputationModel) -> None:
 
 def load_checkpoint(path: str) -> ImputationModel:
     cfg, header, arrays = read_container(path, MODEL_CHECKPOINT)
+    if "has_normalizer" not in header:
+        raise CheckpointError(f"{path}: config header missing 'has_normalizer'")
     normalizer = None
     if header["has_normalizer"]:
         mean = arrays.pop("normalizer.mean", None)
@@ -389,5 +374,7 @@ def load_checkpoint(path: str) -> ImputationModel:
                 f"config implies ({cfg.n_vars},)"
             )
         normalizer = Normalizer(mean=mean, std=std)
-    check_params(path, cfg, arrays)
+    mismatch = _param_mismatch(cfg, arrays)
+    if mismatch:
+        raise CheckpointError(f"{path}: {mismatch}")
     return ImputationModel(cfg, params=arrays, normalizer=normalizer)

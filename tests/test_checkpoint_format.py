@@ -22,7 +22,6 @@ from ibimpute.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from ibimpute.training import TrainState, load_train_state, save_train_state
 
 TINY = ModelConfig(window_len=3, n_vars=2, d_model=2, hidden_dim=2, use_attention=True)
 NORM = Normalizer(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.25]))
@@ -40,25 +39,6 @@ def _bytes_of(write) -> bytes:
 def _checkpoint_bytes() -> bytes:
     model = ImputationModel(TINY, seed=1, normalizer=NORM)
     return _bytes_of(lambda path: save_checkpoint(path, model))
-
-
-@functools.lru_cache(maxsize=None)
-def _state_bytes() -> bytes:
-    params = {k: t.data for k, t in ImputationModel(TINY, seed=2).params.items()}
-    state = TrainState(
-        params=params,
-        adam_m={k: v * 0.5 for k, v in params.items()},
-        adam_v={k: v * v for k, v in params.items()},
-        adam_t=3,
-        epoch=1,
-        batch_idx=2,
-        global_step=3,
-        best_val=0.75,
-        best_epoch=0,
-        best_params={k: v - 1.0 for k, v in params.items()},
-        stall=0,
-    )
-    return _bytes_of(lambda path: save_train_state(path, state, TINY))
 
 
 def _load(loader, blob: bytes):
@@ -130,11 +110,6 @@ class TestReaderErrorsAreTyped:
     @settings(max_examples=400, deadline=None)
     def test_mutated_checkpoint(self, edits):
         _loads_or_checkpoint_error(load_checkpoint, _mutate(_checkpoint_bytes(), edits))
-
-    @given(edits=_EDITS)
-    @settings(max_examples=400, deadline=None)
-    def test_mutated_train_state(self, edits):
-        _loads_or_checkpoint_error(load_train_state, _mutate(_state_bytes(), edits))
 
     @staticmethod
     def _at_name(name: bytes, offset: int, new: bytes) -> bytes:

@@ -167,6 +167,31 @@ class TestArgumentErrors:
         assert err.startswith(f"error: config key {key!r}: expected ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key", sorted(config._REGISTRY))
+    def test_edge_values_exit_0_1_or_2(self, tmp_path, monkeypatch, capsys, key):
+        huge = ("1e308", "99999999999999999999")
+        # a huge value of these would really allocate or loop that much
+        sizes = ("data.synth_vars", "data.synth_steps", "window.length",
+                 "model.d_model", "model.hidden_dim", "train.epochs")
+        for i, value in enumerate(["-1", "0", "-0", "1e-320", *huge, ""]):
+            if key in sizes and value in huge:
+                continue
+            case = tmp_path / str(i)
+            case.mkdir()
+            monkeypatch.chdir(case)
+            cfg_path, out_dir = _write_cfg(case)
+            if key == "output_dir":
+                out_dir = case / value
+            argv = ["train", "--config", cfg_path, "--quiet", "--override", f"{key}={value}"]
+            try:
+                rc = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{key}={value!r}: {exc!r} escaped main")
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), f"{key}={value!r} exited {rc}: {err}"
+            if rc == 1:
+                assert not out_dir.exists(), f"{key}={value!r} left {out_dir}: {err}"
+
     def test_glo_variant_none_exits_1_naming_the_weight(self, tmp_path, capsys):
         cfg_path, out_dir = _write_cfg(tmp_path)
         argv = ["train", "--config", cfg_path, "--override", "train.weights.glo_variant=none"]
@@ -198,10 +223,17 @@ class TestRuntimeErrors:
     def test_overflowing_learning_rate_exits_2_without_numpy_warnings(self, tmp_path, capsys):
         # the suite turns warnings into errors, so a raw RuntimeWarning would raise here
         cfg_path, _ = _write_cfg(tmp_path)
-        argv = ["train", "--config", cfg_path, "--quiet", "--override", "train.learning_rate=1e300"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == "error: three consecutive non-finite training steps; aborting\n"
+        train = ["train", "--config", cfg_path, "--quiet", "--override"]
+        synth = ["synth", "--vars", "2", "--steps", "50", "--out", str(tmp_path / "s.csv")]
+        not_finite = "error: observed entries must be finite\n"
+        for argv, message in [
+            (train + ["train.learning_rate=1e300"],
+             "error: three consecutive non-finite training steps; aborting\n"),
+            (train + ["data.synth_noise_std=1e308"], not_finite),
+            (synth + ["--noise-std", "1e308"], not_finite),
+        ]:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == message, argv
 
 
 class TestTrainCommand:

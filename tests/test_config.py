@@ -20,7 +20,7 @@ from ibimpute.model import (
     save_checkpoint,
     write_container,
 )
-from ibimpute.training import TrainConfig, TrainState, load_train_state, save_train_state
+from ibimpute.training import TrainConfig
 
 
 class TestParseConfigText:
@@ -331,17 +331,11 @@ class TestDatasetCache:
         cfg.load_dataset()
         good = cache.read_bytes()
         model_cfg = ModelConfig(window_len=3, n_vars=3, d_model=2, hidden_dim=2)
-        model = ImputationModel(model_cfg, seed=1)
         other = tmp_path / "other.bin"
-        save_checkpoint(str(other), model)
-        self._damage_is_a_miss(cfg, src, cache, good, other.read_bytes())
-        params = {k: t.data for k, t in model.params.items()}
-        save_train_state(str(other), TrainState(params=params), model_cfg)
+        save_checkpoint(str(other), ImputationModel(model_cfg, seed=1))
         self._damage_is_a_miss(cfg, src, cache, good, other.read_bytes())
         with pytest.raises(CheckpointError, match="a dataset cache, not a model checkpoint"):
             load_checkpoint(str(cache))
-        with pytest.raises(CheckpointError, match="a dataset cache, not a training-state file"):
-            load_train_state(str(cache))
 
     def test_reshaped_payload_is_a_miss(self, tmp_path):
         # the same bytes and header, read back as a 3 x 4 parse of a 4 x 3 file

@@ -1,10 +1,11 @@
 """Pinned sha256 digests of training outputs and CLI artifacts.
 
 A short deterministic fit must write the same ``training_log.csv`` and
-``checkpoint.bin`` bytes, save the same mid-epoch train state and resume from
-it to the same bytes; so must the same fit with the InfoNCE global term and
-the same fit under block masks.  Any change to the optimizer, the clipping,
-the loss terms, the parameter storage or the training masks that moves a single
+``checkpoint.bin`` bytes, stop mid-epoch in the same train state (counters,
+parameters, Adam moments and best parameters) and resume from that state to
+the same bytes; so must the same fit with the InfoNCE global term and the
+same fit under block masks.  Any change to the optimizer, the clipping, the
+loss terms, the parameter storage or the training masks that moves a single
 bit of a parameter shows here.
 
 The CLI artifacts are pinned too: what ``train``, ``eval`` (point and block
@@ -24,14 +25,8 @@ import pytest
 from ibimpute.cli import main
 from ibimpute.data import Dataset, MaskSpec, make_synthetic, write_csv
 from ibimpute.losses import GLO_INFONCE, LossWeights
-from ibimpute.model import ModelConfig
-from ibimpute.training import (
-    TrainConfig,
-    fit,
-    load_train_state,
-    save_train_state,
-    write_training_log,
-)
+from ibimpute.model import ModelConfig, _param_specs
+from ibimpute.training import TrainConfig, TrainState, fit, write_training_log
 
 DATASET = make_synthetic(3, 400, seed=5)
 TRAIN_CFG = TrainConfig(
@@ -46,28 +41,29 @@ TRAIN_CFG = TrainConfig(
 # mid-epoch 1, after the first validation has set the best parameters
 MID_EPOCH_STEP = 13
 
-# (use_attention, output) -> sha256
+# (use_attention, output) -> sha256; a ``state`` output is the train state's
+# digest (see _state_digest), the others are files
 DIGESTS = {
     (False, "training_log.csv"):
         "3530168a8d7b7f78240d306ad8e3af0a767c0e8be0fd75a73b46c561774f3620",
     (False, "checkpoint.bin"):
         "ab2e6c06f4e228731fa1499b4c93ffa2226b7702cf26bde45f8bf6ac38006ff8",
-    (False, "mid_state.bin"):
-        "d5d7d4768e871ca67e46e7cbb4c6a0e8820cb8a849368e9a044f7fc160a8d379",
+    (False, "mid_state"):
+        "aabb36ac995bbc1bf07a91ced04a1f7db4b5160398b7747de1967d81f66ae586",
     (False, "resumed/training_log.csv"):
         "458c669a676648b0dd685a357811f30fff976a285393f7dbb4925ae9cbefcb32",
-    (False, "resumed/final_state.bin"):
-        "1778d1876f61874f22e9032d64059653fa2fa394636ed9095523ee996fab4db2",
+    (False, "resumed/state"):
+        "a7b970aad14a1cd3daf900d284797afe680dbc724fe31178e41fa0e00606ae34",
     (True, "training_log.csv"):
         "6c4a44bcaed9e49a2c74f0999210ebaef32ea07a91144588d5f74989f8022658",
     (True, "checkpoint.bin"):
         "8babac226c950b8963814a55421b2d12c99128cb574214547fac421cd722d731",
-    (True, "mid_state.bin"):
-        "e09705511417d598a237a4e3c7fcdb3583e1da12113e45172bf00117e568030d",
+    (True, "mid_state"):
+        "61006abae9ffed0e54d69be55190b4d8d3fb51ba2f7f64b98699f8a51ac3972e",
     (True, "resumed/training_log.csv"):
         "c4e473f74c13c5dc19bd65c5b59459d862e1a2e79523555025fd8c95c4d0e77a",
-    (True, "resumed/final_state.bin"):
-        "2a40df1952755b3a56600b19de1ce8bccd671ead8c3dfc1bb4d791c43404b072",
+    (True, "resumed/state"):
+        "03c1092fec8569b1f9bf7a7603c206fb8347645d177b063306629d2f2ee757c0",
 }
 
 
@@ -77,8 +73,24 @@ def _model_cfg(attention: bool) -> ModelConfig:
     )
 
 
-def _outputs(out, model_cfg, train_cfg, start_state=None, max_steps=None) -> dict[str, str]:
-    """Run ``fit`` into ``out``; the sha256 of each file it leaves there."""
+_COUNTERS = ("adam_t", "epoch", "batch_idx", "global_step", "best_val", "best_epoch", "stall")
+
+
+def _state_digest(state: TrainState, model_cfg: ModelConfig) -> str:
+    """sha256 over the counters' ``repr``, then every array of the parameters,
+    the Adam moments and the best parameters as ``<f8`` bytes in spec order."""
+    digest = hashlib.sha256()
+    for key in _COUNTERS:
+        digest.update(repr(getattr(state, key)).encode("ascii"))
+    for group in (state.params, state.adam_m, state.adam_v, state.best_params):
+        for name, _, _ in _param_specs(model_cfg):
+            digest.update(np.ascontiguousarray(group[name], dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def _outputs(out, model_cfg, train_cfg, start_state=None, max_steps=None):
+    """Run ``fit`` into ``out``: the sha256 of each file it leaves there and of
+    its final train state, and that state."""
     out.mkdir()
     result = fit(
         DATASET,
@@ -89,28 +101,30 @@ def _outputs(out, model_cfg, train_cfg, start_state=None, max_steps=None) -> dic
         checkpoint_path=str(out / "checkpoint.bin"),
     )
     write_training_log(str(out / "training_log.csv"), result.log_rows)
-    save_train_state(str(out / "final_state.bin"), result.state, model_cfg)
-    return {
+    digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
     }
+    digests["state"] = _state_digest(result.state, model_cfg)
+    return digests, result.state
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Per attention setting: the digests of a full fit, of the state saved
+    """Per attention setting: the digests of a full fit, of its state stopped
     mid-epoch and of the fit resumed from that state."""
     got = {}
     for attention in (False, True):
         root = tmp_path_factory.mktemp(f"attention_{attention}")
         model_cfg = _model_cfg(attention)
-        full = _outputs(root / "full", model_cfg, TRAIN_CFG)
-        part = _outputs(root / "part", model_cfg, TRAIN_CFG, max_steps=MID_EPOCH_STEP)
-        state, loaded_cfg = load_train_state(str(root / "part" / "final_state.bin"))
-        resumed = _outputs(root / "resumed", loaded_cfg, TRAIN_CFG, start_state=state)
+        full, _ = _outputs(root / "full", model_cfg, TRAIN_CFG)
+        part, mid_state = _outputs(
+            root / "part", model_cfg, TRAIN_CFG, max_steps=MID_EPOCH_STEP
+        )
+        resumed, _ = _outputs(root / "resumed", model_cfg, TRAIN_CFG, start_state=mid_state)
         got[attention] = {
             **full,
-            "mid_state.bin": part["final_state.bin"],
+            "mid_state": part["state"],
             **{f"resumed/{name}": digest for name, digest in resumed.items()},
         }
     return got
@@ -123,7 +137,7 @@ def test_output_bytes_are_pinned(outputs, attention, name):
 
 @pytest.mark.parametrize("attention", [False, True])
 def test_resume_ends_in_the_full_runs_state(outputs, attention):
-    assert outputs[attention]["resumed/final_state.bin"] == outputs[attention]["final_state.bin"]
+    assert outputs[attention]["resumed/state"] == outputs[attention]["state"]
 
 
 # (use_attention, output) -> sha256 of the fit with the InfoNCE global term
@@ -144,7 +158,7 @@ def infonce_outputs(tmp_path_factory):
     infonce = dataclasses.replace(TRAIN_CFG, weights=LossWeights(glo_variant=GLO_INFONCE))
     root = tmp_path_factory.mktemp("infonce")
     return {
-        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), infonce)
+        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), infonce)[0]
         for attention in (False, True)
     }
 
@@ -174,7 +188,7 @@ def block_outputs(tmp_path_factory):
     )
     root = tmp_path_factory.mktemp("block")
     return {
-        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), block)
+        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), block)[0]
         for attention in (False, True)
     }
 
@@ -187,7 +201,7 @@ def test_block_mask_fit_bytes_are_pinned(block_outputs, attention, name):
 @pytest.mark.parametrize("attention", [False, True])
 def test_clipping_fires(tmp_path, outputs, attention):
     no_clip = dataclasses.replace(TRAIN_CFG, clip_norm=0.0)
-    unclipped = _outputs(tmp_path / "unclipped", _model_cfg(attention), no_clip)
+    unclipped = _outputs(tmp_path / "unclipped", _model_cfg(attention), no_clip)[0]
     assert unclipped["checkpoint.bin"] != outputs[attention]["checkpoint.bin"]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import struct
 from pathlib import Path
@@ -332,18 +333,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("blob", [b'{"window_len": 8', b"\xff{}", b"[1, 2]"])
-    def test_corrupt_header_rejected(self, tmp_path, tiny_model_cfg, blob):
-        path = tmp_path / "model.bin"
-        save_checkpoint(str(path), ImputationModel(tiny_model_cfg, seed=47))
+    @staticmethod
+    def _saved_with_header(path, cfg, edit) -> str:
+        """A saved checkpoint whose JSON header blob is replaced by ``edit(blob)``."""
+        save_checkpoint(str(path), ImputationModel(cfg, seed=47))
         raw = path.read_bytes()
         at = len(CHECKPOINT_MAGIC) + 4
         (blob_len,) = struct.unpack("<I", raw[at : at + 4])
+        blob = edit(raw[at + 4 : at + 4 + blob_len])
         path.write_bytes(
             raw[:at] + struct.pack("<I", len(blob)) + blob + raw[at + 4 + blob_len :]
         )
+        return str(path)
+
+    @pytest.mark.parametrize("blob", [b'{"window_len": 8', b"\xff{}", b"[1, 2]"])
+    def test_corrupt_header_rejected(self, tmp_path, tiny_model_cfg, blob):
+        path = self._saved_with_header(tmp_path / "model.bin", tiny_model_cfg, lambda _: blob)
         with pytest.raises(CheckpointError, match="corrupt config header"):
-            load_checkpoint(str(path))
+            load_checkpoint(path)
+
+    def test_header_without_has_normalizer_rejected(self, tmp_path, tiny_model_cfg):
+        def drop_has_normalizer(blob: bytes) -> bytes:
+            header = json.loads(blob)
+            del header["has_normalizer"]
+            return json.dumps(header).encode("utf-8")
+
+        path = self._saved_with_header(tmp_path / "model.bin", tiny_model_cfg, drop_has_normalizer)
+        with pytest.raises(CheckpointError, match="config header missing 'has_normalizer'"):
+            load_checkpoint(path)
 
     def test_loaded_model_same_forward(self, tmp_path, tiny_model_cfg, rand):
         model = self._model_with_norm(tiny_model_cfg, seed=45)

@@ -1,7 +1,6 @@
+import copy
 import dataclasses
-import json
 import math
-import struct
 import tracemalloc
 from pathlib import Path
 
@@ -24,8 +23,6 @@ from ibimpute.losses import (
 )
 from ibimpute import training
 from ibimpute.model import (
-    CHECKPOINT_MAGIC,
-    CheckpointError,
     ImputationModel,
     ModelConfig,
     _param_specs,
@@ -40,14 +37,22 @@ from ibimpute.training import (
     TrainingError,
     clip_gradients,
     fit,
-    load_train_state,
-    save_train_state,
     train_step,
     validation_mae,
     write_training_log,
 )
 
 MODEL_CFG = ModelConfig(window_len=24, n_vars=3, d_model=8, hidden_dim=10)
+
+
+def _assert_same_state(got: training.TrainState, want: training.TrainState) -> None:
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, dict):
+            assert a.keys() == b.keys(), f.name
+            assert all(np.array_equal(a[k], b[k]) for k in b), f.name
+        else:
+            assert a == b, f.name
 
 
 def _masked_batch(n_windows=4, seed=0, rate=0.5, n_vars=2, window_len=8):
@@ -455,15 +460,11 @@ class TestFit:
         assert r1.best_val_mae == r2.best_val_mae
         assert r1.log_rows == r2.log_rows
 
-    def test_resume_is_bit_exact(self, small_dataset, small_train_cfg, tmp_path):
+    def test_resume_is_bit_exact(self, small_dataset, small_train_cfg):
         full = fit(small_dataset, MODEL_CFG, small_train_cfg)
 
         part = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=7)
-        path = str(tmp_path / "state.bin")
-        save_train_state(path, part.state, MODEL_CFG)
-        loaded_state, loaded_cfg = load_train_state(path)
-        assert loaded_cfg == MODEL_CFG
-        resumed = fit(small_dataset, loaded_cfg, small_train_cfg, start_state=loaded_state)
+        resumed = fit(small_dataset, MODEL_CFG, small_train_cfg, start_state=part.state)
 
         for k in full.state.params:
             assert np.array_equal(full.state.params[k], resumed.state.params[k])
@@ -471,6 +472,16 @@ class TestFit:
             assert np.array_equal(full.state.adam_v[k], resumed.state.adam_v[k])
         assert full.state.adam_t == resumed.state.adam_t
         assert full.best_val_mae == resumed.best_val_mae
+
+    def test_a_state_resumes_twice_and_stays_unchanged(self, small_dataset, small_train_cfg):
+        state = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=13).state
+        assert state.best_params is not None  # mid-epoch 1: every array group is set
+        before = copy.deepcopy(state)
+        first = fit(small_dataset, MODEL_CFG, small_train_cfg, start_state=state)
+        second = fit(small_dataset, MODEL_CFG, small_train_cfg, start_state=state)
+        assert first.log_rows == second.log_rows
+        _assert_same_state(second.state, first.state)
+        _assert_same_state(state, before)
 
     def test_max_steps_zero_returns_init(self, small_dataset, small_train_cfg):
         result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=0)
@@ -656,97 +667,6 @@ class TestValidationMae:
             num += float(np.sum(np.abs((w.x - x_hat)) * em))
             den += float(em.sum())
         assert abs(got - num / den) < 1e-12
-
-
-class TestStateSerialization:
-    def test_round_trip(self, small_dataset, small_train_cfg, tmp_path):
-        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=4)
-        path = str(tmp_path / "state.bin")
-        save_train_state(path, result.state, MODEL_CFG)
-        loaded, cfg = load_train_state(path)
-        assert cfg == MODEL_CFG
-        s = result.state
-        for k in s.params:
-            assert np.array_equal(loaded.params[k], s.params[k])
-            assert np.array_equal(loaded.adam_m[k], s.adam_m[k])
-            assert np.array_equal(loaded.adam_v[k], s.adam_v[k])
-        assert (loaded.adam_t, loaded.epoch, loaded.batch_idx) == (
-            s.adam_t,
-            s.epoch,
-            s.batch_idx,
-        )
-        assert loaded.global_step == s.global_step
-        assert loaded.best_val == s.best_val
-        assert loaded.stall == s.stall
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "state.bin"
-        path.write_bytes(b"NOTASTATEFILE")
-        with pytest.raises(CheckpointError, match="not a checkpoint"):
-            load_train_state(str(path))
-
-    def test_round_trip_before_first_step(self, small_dataset, small_train_cfg, tmp_path):
-        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=0)
-        path = str(tmp_path / "state.bin")
-        save_train_state(path, result.state, MODEL_CFG)
-        loaded, _ = load_train_state(path)
-        assert loaded.adam_m == loaded.adam_v == {}
-        assert loaded.best_params is None
-        for k in result.state.params:
-            assert np.array_equal(loaded.params[k], result.state.params[k])
-
-    def test_model_checkpoint_is_not_a_state(self, tmp_path):
-        path = str(tmp_path / "model.bin")
-        save_checkpoint(path, ImputationModel(MODEL_CFG, seed=3))
-        with pytest.raises(CheckpointError, match="not a training-state"):
-            load_train_state(path)
-
-    def test_state_is_not_a_model_checkpoint(self, small_dataset, small_train_cfg, tmp_path):
-        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=1)
-        path = str(tmp_path / "state.bin")
-        save_train_state(path, result.state, MODEL_CFG)
-        with pytest.raises(CheckpointError, match="not a model checkpoint"):
-            load_checkpoint(path)
-
-    @staticmethod
-    def _with_header(path, small_dataset, small_train_cfg, edit):
-        """A saved state whose JSON header blob is replaced by ``edit(blob)``."""
-        result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=1)
-        save_train_state(str(path), result.state, MODEL_CFG)
-        raw = path.read_bytes()
-        at = len(CHECKPOINT_MAGIC) + 4
-        (blob_len,) = struct.unpack("<I", raw[at : at + 4])
-        blob = edit(raw[at + 4 : at + 4 + blob_len])
-        path.write_bytes(
-            raw[:at] + struct.pack("<I", len(blob)) + blob + raw[at + 4 + blob_len :]
-        )
-        return str(path)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda blob: blob[: len(blob) // 2],
-            lambda blob: b"\xff" + blob[1:],
-            lambda blob: b"[1, 2]",
-        ],
-        ids=["cut_json", "not_utf8", "not_object"],
-    )
-    def test_corrupt_header_rejected(self, tmp_path, small_dataset, small_train_cfg, edit):
-        path = self._with_header(tmp_path / "state.bin", small_dataset, small_train_cfg, edit)
-        with pytest.raises(CheckpointError, match="corrupt state header"):
-            load_train_state(path)
-
-    def test_header_missing_key_rejected(self, tmp_path, small_dataset, small_train_cfg):
-        def drop_adam_t(blob):
-            header = json.loads(blob)
-            del header["adam_t"]
-            return json.dumps(header).encode("utf-8")
-
-        path = self._with_header(
-            tmp_path / "state.bin", small_dataset, small_train_cfg, drop_adam_t
-        )
-        with pytest.raises(CheckpointError, match="state header missing 'adam_t'"):
-            load_train_state(path)
 
 
 class TestTrainingLog:
