@@ -37,6 +37,7 @@ from .evaluation import (
     evaluate,
     export_latents,
     held_out_windows,
+    latent_means,
     run_ablation,
     write_ablation_csv,
     write_sweep_csv,
@@ -186,17 +187,19 @@ def _cmd_eval(args) -> None:
     windows = held_out_windows(dataset, model.config, cfg.train_config())
     out = _out_dir(cfg)
     eval_spec = cfg.mask_spec(seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK))
+    # the unmasked view does not depend on the mask: encode it once for all cells
+    normed = [normalize_window(w, model.normalizer) for w in windows]
+    full_mu = latent_means(model, normed, full=True)
     rows: list[EvalEntry] = []
     align_rows: list[tuple[str, float, float]] = []
     for pattern in cfg["eval.patterns"]:
         per_rate = []
         for rate in cfg["eval.rates"]:
             spec = replace(eval_spec, pattern=pattern, rate=rate)
-            masked = [
-                apply_mask(normalize_window(w, model.normalizer), spec) for w in windows
-            ]
-            per_rate.append(evaluate(model, masked, spec, cfg["eval.normalized"]))
-            align_rows.append((pattern, rate, alignment_score(model, masked)))
+            masked = [apply_mask(w, spec) for w in normed]
+            mu = latent_means(model, masked)
+            per_rate.append(evaluate(model, masked, spec, cfg["eval.normalized"], mu))
+            align_rows.append((pattern, rate, alignment_score(model, masked, mu, full_mu)))
         rows.extend(per_rate)
         rows.append(average_entry(pattern, per_rate))
     write_sweep_csv(str(out / "report.csv"), rows)

@@ -210,6 +210,9 @@ class RunConfig:
         """The checks only a run config can make, then those of the model
         config, the split, the eval mask specs and the training config, whose
         errors become ConfigErrors; a training-config error names the key."""
+        for key in ("data.source", "output_dir"):
+            if not self.values[key]:
+                raise ConfigError(f"{key} must not be empty")
         split = self.values["train.split"]
         if len(split) != 3:
             raise ConfigError(f"train.split needs 3 fractions, got {split}")

@@ -334,50 +334,50 @@ def _point_mask(window: Window, spec: MaskSpec, rng: SplitMix64) -> np.ndarray:
 
 
 def _block_mask_column(
-    hidden: np.ndarray, obs: np.ndarray, spec: MaskSpec, draws: Iterator[int]
-) -> None:
-    """Hide runs in one variable's clear column (in place) until the quota is met.
+    obs_before: list[int], length: int, rate: float, draws: Iterator[int]
+) -> bytearray:
+    """The cells of one variable's column to hide (1 = hidden): runs until
+    the quota is met.  ``obs_before[i]`` counts the observed cells in
+    ``[0, i)`` of the column's ``T`` cells.
 
-    Runs have length ``L = min(block_len, T)``.  In the first phase a start
-    ``s`` is free iff ``hidden[max(s-1, 0) : min(s+L+1, T)]`` holds no hidden
-    cell, so one un-hidden cell separates runs and every run has exactly
-    length ``L``.  Once no start is free, the second phase drops that gap and
-    only requires ``hidden[s : s+L]`` to be clear.  Each run's start is
-    ``free[u % len(free)]`` for the next raw draw ``u``, as ``rng.below``
-    would pick it; the final run is truncated to the remaining quota of
-    observed cells.  If both phases stall before the quota is met, the
-    remaining observed cells are hidden left to right.
+    Runs have length ``L = length``.  In the first phase a start ``s`` is
+    free iff ``[max(s-1, 0), min(s+L+1, T))`` holds no hidden cell, so one
+    un-hidden cell separates runs and every run has exactly length ``L``.
+    Once no start is free, the second phase drops that gap and only requires
+    ``[s, s+L)`` to be clear.  Each run's start is ``free[u % len(free)]``
+    for the next raw draw ``u``, as ``rng.below`` would pick it; the final
+    run is truncated to the remaining quota of observed cells.  If both
+    phases stall before the quota is met, the remaining observed cells are
+    hidden left to right.
 
     The free starts are kept in a sorted list.  The first phase begins with
-    every start free, the second rebuilds the list once with a prefix-sum
-    pass, and each placed run deletes the starts it blocks by bisection.
+    every start free, the second rebuilds it once from the gaps between the
+    runs placed, and each placed run deletes the starts it blocks by bisection.
     """
-    t = hidden.shape[0]
-    n_obs = int(obs.sum())
-    quota = int(math.ceil(spec.rate * n_obs))
-    if quota == 0:
-        return
-    is_obs = obs == 1.0
-    # obs_before[i]: observed cells in [0, i).  Runs only ever cover
-    # un-hidden cells, so the count of hidden observed cells is kept by
-    # adding each run's observed cells.
-    obs_before = [0, *np.cumsum(is_obs).tolist()]
+    t = len(obs_before) - 1
+    hidden = bytearray(t)
+    quota = int(math.ceil(rate * obs_before[t]))
+    # runs only ever cover un-hidden cells, so the count of hidden observed
+    # cells is kept by adding each run's observed cells
     n_hidden = 0
-    length = min(spec.block_len, t)
+    runs: list[tuple[int, int]] = []
     free = list(range(t - length + 1))
     for pad in (1, 0):
         if pad == 0 and n_hidden < quota:
-            counts = np.zeros(t + 1, dtype=np.int64)  # hidden cells in [0, i)
-            hidden.cumsum(out=counts[1:])
-            free = (counts[length:] == counts[: t - length + 1]).nonzero()[0].tolist()
+            free, end = [], 0
+            for s, run in sorted(runs):
+                free += range(end, s - length + 1)
+                end = s + run
+            free += range(end, t - length + 1)
         while n_hidden < quota and free:
             s = free[next(draws) % len(free)]
-            remaining = quota - n_hidden
             run = length
-            if obs_before[s + length] - obs_before[s] > remaining:
+            target = obs_before[s] + quota - n_hidden
+            if obs_before[s + length] > target:
                 # truncate the final run to the remaining quota of observed cells
-                run = int(np.flatnonzero(is_obs[s : s + length])[remaining - 1]) + 1
-            hidden[s : s + run] = True
+                run = bisect.bisect_left(obs_before, target, s, s + length) - s
+            hidden[s : s + run] = b"\x01" * run
+            runs.append((s, run))
             n_hidden += obs_before[s + run] - obs_before[s]
             # the starts whose padded span meets [s, s + run)
             del free[
@@ -385,14 +385,15 @@ def _block_mask_column(
                 bisect.bisect_right(free, s + run + pad - 1)
             ]
     if n_hidden < quota:
-        rest = np.flatnonzero(is_obs & ~hidden)[: quota - n_hidden]
-        hidden[rest] = True
+        rest = [i for i in range(t) if not hidden[i] and obs_before[i + 1] > obs_before[i]]
+        for i in rest[: quota - n_hidden]:
+            hidden[i] = 1
+    return hidden
 
 
 def _chunked_draws(rng: SplitMix64) -> Iterator[int]:
     """``rng``'s raw outputs one by one, generated ``_DRAW_CHUNK`` at a time."""
-    while True:
-        yield from rng.u64s(_DRAW_CHUNK).tolist()
+    return itertools.chain.from_iterable(iter(lambda: rng.u64s(_DRAW_CHUNK).tolist(), None))
 
 
 def apply_mask(window: Window, spec: MaskSpec) -> Window:
@@ -406,12 +407,15 @@ def apply_mask(window: Window, spec: MaskSpec) -> Window:
     if spec.pattern == POINT:
         m_art = _point_mask(window, spec, rng)
     else:
-        t, n = window.shape
-        hidden = np.zeros((t, n), dtype=bool)
+        is_obs = window.m_obs == 1.0
+        length = min(spec.block_len, window.shape[0])
         draws = _chunked_draws(rng)
-        for col in range(n):
-            _block_mask_column(hidden[:, col], window.m_obs[:, col], spec, draws)
-        m_art = np.where(hidden & (window.m_obs == 1.0), 0.0, 1.0)
+        columns = b"".join(
+            _block_mask_column([0, *col], length, spec.rate, draws)
+            for col in np.cumsum(is_obs, axis=0).T.tolist()
+        )
+        hidden = np.frombuffer(columns, dtype=bool).reshape(is_obs.T.shape).T
+        m_art = np.where(hidden & is_obs, 0.0, 1.0)
     return replace(window, m_art=m_art)
 
 

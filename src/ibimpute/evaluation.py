@@ -10,6 +10,10 @@ One error arithmetic serves every score: :func:`point_metrics` and
 :func:`masked_error_sums`, which scores every evaluation and validation run,
 both sum ``e = (x - x_hat) * sel`` (optionally rescaled per variable) through
 ``_error_sums``.
+
+Every encoder pass here computes latent means only (:func:`latent_means`).
+``ibimpute eval`` encodes the unmasked windows once per command and each
+cell's masked windows once, for both its error sums and its alignment.
 """
 
 from __future__ import annotations
@@ -96,17 +100,31 @@ def point_metrics(
     return abs_sum / count, sq_sum / count, count
 
 
+def latent_means(model: ImputationModel, windows: list[Window], full: bool = False) -> np.ndarray:
+    """Latent means ``[W, N, d]`` of the windows' inputs ``x * m_obs * m_art`` (with
+    ``full``, of ``x * m_obs``): one μ-only encoder pass per chunk of windows."""
+    mus = []
+    for i in range(0, len(windows), _CHUNK):
+        x, m_obs, m_art = stack_windows(windows[i : i + _CHUNK])
+        x_in = x * m_obs if full else x * m_obs * m_art
+        mus.append(model.encode(x_in, mu_only=True).mu.data)
+    return np.concatenate(mus)
+
+
 def masked_error_sums(
     model: ImputationModel,
     masked: list[Window],
     positions: str = "eval",
     var_scale: np.ndarray | None = None,
+    mu: np.ndarray | None = None,
 ) -> tuple[float, float, int]:
     """Accumulated (sum |err|, sum err^2, count) over many windows.
 
     ``positions`` selects "eval" (observed and artificially hidden) or
     "observed" (every ground-truth-known position).  ``var_scale`` optionally
-    rescales errors per variable (used for source-scale metrics).
+    rescales errors per variable (used for source-scale metrics).  ``mu``,
+    the windows' :func:`latent_means` if the caller has them, is decoded
+    instead of encoding the windows again.
     """
     if positions not in ("eval", "observed"):
         raise ValueError(f"unknown position selector {positions!r}")
@@ -115,7 +133,10 @@ def masked_error_sums(
     count = 0
     for i in range(0, len(masked), _CHUNK):
         x, m_obs, m_art = stack_windows(masked[i : i + _CHUNK])
-        x_hat = model.reconstruct(x * m_obs * m_art).data
+        if mu is None:
+            x_hat = model.reconstruct(x * m_obs * m_art).data
+        else:
+            x_hat = model.decode(mu[i : i + _CHUNK]).data
         sel = m_obs * (1.0 - m_art) if positions == "eval" else m_obs
         chunk_abs, chunk_sq, chunk_count = _error_sums(x, x_hat, sel, var_scale)
         abs_sum += chunk_abs
@@ -129,16 +150,18 @@ def evaluate(
     masked: list[Window],
     spec: MaskSpec,
     normalized: bool = True,
+    mu: np.ndarray | None = None,
 ) -> EvalEntry:
     """Score one (pattern, rate) cell at the artificially hidden positions.
 
     ``masked`` holds windows normalized with the model's normalizer and then
-    masked with ``spec``; they are reconstructed with inference semantics.
+    masked with ``spec``; they are reconstructed with inference semantics,
+    from their :func:`latent_means` ``mu`` if given.
     """
     if model.normalizer is None:
         raise EvaluationError("evaluate requires a model with a fitted normalizer")
     scale = None if normalized else model.normalizer.std
-    abs_sum, sq_sum, count = masked_error_sums(model, masked, var_scale=scale)
+    abs_sum, sq_sum, count = masked_error_sums(model, masked, var_scale=scale, mu=mu)
     if count == 0:
         raise EvaluationError(
             f"mask pattern={spec.pattern} rate={spec.rate} hid no observed values"
@@ -231,34 +254,30 @@ def run_ablation(
     return AblationGrid(entries=entries)
 
 
-def _encode_both_branches(
-    model: ImputationModel, masked: list[Window]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Latent means of the masked branch and the unmasked branch, [R, d]."""
-    mus_masked, mus_full = [], []
-    for i in range(0, len(masked), _CHUNK):
-        x, m_obs, m_art = stack_windows(masked[i : i + _CHUNK])
-        mus_masked.append(model.encode(x * m_obs * m_art).mu.data)
-        mus_full.append(model.encode(x * m_obs).mu.data)
-    a = np.concatenate(mus_masked)  # [W, N, d]
-    b = np.concatenate(mus_full)
-    return a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
-
-
-def alignment_score(model: ImputationModel, masked: list[Window]) -> float:
+def alignment_score(
+    model: ImputationModel,
+    masked: list[Window],
+    mu: np.ndarray | None = None,
+    full_mu: np.ndarray | None = None,
+) -> float:
     """Mean cosine between masked-input and full-input latent means.
 
     One cosine per (window, variable) row.  Bit-identical rows score exactly
     1.0; a pair of zero rows counts as aligned (1.0); a single zero row
-    contributes 0.0.
+    contributes 0.0.  ``mu`` and ``full_mu``, the masked and the full
+    :func:`latent_means` of ``masked`` if the caller has them, are read
+    instead of encoding the windows again.
     """
     if not masked:
         raise ValueError("alignment_score: no windows")
-    return _mean_cosine(*_encode_both_branches(model, masked))
+    mu = latent_means(model, masked) if mu is None else mu
+    full_mu = latent_means(model, masked, full=True) if full_mu is None else full_mu
+    return _mean_cosine(mu, full_mu)
 
 
 def _mean_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean cosine over paired rows of two [R, d] arrays (see alignment_score)."""
+    """Mean cosine over paired rows of two [.., d] arrays (see alignment_score)."""
+    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
     dots = np.sum(a * b, axis=-1)
     na = np.sum(a * a, axis=-1)
     nb = np.sum(b * b, axis=-1)
@@ -293,7 +312,8 @@ def export_latents(model: ImputationModel, masked: list[Window], path: str) -> f
     Columns: window, variable, branch {masked, original}, pc1, pc2.
     Returns the :func:`alignment_score` of the same masked windows.
     """
-    a, b = _encode_both_branches(model, masked)
+    a, b = (latent_means(model, masked, full) for full in (False, True))
+    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
     if b.shape[0] < 3:
         raise ValueError(
             f"export_latents: need at least 3 embeddings, got {b.shape[0]}"

@@ -9,7 +9,8 @@ latents back to a ``[T, N]`` reconstruction; the projector is one affine map
 used only by the cosine-alignment objective.
 
 All forwards accept an extra leading batch dimension.  Inference never
-samples: imputation uses ``z = mu``.
+samples: imputation uses ``z = mu``, and every untaped pass (inference,
+validation, scoring, the training target) skips the log-σ head.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ class ModelConfig:
 class LatentDistribution:
     """Diagonal Gaussian over per-variable latents."""
 
-    mu: Tensor      # [.., N, d_model]
-    sigma: Tensor   # [.., N, d_model], strictly positive
+    mu: Tensor              # [.., N, d_model]
+    sigma: Tensor | None    # [.., N, d_model], strictly positive; None if skipped
 
 
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -173,8 +174,9 @@ class ImputationModel:
         w, b = self.params[f"{name}.w"], self.params[f"{name}.b"]
         return _checked(name, matmul(x, w, bias=b, relu=relu))
 
-    def encode(self, x_input) -> LatentDistribution:
-        """Zero-filled normalized window [.., T, N] -> diagonal Gaussian."""
+    def encode(self, x_input, mu_only: bool = False) -> LatentDistribution:
+        """Zero-filled normalized window [.., T, N] -> diagonal Gaussian.
+        ``mu_only`` skips the log-σ head (sigma is None); mu keeps its bits."""
         p = self.params
         x = x_input if isinstance(x_input, Tensor) else Tensor(x_input)
         if x.ndim < 2:
@@ -189,6 +191,8 @@ class ImputationModel:
             h = _checked("encoder.attn", h + softmax(scores) @ v)
         h = self._affine("encoder.hidden", h, relu=True)
         mu = self._affine("encoder.mu", h)
+        if mu_only:
+            return LatentDistribution(mu=mu, sigma=None)
         raw = self._affine("encoder.log_std", h)
         sigma = exp(clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))
         return LatentDistribution(mu=mu, sigma=sigma)
@@ -207,7 +211,7 @@ class ImputationModel:
 
     def reconstruct(self, x_input) -> Tensor:
         """Deterministic inference forward: decode the latent mean."""
-        return self.decode(self.encode(x_input).mu)
+        return self.decode(self.encode(x_input, mu_only=True).mu)
 
     def impute(self, window: Window) -> np.ndarray:
         """Fill hidden entries of one window; visible entries pass through.

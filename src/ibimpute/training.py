@@ -3,7 +3,7 @@
 Each step runs the encoder twice: once on the artificially masked input
 (gradients on, through sampling, decoding and the local/regularizer terms)
 and once on the unmasked input with no tape active, producing constant
-target embeddings for the global term.  The second pass is the
+target embeddings (latent means only) for the global term.  The second pass is the
 stop-gradient branch; nothing recorded, nothing differentiated.
 
 Determinism contract: every random draw (parameter init, per-epoch masks,
@@ -249,7 +249,7 @@ def train_step(
         z_target = None
         if weights.glo > 0.0:
             # stop-gradient branch: no tape active, output is a plain constant
-            z_target = model.encode(x * m_obs).mu.detach()
+            z_target = model.encode(x * m_obs, mu_only=True).mu.detach()
             row_norms = np.sum(
                 z_target.data.reshape(-1, z_target.shape[-1]) ** 2, axis=-1
             )

@@ -13,7 +13,7 @@ import ibimpute
 from ibimpute import cli, config
 from ibimpute.cli import main
 from ibimpute.data import Window, load_csv
-from ibimpute.model import load_checkpoint
+from ibimpute.model import ImputationModel, load_checkpoint
 
 TINY_CFG = """\
 data.source = synthetic
@@ -179,9 +179,7 @@ class TestArgumentErrors:
             case = tmp_path / str(i)
             case.mkdir()
             monkeypatch.chdir(case)
-            cfg_path, out_dir = _write_cfg(case)
-            if key == "output_dir":
-                out_dir = case / value
+            cfg_path, _ = _write_cfg(case)
             argv = ["train", "--config", cfg_path, "--quiet", "--override", f"{key}={value}"]
             try:
                 rc = main(argv)
@@ -190,7 +188,19 @@ class TestArgumentErrors:
             err = capsys.readouterr().err
             assert rc in (0, 1, 2), f"{key}={value!r} exited {rc}: {err}"
             if rc == 1:
-                assert not out_dir.exists(), f"{key}={value!r} left {out_dir}: {err}"
+                # a refused config writes nothing, in the run directory or beside it
+                left = sorted(os.listdir(case))
+                assert left == ["run.cfg"], f"{key}={value!r} left {left}: {err}"
+
+    @pytest.mark.parametrize("key", ["output_dir", "data.source"])
+    def test_empty_path_exits_1_naming_the_key_before_any_write(
+        self, tmp_path, monkeypatch, capsys, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg_path, _ = _write_cfg(tmp_path)
+        assert main(["train", "--config", cfg_path, "--quiet", "--override", f"{key}="]) == 1
+        assert capsys.readouterr().err == f"error: {key} must not be empty\n"
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_glo_variant_none_exits_1_naming_the_weight(self, tmp_path, capsys):
         cfg_path, out_dir = _write_cfg(tmp_path)
@@ -624,6 +634,71 @@ class TestExportLatentsCommand:
         score = float((out_dir / "alignment.txt").read_text())
         assert -1.0 <= score <= 1.0
         assert "alignment =" in capsys.readouterr().out
+
+
+class TestForwardPasses:
+    """Untaped passes compute latent means only: the log-σ head runs once per
+    taped training step and never in inference, validation or scoring."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Counts of encoder passes without and with the σ head, of decodes,
+        and of log-σ layers computed."""
+        counts = dict.fromkeys(["mu_only", "with_sigma", "decode", "log_std"], 0)
+        encode, decode, affine = (
+            ImputationModel.encode, ImputationModel.decode, ImputationModel._affine
+        )
+
+        def spy_encode(self, x, **kwargs):
+            counts["mu_only" if kwargs.get("mu_only") else "with_sigma"] += 1
+            return encode(self, x, **kwargs)
+
+        def spy_decode(self, z):
+            counts["decode"] += 1
+            return decode(self, z)
+
+        def spy_affine(self, name, *args, **kwargs):
+            counts["log_std"] += name == "encoder.log_std"
+            return affine(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(ImputationModel, "encode", spy_encode)
+        monkeypatch.setattr(ImputationModel, "decode", spy_decode)
+        monkeypatch.setattr(ImputationModel, "_affine", spy_affine)
+        return counts
+
+    def test_train_computes_sigma_once_per_taped_step(self, tmp_path, passes):
+        _, out_dir = _train(tmp_path)
+        steps = len((out_dir / "training_log.csv").read_text().splitlines()) - 1
+        assert steps > 0
+        # each step's taped pass and stop-gradient target; one epoch, so one
+        # validation pass over its 3 windows
+        assert passes == {
+            "mu_only": steps + 1, "with_sigma": steps, "decode": steps + 1, "log_std": steps
+        }
+
+    def test_eval_makes_one_masked_pass_per_cell_and_one_full_view_pass(self, tmp_path, passes):
+        cfg_path, _ = _train(tmp_path)
+        passes.update(dict.fromkeys(passes, 0))
+        argv = ["eval", "--config", cfg_path, "--quiet"]
+        argv += ["--override", "eval.patterns=point,block", "--override", "eval.rates=0.3,0.5,0.7"]
+        assert main(argv) == 0
+        # 2 patterns x 3 rates over the 3 test windows, one chunk
+        assert passes == {"mu_only": 6 + 1, "with_sigma": 0, "decode": 6, "log_std": 0}
+
+    def test_export_latents_encodes_each_branch_once(self, tmp_path, passes):
+        cfg_path, _ = _train(tmp_path)
+        passes.update(dict.fromkeys(passes, 0))
+        assert main(["export-latents", "--config", cfg_path, "--quiet"]) == 0
+        assert passes == {"mu_only": 2, "with_sigma": 0, "decode": 0, "log_std": 0}
+
+    def test_impute_runs_each_window_without_sigma(self, tmp_path, passes):
+        _, out_dir = _train(tmp_path)
+        passes.update(dict.fromkeys(passes, 0))
+        src = TestImputeCommand._input_csv(None, tmp_path)
+        argv = ["impute", "--checkpoint", str(out_dir / "checkpoint.bin")]
+        assert main(argv + ["--input", str(src), "--output", str(tmp_path / "f.csv")]) == 0
+        # 20 rows in windows of 16: one window and the overlapping tail
+        assert passes == {"mu_only": 2, "with_sigma": 0, "decode": 2, "log_std": 0}
 
 
 class TestAblateCommand:

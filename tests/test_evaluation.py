@@ -51,7 +51,7 @@ class _LinearStub:
         self.normalizer = normalizer
         self.fill = fill
 
-    def encode(self, x_input):
+    def encode(self, x_input, mu_only=False):
         x = x_input if isinstance(x_input, np.ndarray) else x_input.data
         mu = np.swapaxes(x, -1, -2) @ self.proj  # [.., N, d]
         return LatentDistribution(mu=Tensor(mu), sigma=Tensor(np.ones_like(mu)))

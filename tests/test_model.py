@@ -155,6 +155,30 @@ class TestForwardValues:
             tiny_model.encode(x)
 
 
+    @pytest.mark.parametrize("attention", [False, True], ids=["mlp", "attention"])
+    @pytest.mark.parametrize("widths", [(32, 64), (256, 256)], ids=["train_small", "default"])
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["one_window", "batch"])
+    def test_mu_only_pass_is_bits_of_the_full_pass_mu(self, rand, attention, widths, lead):
+        d_model, hidden = widths
+        cfg = ModelConfig(
+            window_len=96, n_vars=7, d_model=d_model, hidden_dim=hidden, use_attention=attention
+        )
+        model = ImputationModel(cfg, seed=16)
+        x = rand((*lead, 96, 7), seed=17)
+        dist = model.encode(x, mu_only=True)
+        assert dist.sigma is None
+        want = model.encode(x).mu.data
+        assert dist.mu.data.shape == want.shape
+        assert dist.mu.data.tobytes() == want.tobytes()
+
+    def test_mu_only_pass_skips_a_non_finite_log_std_head(self, tiny_model, rand):
+        tiny_model.params["encoder.log_std.b"].data[0] = np.inf
+        x = np.abs(rand((1, 8, 2), seed=18)) + 0.5
+        assert np.isfinite(tiny_model.encode(x, mu_only=True).mu.data).all()
+        with pytest.raises(NumericError, match="encoder.log_std"):
+            tiny_model.encode(x)
+
+
 def _mean_square(t, sum_all):
     return sum_all(mul(t, t)) * (1.0 / t.data.size)
 
