@@ -32,6 +32,15 @@ right operand, such as attention's ``q @ k.T``, takes numpy's broadcasting
 matmul (no bias or ReLU) and sums its gradients back down to the operand
 shapes.
 
+A shared-weight product of at least ``_SPLIT_MACS`` multiply-adds (every one
+at the default width, none at the acceptance shape) runs as two row blocks of
+one result when the process may use two CPUs: the top block on a worker
+thread, the bottom one on the caller, each one single-threaded BLAS call.  The
+caller computes the top block too if the worker has not started it by then.
+The cut is a multiple of ``_SPLIT_ROWS`` rows, where OpenBLAS groups rows as
+in the whole product, so the bytes do not change.  The worker runs only numpy,
+in the caller's context (so its ``np.errstate``); a forked child starts its own.
+
 :func:`custom_node` records a composite computed with numpy as one node with
 a hand-written backward; every loss term in :mod:`ibimpute.losses` is one.
 
@@ -47,12 +56,13 @@ the same numpy expression either way, so values do not depend on it.
 Tensors are immutable by convention while a tape that saw them is alive.  The
 exception is a model's parameters: views of one flat buffer that the optimizer
 updates in place once :meth:`Tape.backward` is done (:meth:`Gradients.flat`
-lays their gradients out the same way).  The active tape is a module-level
-slot: one tape per thread, no nesting.
+lays their gradients out the same way).  The active tape is one module-level
+slot for the whole process, not one per thread: one tape at a time, no nesting.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import itertools
 import os
@@ -91,6 +101,36 @@ def _keep_freed_memory() -> bool:
 
 
 GLIBC_KEEPS_FREED_MEMORY = _keep_freed_memory()
+
+_SPLIT_MACS = 1 << 23  # products this large run as two row blocks
+_SPLIT_ROWS = 24  # the cut between the blocks is a multiple of this many rows
+_TWO_LANES = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+_lane = None  # (pid, ThreadPoolExecutor): the worker and the process that started it
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D arrays, as two row blocks when large (module docstring)."""
+    global _lane
+    cut = len(a) // (2 * _SPLIT_ROWS) * _SPLIT_ROWS
+    if not (_TWO_LANES and cut and a.size * b.shape[1] >= _SPLIT_MACS):
+        return a @ b
+    if _lane is None or _lane[0] != os.getpid():  # no worker yet, or a forked child
+        from concurrent.futures import ThreadPoolExecutor  # only once a product splits
+
+        _lane = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="ibimpute-gemm")
+    out = np.empty((len(a), b.shape[1]))
+    top = _lane[1].submit(contextvars.copy_context().run, np.matmul, a[:cut], b, out=out[:cut])
+    try:
+        np.matmul(a[cut:], b, out=out[cut:])
+    finally:
+        late = top.cancel()  # True if the worker has not started the top block
+        if not late:
+            top.exception()  # wait for it, even when this block raised
+    if late:
+        np.matmul(a[:cut], b, out=out[:cut])
+    else:
+        top.result()  # raises the top block's error, if any
+    return out
 
 
 class Tensor:
@@ -335,7 +375,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
                 f"matmul: bias shape {bias.shape} does not match output width {n_out}"
             )
         a2 = a.data.reshape(-1, n_in)
-        pre = (a2 @ b.data).reshape(a.shape[:-1] + (n_out,))
+        pre = _gemm(a2, b.data).reshape(a.shape[:-1] + (n_out,))
         if bias is not None:
             np.add(pre, bias.data, out=pre)
         if relu:
@@ -351,9 +391,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
             g2 = g.reshape(-1, n_out)
             grads = [None] * len(inputs)
             if need[0]:
-                grads[0] = (g2 @ b.data.T).reshape(a.shape)
+                grads[0] = _gemm(g2, b.data.T).reshape(a.shape)
             if need[1]:
-                grads[1] = a2.T @ g2
+                grads[1] = _gemm(a2.T, g2)
             if bias is not None and need[2]:
                 grads[2] = _unbroadcast(g, bias.shape)
             return grads

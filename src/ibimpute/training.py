@@ -330,11 +330,9 @@ class FitResult:
 
 def validation_mae(model: ImputationModel, masked: list[Window]) -> float:
     """MAE on artificially hidden positions; falls back to all observed
-    positions when the masks hid nothing (rate 0)."""
-    abs_sum, _, count = masked_error_sums(model, masked)
-    if count > 0:
-        return abs_sum / count
-    abs_sum, _, count = masked_error_sums(model, masked, positions="observed")
+    positions when the masks hid nothing (rate 0), from one encoder pass."""
+    hid = any(np.any(w.m_obs * (1.0 - w.m_art)) for w in masked)
+    abs_sum, _, count = masked_error_sums(model, masked, "eval" if hid else "observed")
     if count == 0:
         raise TrainingError("validation split has no observed positions")
     return abs_sum / count

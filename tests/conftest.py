@@ -1,4 +1,9 @@
-import numpy as np
+import os
+
+# byte-level checks hold under the determinism contract: single-threaded BLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the BLAS setting, which numpy reads on import)
 import pytest
 
 from ibimpute.autodiff import Tensor, custom_node

@@ -1,5 +1,10 @@
 import os
+import signal
+import threading
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ibimpute import autodiff
 from ibimpute.autodiff import (
     GLIBC_KEEPS_FREED_MEMORY,
     Gradients,
@@ -16,6 +22,7 @@ from ibimpute.autodiff import (
     Tensor,
     add,
     clip,
+    custom_node,
     exp,
     grad_check,
     matmul,
@@ -147,6 +154,22 @@ class TestBackwardErrors:
             with pytest.raises(TapeError):
                 with Tape():
                     pass
+
+    def test_one_active_tape_per_process(self):
+        raised = []
+
+        def other_thread():
+            try:
+                with Tape():
+                    pass
+            except TapeError as exc:
+                raised.append(exc)
+
+        with Tape():
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+        assert len(raised) == 1
 
 
 class TestPerOpGradients:
@@ -672,3 +695,230 @@ class TestTapeMechanics:
 @settings(max_examples=50, deadline=None)
 def test_add_commutes_bitwise(a, b):
     assert np.array_equal(add(Tensor(a), Tensor(b)).data, add(Tensor(b), Tensor(a)).data)
+
+
+def _stop_lane() -> None:
+    if autodiff._lane is not None:
+        autodiff._lane[1].shutdown(wait=True)
+    autodiff._lane = None
+
+
+@pytest.fixture
+def fresh_lane(monkeypatch):
+    """No worker yet, and large products split whatever the CPU count; the
+    worker the test starts is stopped after it."""
+    _stop_lane()
+    monkeypatch.setattr(autodiff, "_TWO_LANES", True)
+    yield
+    _stop_lane()
+
+
+@pytest.fixture
+def worker_starts_first(fresh_lane, monkeypatch):
+    """As ``fresh_lane``, and each split waits until the worker has started
+    its top block, so the caller never takes one back."""
+    submit = ThreadPoolExecutor.submit
+
+    def submit_started(self, *args, **kwargs):
+        future = submit(self, *args, **kwargs)
+        deadline = time.monotonic() + 5.0
+        while not (future.running() or future.done()):
+            assert time.monotonic() < deadline, "the worker did not start its block"
+            time.sleep(1e-4)
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit_started)
+
+
+def _spy_on_submit(monkeypatch, wrap=lambda fn: fn) -> list:
+    """The futures the worker is handed from here on; ``wrap`` replaces the
+    function each runs."""
+    futures = []
+    executor = autodiff._lane[1]
+    submit = executor.submit
+
+    def spy(fn, *args, **kwargs):
+        futures.append(submit(wrap(fn), *args, **kwargs))
+        return futures[-1]
+
+    monkeypatch.setattr(executor, "submit", spy)
+    return futures
+
+
+def _default_width_step(split: bool, monkeypatch) -> np.ndarray:
+    """The parameters after one train_step at the default width (d = h = 256,
+    64 windows of 96 steps over 21 variables)."""
+    from ibimpute.data import Window
+    from ibimpute.losses import LossWeights
+    from ibimpute.model import ImputationModel, ModelConfig
+    from ibimpute.training import Adam, train_step
+
+    monkeypatch.setattr(autodiff, "_TWO_LANES", split)
+    rng = np.random.default_rng(47)
+    model = ImputationModel(ModelConfig(window_len=96, n_vars=21), seed=2)
+    batch = [
+        Window(x=rng.normal(size=(96, 21)), m_obs=np.ones((96, 21)),
+               m_art=(rng.uniform(size=(96, 21)) > 0.5).astype(float), index=i)
+        for i in range(64)
+    ]
+    _, applied = train_step(model, batch, LossWeights(), Adam(lr=1e-3), 0)
+    assert applied
+    return model.flat
+
+
+class TestTwoLaneProduct:
+    """Large shared-weight products run as two row blocks on two threads and
+    keep every byte of the one-call product."""
+
+    @pytest.mark.parametrize("a_shape, w_shape", [
+        ((64, 21, 96), (96, 256)),   # the embedding layer at the default width
+        ((1344, 256), (256, 256)),   # a hidden layer
+        ((61, 21, 255), (255, 97)),  # odd rows, inner and output widths
+        ((1343, 97), (97, 255)),
+    ])
+    def test_products_are_bytes_of_plain_matmul(self, a_shape, w_shape, worker_starts_first):
+        rng = np.random.default_rng(48)
+        a, w = rng.normal(size=a_shape), rng.normal(size=w_shape)
+        g = rng.normal(size=a_shape[:-1] + w_shape[1:])
+        a2, g2 = a.reshape(-1, w_shape[0]), g.reshape(-1, w_shape[1])
+        # all three products take rows * in * out multiply-adds
+        assert len(a2) * w.size >= autodiff._SPLIT_MACS
+        # computed first and kept alive, so no split result lands in their memory
+        refs = ((a2 @ w).reshape(g.shape), (g2 @ w.T).reshape(a.shape), a2.T @ g2)
+        ta, tw = Tensor(a), Tensor(w)
+        with Tape() as tape:
+            tape.watch(ta, tw)
+            out = matmul(ta, tw)
+            loss = custom_node(0.0, (out,), lambda _, need: (g,))
+        grads = tape.backward(loss)
+        assert autodiff._lane is not None  # the products were split
+        for got, ref in zip((out.data, grads.of(ta), grads.of(tw)), refs):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_default_width_step_is_bytes_of_one_lane(self, worker_starts_first, monkeypatch):
+        one_lane = _default_width_step(False, monkeypatch)
+        assert autodiff._lane is None
+        two_lanes = _default_width_step(True, monkeypatch)
+        assert autodiff._lane is not None
+        assert two_lanes.tobytes() == one_lane.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self, worker_starts_first):
+        rng = np.random.default_rng(49)
+        a, w = Tensor(rng.normal(size=(64, 21, 256))), Tensor(rng.normal(size=(256, 256)))
+        ref = matmul(a, w).data
+        assert autodiff._lane is not None
+        with warnings.catch_warnings():
+            # forking with the worker alive is the case under test
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(10)  # a child waiting on the parent's worker dies here
+                code = 0 if np.array_equal(matmul(a, w).data, ref) else 3
+                code = code or (4 if autodiff._lane[0] != os.getpid() else 0)
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @staticmethod
+    def _overflowing(top: bool) -> tuple[Tensor, Tensor]:
+        """A product above the floor that overflows in its top block (the
+        worker's) or its bottom block (the caller's) only."""
+        a = np.ones((1344, 256))
+        a[slice(0, 24) if top else slice(-24, None)] = 1e200
+        return Tensor(a), Tensor(np.full((256, 256), 1e200))
+
+    def test_callers_errstate_reaches_the_worker(self, worker_starts_first):
+        a, w = self._overflowing(top=True)
+        with np.errstate(over="ignore"):
+            out = matmul(a, w).data  # a warning would be an error in this suite
+        assert autodiff._lane is not None
+        assert np.isinf(out[:24]).all()
+
+    @pytest.mark.parametrize("top", [True, False])
+    def test_overflow_warns_as_the_one_lane_product_does(
+        self, top, worker_starts_first, monkeypatch
+    ):
+        a, w = self._overflowing(top)
+        for split in (False, True):
+            monkeypatch.setattr(autodiff, "_TWO_LANES", split)
+            with pytest.raises(RuntimeWarning, match="^overflow encountered in matmul$"):
+                matmul(a, w)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                matmul(a, w)
+            assert [(c.category, str(c.message)) for c in caught] == [
+                (RuntimeWarning, "overflow encountered in matmul")
+            ]
+        assert autodiff._lane is not None
+
+    def test_worker_is_joined_before_an_error_returns(self, worker_starts_first, monkeypatch):
+        rng = np.random.default_rng(50)
+        matmul(Tensor(rng.normal(size=(1344, 256))), Tensor(rng.normal(size=(256, 256))))
+
+        def late(fn):
+            def run(*args, **kwargs):
+                time.sleep(0.2)
+                return fn(*args, **kwargs)
+            return run
+
+        futures = _spy_on_submit(monkeypatch, late)
+        with pytest.raises(RuntimeWarning):
+            matmul(*self._overflowing(top=False))  # the caller's block raises
+        assert len(futures) == 1 and futures[0].done() and not futures[0].cancelled()
+
+    def test_caller_takes_back_a_block_the_worker_has_not_started(self, fresh_lane, monkeypatch):
+        rng = np.random.default_rng(51)
+        a, w = rng.normal(size=(1344, 256)), rng.normal(size=(256, 256))
+        ref = a @ w
+        matmul(Tensor(a), Tensor(w))
+        busy = autodiff._lane[1].submit(time.sleep, 0.5)
+        futures = _spy_on_submit(monkeypatch)
+        out = matmul(Tensor(a), Tensor(w)).data
+        assert not busy.done()  # the product did not wait for the worker
+        assert len(futures) == 1 and futures[0].cancelled()
+        assert out.tobytes() == ref.tobytes()
+
+    def test_worker_enters_no_package_code(self, worker_starts_first, monkeypatch):
+        package = os.path.dirname(autodiff.__file__)
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_filename)
+
+        threading.setprofile(profile)  # only threads started from here on
+        try:
+            _default_width_step(True, monkeypatch)
+        finally:
+            threading.setprofile(None)
+        assert autodiff._lane is not None and called  # the worker ran products
+        assert not [f for f in called if f.startswith(package)]
+
+    def test_acceptance_shape_starts_no_worker(self, fresh_lane, tmp_path):
+        from ibimpute.cli import main
+
+        threads = threading.active_count()
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--vars", "7", "--steps", "1200", "--seed", "3",
+                     "--out", str(data)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data.source = {data}\nwindow.length = 96\nmodel.d_model = 32\n"
+            "model.hidden_dim = 64\ntrain.batch_size = 8\ntrain.epochs = 1\n"
+            f"eval.patterns = point,block\noutput_dir = {tmp_path / 'run'}\n"
+        )
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        assert main(["eval", "--config", str(cfg), "--quiet"]) == 0
+        rows = data.read_text().splitlines()
+        holes = [rows[0]] + [",".join(["", *r.split(",")[1:]]) if i % 9 == 0 else r
+                             for i, r in enumerate(rows[1:300])]
+        holed = tmp_path / "holes.csv"
+        holed.write_text("\n".join(holes) + "\n")
+        assert main(["impute", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                     "--input", str(holed), "--output", str(tmp_path / "filled.csv")]) == 0
+        assert autodiff._lane is None
+        assert threading.active_count() == threads

@@ -10,6 +10,7 @@ import pytest
 from ibimpute.data import MaskSpec, apply_mask, make_synthetic, make_windows, normalize_window
 from ibimpute.data import Normalizer
 from ibimpute.autodiff import Tape, Tensor
+from ibimpute.evaluation import masked_error_sums
 from ibimpute.losses import (
     GLO_COSINE,
     GLO_INFONCE,
@@ -654,6 +655,23 @@ class TestValidationMae:
         masked = _masked_batch(seed=61, rate=0.0)
         mae = validation_mae(model, masked)
         assert np.isfinite(mae) and mae >= 0.0
+
+    def test_rate_zero_scores_from_one_encoder_pass(self, monkeypatch):
+        model = ImputationModel(
+            ModelConfig(window_len=8, n_vars=2, d_model=4, hidden_dim=6), seed=60
+        )
+        masked = _masked_batch(seed=61, rate=0.0)  # 4 windows: one chunk
+        abs_sum, _, count = masked_error_sums(model, masked, positions="observed")
+        encodes = []
+        encode = ImputationModel.encode
+
+        def spy(self, x, **kwargs):
+            encodes.append(kwargs)
+            return encode(self, x, **kwargs)
+
+        monkeypatch.setattr(ImputationModel, "encode", spy)
+        assert validation_mae(model, masked) == abs_sum / count
+        assert encodes == [{"mu_only": True}]
 
     def test_matches_manual_computation(self):
         cfg = ModelConfig(window_len=8, n_vars=2, d_model=4, hidden_dim=6)
