@@ -1,13 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The engine holds only the ops the model uses: ``add``, ``mul``, ``matmul``,
-``exp``, ``clip``, ``transpose`` and ``softmax``, plus :func:`custom_node` for
-a composite with a hand-written backward, and :func:`grad_check`.  Forward ops
-compute with numpy and, when a :class:`Tape` is active, append one node per
-call that has an input needing a gradient; :meth:`Tape.backward` walks the
-nodes once in reverse, so a chain of k ops costs k backward visits and never
-re-runs the forward pass.  With no active tape the same ops run in plain
-inference mode and record nothing.
+``transpose`` and ``softmax``, plus :func:`custom_node` for a composite with a
+hand-written backward, and :func:`grad_check`.  Forward ops compute with numpy
+and, when a :class:`Tape` is active, append one node per call that has an
+input needing a gradient; :meth:`Tape.backward` walks the nodes once in
+reverse, so a chain of k ops costs k backward visits and never re-runs the
+forward pass.  With no active tape the same ops run in plain inference mode
+and record nothing.
+
+A tape is swept once: :meth:`Tape.backward` releases each node's output,
+inputs and backward as soon as it has visited the node, so an activation dies
+once the sweep no longer reads it, and a second sweep raises :class:`TapeError`.
 
 A tensor needs a gradient if it is ``trainable``, if it was passed to
 :meth:`Tape.watch` before its first use on the tape, or if it is the output
@@ -167,14 +171,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
 
     def __matmul__(self, other):
         return matmul(self, _lift(other))
@@ -226,21 +224,24 @@ class Tape:
 
         ``loss`` must be scalar.  Each node is visited exactly once, in
         reverse recording order (which is a topological order because the
-        tape is append-only).  A node's output gradient is dropped once the
-        node has used it, unless that output is watched, so at the end only
-        the gradients of trainable and watched tensors are alive.
+        tape is append-only), and then released.  A node's output gradient is
+        dropped once the node has used it, unless that output is watched, so
+        at the end only the gradients of trainable and watched tensors are alive.
         """
         if loss.shape != ():
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
+        if self.nodes and self.nodes[-1].backward is None:
+            raise TapeError("this tape was already swept; a tape is swept once")
         if self.nodes and all(node.out is not loss for node in reversed(self.nodes)):
             raise TapeError("loss tensor was not recorded on this tape")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
         for node in reversed(self.nodes):
-            uid = node.out.uid
+            uid, inputs, backward = node.out.uid, node.inputs, node.backward
+            node.out = node.inputs = node.backward = None  # drop the tape's references
             g_out = grads.get(uid) if uid in self._watched else grads.pop(uid, None)
             if g_out is None:
                 continue  # no path from this node's output to the loss
-            for t, g in zip(node.inputs, node.backward(g_out)):
+            for t, g in zip(inputs, backward(g_out)):
                 if g is None:
                     continue  # t needs no gradient
                 acc = grads.get(t.uid)
@@ -421,18 +422,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
         return ga, gb
 
     return _record(out, (a, b), backward, need)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes inside the interval (inclusive)."""
-    out = Tensor(np.clip(a.data, lo, hi))
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g: (g * mask,))
 
 
 def transpose(a: Tensor) -> Tensor:

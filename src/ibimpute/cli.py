@@ -44,7 +44,7 @@ from .evaluation import (
 )
 from .model import CheckpointError, ImputationModel, NumericError, load_checkpoint
 from .rng import STREAM_EVAL_MASK, derive
-from .training import TrainingError, fit, write_training_log
+from .training import TrainingError, fit
 
 
 class UsageError(Exception):
@@ -174,8 +174,8 @@ def _cmd_train(args) -> None:
         cfg.train_config(),
         checkpoint_path=str(out / "checkpoint.bin"),
         progress=not args.quiet,
+        log_path=str(out / "training_log.csv"),
     )
-    write_training_log(str(out / "training_log.csv"), result.log_rows)
     print(f"best_epoch = {result.best_epoch}")
     print(f"best_val_mae = {result.best_val_mae!r}")
 

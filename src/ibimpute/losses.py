@@ -102,7 +102,10 @@ def reg_loss(dist: LatentDistribution) -> Tensor:
     var = sigma.data * sigma.data
     if np.any(var <= 0.0):
         raise DomainError("log: input must be strictly positive")
-    kl = (((mu.data * mu.data + var) - np.log(var)) - 1.0).sum(axis=-1) * 0.5
+    terms = mu.data * mu.data  # ((mu^2 + var) - log var) - 1, built in place
+    terms += var
+    terms -= np.log(var, out=var)
+    kl = np.subtract(terms, 1.0, out=terms).sum(axis=-1) * 0.5
     count = kl.size if kl.ndim > 0 else None
 
     def backward(g, need):
@@ -158,11 +161,12 @@ def _rows(name: str, t: Tensor) -> np.ndarray:
 def _unit_rows(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``rows`` scaled to unit L2 norm, and their norms [rows, 1]: each row
     divided by the square root of its sum of squares."""
-    norms_sq = (rows * rows).sum(axis=-1, keepdims=True)
+    unit = rows * rows  # the squares, then the unit rows
+    norms_sq = unit.sum(axis=-1, keepdims=True)
     if np.any(norms_sq == 0.0):
         raise ValueError(f"{name}: zero-norm row cannot be normalized")
     norms = np.sqrt(norms_sq)
-    return rows / norms, norms
+    return np.divide(rows, norms, out=unit), norms
 
 
 def infonce_loss(z_proj: Tensor, z_target: Tensor, temperature: float = 0.1) -> Tensor:
@@ -235,7 +239,8 @@ def cosine_align_loss(z_proj: Tensor, z_target: Tensor) -> Tensor:
         g_a = g_na / r + (g_norms_sq * 2.0) * a
         return (g_a.reshape(z_proj.shape),)
 
-    return custom_node(-(na * nb).sum(axis=-1).mean(), (z_proj,), backward)
+    na *= nb  # only the backward's arrays outlive the forward
+    return custom_node(-na.sum(axis=-1).mean(), (z_proj,), backward)
 
 
 def total_objective(

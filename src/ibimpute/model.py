@@ -11,6 +11,9 @@ used only by the cosine-alignment objective.
 All forwards accept an extra leading batch dimension.  Inference never
 samples: imputation uses ``z = mu``, and every untaped pass (inference,
 validation, scoring, the training target) skips the log-σ head.
+
+The log-σ head and the sampler are one tape node each, which keeps only what
+its backward reads and does the float ops of the op chain it replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, clip, exp, matmul, softmax, transpose
+from .autodiff import Tensor, custom_node, matmul, softmax, transpose
 from .data import Normalizer, Window, atomic_write
 from .rng import STREAM_INIT, STREAM_NOISE, SplitMix64, derive
 
@@ -193,8 +196,7 @@ class ImputationModel:
         mu = self._affine("encoder.mu", h)
         if mu_only:
             return LatentDistribution(mu=mu, sigma=None)
-        raw = self._affine("encoder.log_std", h)
-        sigma = exp(clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))
+        sigma = log_std_sigma(self._affine("encoder.log_std", h))
         return LatentDistribution(mu=mu, sigma=sigma)
 
     def decode(self, z) -> Tensor:
@@ -228,14 +230,25 @@ class ImputationModel:
         return np.where(visible == 1.0, window.x, x_hat)
 
 
+def log_std_sigma(raw: Tensor) -> Tensor:
+    """``exp(clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))`` as one node that
+    keeps sigma and where ``raw`` is within the bounds, ends included."""
+    sigma = np.exp(np.clip(raw.data, -LOG_STD_BOUND, LOG_STD_BOUND))
+    inside = (raw.data >= -LOG_STD_BOUND) & (raw.data <= LOG_STD_BOUND)
+    return custom_node(sigma, (raw,), lambda g, need: ((g * sigma) * inside,))
+
+
 def reparameterize(dist: LatentDistribution, seed: int) -> Tensor:
     """Draw z = mu + sigma * eps with eps ~ N(0, I) from a seeded stream.
 
     Gradients flow to mu and sigma; eps is a constant.
     """
     rng = SplitMix64(derive(seed, STREAM_NOISE))
-    eps = Tensor(rng.normals(dist.mu.shape))
-    return dist.mu + dist.sigma * eps
+    eps = rng.normals(dist.mu.shape)
+    z = dist.sigma.data * eps
+    z += dist.mu.data  # mu + sigma * eps: the sum is the same either way round
+    return custom_node(z, (dist.mu, dist.sigma),
+                       lambda g, need: (g if need[0] else None, g * eps if need[1] else None))
 
 
 def write_container(

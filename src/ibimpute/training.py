@@ -266,7 +266,7 @@ def train_step(
             x_hat = model.decode(z)
             reg = reg_loss(dist)
             loc = loc_loss(Tensor(x), x_hat, Tensor(target_mask))
-            glo = None
+            glo = z_proj = None
             if z_target is not None:
                 z_proj = model.project(z)
                 if weights.glo_variant == GLO_INFONCE:
@@ -276,6 +276,9 @@ def train_step(
             total, breakdown = total_objective(weights, reg=reg, loc=loc, glo=glo)
     except NumericError:
         return LossBreakdown(float("nan"), float("nan"), float("nan"), float("nan")), False
+    # the tape now holds the only references to the step's arrays, so each
+    # dies as soon as the backward sweep has visited the last node reading it
+    del x, m_obs, m_art, x_masked_in, target_mask, z_target, dist, z, x_hat, z_proj, reg, loc, glo
 
     if not np.isfinite(breakdown.total):
         return breakdown, False
@@ -347,12 +350,16 @@ def fit(
     max_steps: int | None = None,
     checkpoint_path: str | None = None,
     progress: bool = False,
+    log_path: str | None = None,
 ) -> FitResult:
     """Train on the chronological train split, select on the val split.
 
     ``max_steps`` stops after that many optimizer steps (counted across the
     whole run, including steps done before ``start_state`` was captured);
-    the returned state resumes bit-exactly.
+    the returned state resumes bit-exactly.  Given ``log_path``, the log
+    rows of this call are written there (:func:`write_training_log`) as each
+    epoch ends, before that epoch's checkpoint, and when ``max_steps`` stops
+    the run, so a killed run leaves the whole log of its finished epochs.
     """
     cfg.validate(n_vars=model_cfg.n_vars)
     model_cfg.validate()
@@ -368,6 +375,7 @@ def fit(
     val_spec = replace(cfg.mask_spec, seed=derive(cfg.seed, STREAM_VAL_MASK))
     val_windows = make_windows(val_seg, window_len, val_stride)
     val_masked = [apply_mask(normalize_window(w, norm), val_spec) for w in val_windows]
+    del train_windows_raw, val_windows  # only the normalized windows are used from here on
 
     state = start_state or TrainState()
     # a state from before the first step has no parameters: draw them from the seed
@@ -436,6 +444,8 @@ def fit(
         n_steps = 0
         for batch_idx in range(resume_batch, len(batches)):
             if max_steps is not None and global_step >= max_steps:
+                if log_path is not None:
+                    write_training_log(log_path, log_rows)
                 return finish(epoch, batch_idx)
             step_seed = derive(cfg.seed, STREAM_NOISE, epoch, batch_idx)
             breakdown, stepped = train_step(
@@ -473,6 +483,8 @@ def fit(
         means = sums / max(n_steps, 1)
         # means holds reg, loc, glo and total, in EpochStats' field order
         history.append(EpochStats(epoch, *means.tolist(), val_mae, n_steps))
+        if log_path is not None:
+            write_training_log(log_path, log_rows)
         if val_mae < best_val:
             best_val = val_mae
             best_epoch = epoch

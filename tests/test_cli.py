@@ -378,6 +378,7 @@ def test_sigkilled_train_leaves_whole_files(tmp_path, monkeypatch):
     start = time.perf_counter()
     assert child(tmp_path / "whole").wait(timeout=300) == 0
     full_run = time.perf_counter() - start
+    whole_log = (tmp_path / "whole" / "training_log.csv").read_text().splitlines()
     killed = with_checkpoint = 0
     for k, share in enumerate((0.05, 0.3, 0.5, 0.7, 0.85)):
         out_dir = tmp_path / f"kill{k}"
@@ -397,6 +398,9 @@ def test_sigkilled_train_leaves_whole_files(tmp_path, monkeypatch):
         if not checkpoint.exists():
             continue
         load_checkpoint(str(checkpoint))
+        # the log of each finished epoch is written before its checkpoint
+        rows = (out_dir / "training_log.csv").read_text().splitlines()
+        assert len(rows) > 1 and rows == whole_log[: len(rows)]
         with_checkpoint += 1
         fresh = tmp_path / f"fresh{k}"
         for run_dir in (out_dir, fresh):

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibimpute.autodiff import Tape, Tensor, grad_check, mul
+from ibimpute.autodiff import Tape, Tensor, _record, add, grad_check, mul
 from ibimpute.data import MaskSpec, Normalizer, Window, apply_mask, make_synthetic, make_windows
 from ibimpute.model import (
     CHECKPOINT_MAGIC,
+    LOG_STD_BOUND,
     CheckpointError,
     ImputationModel,
     LatentDistribution,
@@ -18,10 +19,12 @@ from ibimpute.model import (
     NumericError,
     init_params,
     load_checkpoint,
+    log_std_sigma,
     param_views,
     reparameterize,
     save_checkpoint,
 )
+from ibimpute.rng import STREAM_NOISE, SplitMix64, derive
 
 
 def _expected_param_count(cfg: ModelConfig) -> int:
@@ -259,6 +262,107 @@ class TestReparameterize:
         assert np.array_equal(grads.of(mu), np.ones((2, 3)))
         eps = (z.data - mu.data) / sigma.data
         assert np.max(np.abs(grads.of(sigma) - eps)) < 1e-12
+
+
+def _reference_exp(a):
+    # the deleted ``autodiff.exp``, verbatim
+    out = Tensor(np.exp(a.data))
+    return _record(out, (a,), lambda g: (g * out.data,))
+
+
+def _reference_clip(a, lo, hi):
+    # the deleted ``autodiff.clip``, verbatim
+    out = Tensor(np.clip(a.data, lo, hi))
+    mask = (a.data >= lo) & (a.data <= hi)
+    return _record(out, (a,), lambda g: (g * mask,))
+
+
+def _reference_sigma(raw):
+    return _reference_exp(_reference_clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))
+
+
+def _reference_sampler(dist, seed):
+    """The sampler as the ``add`` and ``mul`` nodes it was built from."""
+    eps = Tensor(SplitMix64(derive(seed, STREAM_NOISE)).normals(dist.mu.shape))
+    return dist.mu + dist.sigma * eps
+
+
+def _raw_across_the_bounds():
+    """Log-σ head outputs on both sides of each bound and on the bounds."""
+    b = LOG_STD_BOUND
+    edges = [-b - 5.0, np.nextafter(-b, -np.inf), -b, np.nextafter(-b, np.inf), 0.0,
+             np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf), b + 5.0]
+    rng = np.random.default_rng(60)
+    return np.concatenate([edges, rng.uniform(-2.0 * b, 2.0 * b, size=63)]).reshape(8, 9)
+
+
+class TestFusedNodes:
+    """The σ head and the sampler are one node each, with the values and
+    gradients, to the bit, of the chains of ops they replace."""
+
+    @staticmethod
+    def _run(f, inputs, sum_all):
+        """``f``'s value, the gradient of ``sum(f * G) + sum(inputs[0] * H)``
+        for each input (the second term adds a branch, as the KL does), and
+        the node count."""
+        tensors = [Tensor(x) for x in inputs]
+        rng = np.random.default_rng(61)
+        with Tape() as tape:
+            tape.watch(*tensors)
+            out = f(*tensors)
+            g, h = (Tensor(rng.normal(size=out.shape)) for _ in range(2))
+            loss = add(sum_all(mul(out, g)), sum_all(mul(tensors[0], h)))
+        n_nodes = len(tape.nodes)
+        grads = tape.backward(loss)
+        return out.data, [grads.of(t) for t in tensors], n_nodes
+
+    def test_sigma_is_bits_of_exp_of_clip(self, sum_all):
+        raw = _raw_across_the_bounds()
+        out, (g,), nodes = self._run(log_std_sigma, (raw,), sum_all)
+        ref_out, (ref_g,), ref_nodes = self._run(_reference_sigma, (raw,), sum_all)
+        assert (nodes, ref_nodes) == (6, 7)
+        assert out.tobytes() == ref_out.tobytes()
+        assert g.tobytes() == ref_g.tobytes()
+        inside = np.abs(raw) <= LOG_STD_BOUND
+        assert inside.any() and (~inside).any()
+
+    def test_sampler_is_bits_of_mu_plus_sigma_eps(self, rand, sum_all):
+        mu = rand((4, 3, 5), seed=62)
+        sigma = np.exp(rand((4, 3, 5), seed=63, low=-3.0, high=3.0))
+
+        def fused(mu, sigma):
+            return reparameterize(LatentDistribution(mu=mu, sigma=sigma), seed=64)
+
+        def chain(mu, sigma):
+            return _reference_sampler(LatentDistribution(mu=mu, sigma=sigma), seed=64)
+
+        out, grads, nodes = self._run(fused, (mu, sigma), sum_all)
+        ref_out, ref_grads, ref_nodes = self._run(chain, (mu, sigma), sum_all)
+        assert (nodes, ref_nodes) == (6, 7)
+        assert out.tobytes() == ref_out.tobytes()
+        assert len(grads) == 2
+        for g, ref in zip(grads, ref_grads):
+            assert g.tobytes() == ref.tobytes()
+
+    def test_sigma_grad_check(self, sum_all):
+        # entries stay 0.05 or more off the bounds, where the gradient jumps
+        rng = np.random.default_rng(65)
+        b = LOG_STD_BOUND
+        for centre in (-b - 1.0, 0.0, b - 1.0, b + 1.0):
+            at = Tensor(centre + rng.uniform(-0.95, 0.95, size=(3, 4)))
+            report = grad_check(lambda t: sum_all(log_std_sigma(t)), at)
+            assert report.passed, report.max_rel_err
+
+    def test_sampler_grad_check(self, rand, sum_all):
+        mu = Tensor(rand((3, 4), seed=66))
+        sigma = Tensor(np.abs(rand((3, 4), seed=67)) + 0.5)
+
+        def loss(mu_t, sigma_t):
+            z = reparameterize(LatentDistribution(mu=mu_t, sigma=sigma_t), seed=68)
+            return sum_all(mul(z, z))
+
+        assert grad_check(lambda t: loss(t, sigma), mu).passed
+        assert grad_check(lambda t: loss(mu, t), sigma).passed
 
 
 class TestImpute:
