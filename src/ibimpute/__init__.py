@@ -7,6 +7,11 @@ latent alignment), plus data masking, training, evaluation, and a CLI for
 reproducible experiments.
 """
 
+import os
+
+# byte-exact outputs need one BLAS thread; OpenBLAS reads this when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .autodiff import Tape, Tensor, grad_check
 from .data import Dataset, MaskSpec, Normalizer, Window
 from .losses import LossBreakdown, LossWeights

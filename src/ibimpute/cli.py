@@ -255,16 +255,16 @@ def _cmd_impute(args) -> None:
     if starts[-1] + t_len < ds.length:
         starts.append(ds.length - t_len)  # overlapping tail window
     filled = ds.values.copy()
-    done = ds.native_mask.copy()  # 1 where the value is already final
+    done = ds.native_mask.copy()  # True where the value is already final
     for s in starts:
         window = Window(x=ds.values[s : s + t_len], m_obs=ds.native_mask[s : s + t_len])
         out_win = model.impute(window)
         span = slice(s, s + t_len)
-        todo = done[span] == 0.0
+        todo = ~done[span]
         filled[span][todo] = out_win[todo]
-        done[span][todo] = 1.0
+        done[span] = True
     header, *body = raw_rows
-    gap_t, gap_i = np.nonzero(ds.native_mask == 0.0)
+    gap_t, gap_i = np.nonzero(~ds.native_mask)
     for t, i, v in zip(gap_t.tolist(), gap_i.tolist(), filled[gap_t, gap_i].tolist()):
         body[t][i] = repr(v)
     out = Path(args.output)
@@ -273,8 +273,7 @@ def _cmd_impute(args) -> None:
     write_rows(out, header, body)
     with atomic_write(str(out) + ".meta") as fh:
         fh.write(f"checkpoint = {args.checkpoint}\ninput = {args.input}\n")
-    n_filled = int((1.0 - ds.native_mask).sum())
-    print(f"wrote {out} ({n_filled} cells filled)")
+    print(f"wrote {out} ({len(gap_t)} cells filled)")
 
 
 def _cmd_export_latents(args) -> None:

@@ -301,10 +301,11 @@ def _sha256_of(path) -> str:
 
 
 def _payload_sha256(names: list[str], values, native_mask) -> str:
-    """The hex sha256 of a parse: its names, its shape and both arrays' bytes."""
+    """The hex sha256 of a parse: its names, its shape and both arrays' bytes,
+    the mask's as float64, the form the container keeps."""
     digest = hashlib.sha256(json.dumps([names, list(values.shape)]).encode("utf-8"))
     digest.update(values.tobytes())
-    digest.update(native_mask.tobytes())
+    digest.update(native_mask.astype("<f8", copy=False).tobytes())
     return digest.hexdigest()
 
 

@@ -3,7 +3,10 @@
 Conventions used throughout:
 
 * arrays are time-major ``[T, N]`` float64;
-* masks are {0, 1} with 1 = observed / kept visible;
+* masks are bool, one byte per cell, with True = observed / kept visible; a
+  product or sum reads a cell as exactly 0.0 or 1.0;
+* split segments and windows are read-only views of their series; normalizing
+  and masking make new arrays;
 * the model input is the literal product ``x * observed_mask * artificial_mask``
   (hidden entries become zeros, no learned missing token);
 * evaluation positions are exactly the entries that are observed in the
@@ -54,21 +57,25 @@ class MaskError(ValueError):
 
 @dataclass
 class Dataset:
-    """A full multivariate series with its native missingness mask."""
+    """A full multivariate series with its native missingness mask; a bool
+    mask is kept as it is, a numeric one must hold only 0s and 1s."""
 
     values: np.ndarray          # [T_total, N]
-    native_mask: np.ndarray     # [T_total, N], 1 = present in source
+    native_mask: np.ndarray     # [T_total, N] bool, True = present in source
     variable_names: list[str]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.native_mask = np.asarray(self.native_mask, dtype=np.float64)
+        mask = np.asarray(self.native_mask)
+        if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
+            raise ValueError("native_mask must hold only 0s and 1s")
+        self.native_mask = mask if mask.dtype == bool else mask == 1
         if self.values.shape != self.native_mask.shape:
             raise ValueError(
                 f"values {self.values.shape} and native_mask "
                 f"{self.native_mask.shape} differ"
             )
-        if not np.all(np.isfinite(self.values[self.native_mask == 1.0])):
+        if not np.all(np.isfinite(self.values[self.native_mask])):
             raise ValueError("observed entries must be finite")
 
     @property
@@ -84,20 +91,21 @@ class Dataset:
 class Window:
     """A fixed-length slice of a dataset and its artificial mask.
 
-    ``m_art`` marks entries kept visible (1) or artificially hidden (0); it is
-    all ones until :func:`apply_mask` replaces it.  Entries not observed in the
-    source always keep ``m_art == 1``, so evaluation positions,
-    ``m_obs == 1 and m_art == 0``, never include natively missing cells.
+    ``m_art`` marks entries kept visible (True) or artificially hidden (False);
+    it is all True until :func:`apply_mask` replaces it.  Entries not observed
+    in the source always keep ``m_art`` True, so evaluation positions,
+    ``m_obs & ~m_art``, never include natively missing cells.  Windows of
+    :func:`make_windows` share their ``x`` and ``m_obs`` with those they overlap.
     """
 
     x: np.ndarray         # [T, N] ground truth (0 where natively missing)
-    m_obs: np.ndarray     # [T, N] observed-in-source mask
-    m_art: np.ndarray | None = None  # [T, N] artificial mask; all ones if omitted
+    m_obs: np.ndarray     # [T, N] bool observed-in-source mask
+    m_art: np.ndarray | None = None  # [T, N] bool artificial mask; all True if omitted
     index: int = 0        # position among the windows of its split
 
     def __post_init__(self):
         if self.m_art is None:
-            self.m_art = np.ones(self.x.shape)
+            self.m_art = np.ones(self.x.shape, dtype=bool)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -183,7 +191,7 @@ def load_csv(path: str, raw: list[list[str]] | None = None) -> Dataset:
     if not np.isfinite(values).all():
         raise _first_bad_row(path, names, rows)
     shape = (len(rows), n)
-    return Dataset(values.reshape(shape), present.reshape(shape).astype(np.float64), names)
+    return Dataset(values.reshape(shape), present.reshape(shape), names)
 
 
 def _first_bad_row(
@@ -260,10 +268,9 @@ def write_rows(path, header: list[str], rows: list[list[str]]) -> None:
 
 def write_csv(path: str, ds: Dataset) -> None:
     """Inverse of :func:`load_csv`; natively missing cells become empty."""
-    observed = (ds.native_mask == 1.0).tolist()
     rows = [
         [repr(v) if seen else "" for v, seen in zip(values, row_seen)]
-        for values, row_seen in zip(ds.values.tolist(), observed)
+        for values, row_seen in zip(ds.values.tolist(), ds.native_mask.tolist())
     ]
     write_rows(path, ds.variable_names, rows)
 
@@ -278,7 +285,8 @@ def chrono_split(
     window_len: int,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> tuple[Dataset, Dataset, Dataset]:
-    """Split into contiguous train/val/test segments, in time order."""
+    """Split into contiguous train/val/test segments, in time order; each
+    segment's arrays are read-only views of ``ds``'s."""
     check_split_fractions(fractions)
     t = ds.length
     n_train = int(math.floor(fractions[0] * t))
@@ -292,45 +300,47 @@ def chrono_split(
             raise SplitError(
                 f"{name} segment of length {size} is shorter than window {window_len}"
             )
-    parts = []
-    start = 0
-    for size in (n_train, n_val, n_test):
-        parts.append(
-            Dataset(
-                ds.values[start : start + size].copy(),
-                ds.native_mask[start : start + size].copy(),
-                list(ds.variable_names),
-            )
-        )
-        start += size
-    return parts[0], parts[1], parts[2]
+    values, mask = _read_only(ds.values), _read_only(ds.native_mask)
+    ends = (0, n_train, n_train + n_val, t)
+    train, val, test = (
+        Dataset(values[a:b], mask[a:b], list(ds.variable_names)) for a, b in zip(ends, ends[1:])
+    )
+    return train, val, test
 
 
-def make_windows(segment: Dataset, window_len: int, stride: int) -> list[Window]:
-    """Fixed-length windows at the given stride; floor((len-T)/stride)+1 of them."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that raises on a write, as do its slices."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def make_windows(
+    segment: Dataset, window_len: int, stride: int, values: np.ndarray | None = None
+) -> list[Window]:
+    """Fixed-length windows at the given stride; floor((len-T)/stride)+1 of them.
+
+    Each window's ``x`` and ``m_obs`` are read-only views of the segment's
+    arrays, or ``x`` views ``values`` (the segment normalized, say) if given.
+    """
     if window_len > segment.length:
         raise SplitError(
             f"window length {window_len} exceeds segment length {segment.length}"
         )
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    windows = []
-    for k, start in enumerate(range(0, segment.length - window_len + 1, stride)):
-        windows.append(
-            Window(
-                x=segment.values[start : start + window_len].copy(),
-                m_obs=segment.native_mask[start : start + window_len].copy(),
-                index=k,
-            )
-        )
-    return windows
+    x = _read_only(segment.values if values is None else values)
+    m_obs = _read_only(segment.native_mask)
+    return [
+        Window(x=x[s : s + window_len], m_obs=m_obs[s : s + window_len], index=k)
+        for k, s in enumerate(range(0, segment.length - window_len + 1, stride))
+    ]
 
 
 def _point_mask(window: Window, spec: MaskSpec, rng: SplitMix64) -> np.ndarray:
     t, n = window.shape
     u = rng.uniforms(t * n).reshape(t, n)
-    hidden = (u < spec.rate) & (window.m_obs == 1.0)
-    return 1.0 - hidden.astype(np.float64)
+    return ~((u < spec.rate) & (window.m_obs == 1.0))
 
 
 def _block_mask_column(
@@ -397,7 +407,8 @@ def _chunked_draws(rng: SplitMix64) -> Iterator[int]:
 
 
 def apply_mask(window: Window, spec: MaskSpec) -> Window:
-    """Generate this window's artificial mask from ``spec``'s seeded stream.
+    """Generate this window's artificial mask from ``spec``'s seeded stream:
+    the bool complement of the cells it hides.
 
     The stream is derived from ``(spec.seed, window.index)`` so masking is
     reproducible and windows can be processed in any order.
@@ -415,7 +426,7 @@ def apply_mask(window: Window, spec: MaskSpec) -> Window:
             for col in np.cumsum(is_obs, axis=0).T.tolist()
         )
         hidden = np.frombuffer(columns, dtype=bool).reshape(is_obs.T.shape).T
-        m_art = np.where(hidden & is_obs, 0.0, 1.0)
+        m_art = ~(hidden & is_obs)
     return replace(window, m_art=m_art)
 
 
@@ -440,7 +451,8 @@ def fit_normalizer(train_windows: list[Window]) -> Normalizer:
     n = train_windows[0].shape[1]
     mean = np.zeros(n)
     std = np.ones(n)
-    xs, ms, _ = stack_windows(train_windows)  # [W, T, N]
+    xs = np.stack([w.x for w in train_windows])  # [W, T, N]
+    ms = np.stack([w.m_obs for w in train_windows])
     for i in range(n):
         vals = xs[:, :, i][ms[:, :, i] == 1.0]
         if vals.size == 0:
@@ -480,4 +492,4 @@ def make_synthetic(
         if noise_std > 0.0:
             values[:, i] += noise_std * rng.normals(t_total)
     names = [f"v{i + 1}" for i in range(n_vars)]
-    return Dataset(values, np.ones_like(values), names)
+    return Dataset(values, np.ones(values.shape, dtype=bool), names)

@@ -368,14 +368,14 @@ def fit(
     train_seg, val_seg, _ = chrono_split(dataset, window_len, cfg.split)
     train_stride, val_stride = cfg.strides(window_len)
 
-    train_windows_raw = make_windows(train_seg, window_len, train_stride)
-    norm = fit_normalizer(train_windows_raw)
-    train_windows = [normalize_window(w, norm) for w in train_windows_raw]
+    norm = fit_normalizer(make_windows(train_seg, window_len, train_stride))
+    # normalize_window's float ops, once over the segment that the windows view
+    train_x = norm.normalize(train_seg.values) * train_seg.native_mask
+    train_windows = make_windows(train_seg, window_len, train_stride, values=train_x)
 
     val_spec = replace(cfg.mask_spec, seed=derive(cfg.seed, STREAM_VAL_MASK))
     val_windows = make_windows(val_seg, window_len, val_stride)
     val_masked = [apply_mask(normalize_window(w, norm), val_spec) for w in val_windows]
-    del train_windows_raw, val_windows  # only the normalized windows are used from here on
 
     state = start_state or TrainState()
     # a state from before the first step has no parameters: draw them from the seed

@@ -781,3 +781,49 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 6
+
+
+_BLAS_PROBE = """
+import ctypes, os
+from pathlib import Path
+
+import ibimpute
+
+threads = None
+maps = Path("/proc/self/maps").read_text().splitlines()
+for lib in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
+    handle = ctypes.CDLL(lib)
+    for symbol in (
+        "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"
+    ):
+        fn = getattr(handle, symbol, None)
+        if fn is not None and threads is None:
+            fn.restype = ctypes.c_int
+            threads = fn()
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+class TestBlasThreads:
+    """Importing ibimpute before numpy pins OpenBLAS to one thread, unless the
+    environment already names a thread count."""
+
+    def _probe(self, **env) -> list[str]:
+        child_env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            capture_output=True,
+            text=True,
+            env={**child_env, **env},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_unset_variable_defaults_to_one_thread(self):
+        variable, threads = self._probe()
+        assert variable == "1"
+        assert threads in ("1", "None")  # None: no OpenBLAS to ask
+
+    def test_a_value_the_user_set_wins(self):
+        variable, _ = self._probe(OPENBLAS_NUM_THREADS="3")
+        assert variable == "3"

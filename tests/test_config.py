@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,18 @@ class TestDatasetCache:
         assert _same_parse(first, src) and _same_parse(hit, src)
         assert np.signbit(hit.values[0, 0]) and hit.values[0, 1] == 5e-324
         assert hit.variable_names == ["a", "b", "c,d"]
+
+    def test_cache_keeps_the_float64_mask_bytes(self, tmp_path, monkeypatch):
+        # the mask is bool in memory but kept, and hashed, as float64 0s and
+        # 1s: these are the bytes a cache had while masks were float64 in
+        # memory, so such a cache is still a hit
+        cfg, _, cache = _cached_run(tmp_path)
+        assert cfg.load_dataset().native_mask.dtype == bool
+        digest = hashlib.sha256(cache.read_bytes()).hexdigest()
+        assert digest == "c6f0f58621df28247afcc1be0402bf3549f3c8e09d94adaf2c426326364d7727"
+        assert read_container(str(cache), DATASET_CACHE)[2]["native_mask"].dtype == np.float64
+        monkeypatch.setattr(config, "load_csv", _no_parse)
+        assert cfg.load_dataset().native_mask.dtype == bool
 
     def test_one_byte_edit_invalidates(self, tmp_path, monkeypatch):
         cfg, src, cache = _cached_run(tmp_path)

@@ -562,7 +562,7 @@ def _reference_block_m_art(window, spec):
     hidden = np.zeros((t, n), dtype=bool)
     for col in range(n):
         _reference_block_mask_column(hidden[:, col], window.m_obs[:, col], spec, rng)
-    return np.where(hidden & (window.m_obs == 1.0), 0.0, 1.0)
+    return ~(hidden & (window.m_obs == 1.0))
 
 
 def _assert_block_mask_matches_reference(window, spec):
@@ -745,6 +745,77 @@ class TestDatasetInvariants:
         vals = np.array([[1.0, np.nan]])
         ds = Dataset(vals, np.array([[1.0, 0.0]]), ["a", "b"])
         assert ds.n_vars == 2
+
+
+class TestBoolMasks:
+    """Every mask is bool, one byte per cell."""
+
+    def test_load_csv(self, tmp_path):
+        ds = load_csv(_write(tmp_path, "a,b\n1,2\n3,\n"))
+        assert ds.native_mask.dtype == bool
+        assert np.array_equal(ds.native_mask, [[True, True], [True, False]])
+
+    def test_make_synthetic(self):
+        mask = make_synthetic(2, 10, seed=1).native_mask
+        assert mask.dtype == bool and mask.all()
+
+    def test_numeric_mask_is_converted(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([[1.0, 0.0], [0, 1]]), ["a", "b"])
+        assert ds.native_mask.dtype == bool
+        assert np.array_equal(ds.native_mask, [[True, False], [False, True]])
+
+    def test_bool_mask_is_kept_without_a_copy(self):
+        mask = np.array([[True, False]])
+        assert Dataset(np.zeros((1, 2)), mask, ["a", "b"]).native_mask is mask
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
+    def test_other_mask_values_rejected(self, bad):
+        mask = np.ones((2, 2))
+        mask[1, 0] = bad
+        with pytest.raises(ValueError, match="0s and 1s"):
+            Dataset(np.zeros((2, 2)), mask, ["a", "b"])
+
+    def test_default_m_art(self):
+        w = Window(x=np.zeros((3, 2)), m_obs=np.ones((3, 2), dtype=bool))
+        assert w.m_art.dtype == bool and w.m_art.shape == (3, 2) and w.m_art.all()
+
+    @pytest.mark.parametrize("pattern", [POINT, BLOCK])
+    def test_apply_mask(self, pattern):
+        w = make_windows(make_synthetic(3, 40, seed=2), 40, 40)[0]
+        m_art = apply_mask(w, MaskSpec(pattern=pattern, rate=0.5, seed=3)).m_art
+        assert m_art.dtype == bool
+        assert 0 < (~m_art).sum() < m_art.size
+
+
+class TestViews:
+    """Split segments and windows are read-only views of their series."""
+
+    @staticmethod
+    def _assert_read_only_view(view, base):
+        assert np.shares_memory(view, base)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = view[0, 0]
+
+    def test_chrono_split_segments(self):
+        ds = make_synthetic(2, 100, seed=1)
+        for seg in chrono_split(ds, window_len=10):
+            self._assert_read_only_view(seg.values, ds.values)
+            self._assert_read_only_view(seg.native_mask, ds.native_mask)
+        assert ds.values.flags.writeable and ds.native_mask.flags.writeable
+
+    def test_make_windows(self):
+        train, _, _ = chrono_split(make_synthetic(2, 100, seed=1), window_len=10)
+        for w in make_windows(train, 10, 5):
+            self._assert_read_only_view(w.x, train.values)
+            self._assert_read_only_view(w.m_obs, train.native_mask)
+
+    def test_make_windows_of_given_values(self):
+        ds = make_synthetic(2, 30, seed=8)
+        values = np.arange(60.0).reshape(30, 2)
+        for k, w in enumerate(make_windows(ds, 10, 5, values=values)):
+            self._assert_read_only_view(w.x, values)
+            assert np.array_equal(w.x, values[5 * k : 5 * k + 10])
+            assert np.shares_memory(w.m_obs, ds.native_mask)
 
 
 @given(st.floats(min_value=0.05, max_value=0.9), st.integers(min_value=0, max_value=2**32))
