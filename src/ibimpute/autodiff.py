@@ -1,8 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine holds only the ops the model uses: ``add``, ``mul``, ``matmul``,
-``transpose`` and ``softmax``, plus :func:`custom_node` for a composite with a
-hand-written backward, and :func:`grad_check`.  Forward ops compute with numpy
+The engine holds only the ops the model uses: ``add``, ``mul``, ``matmul`` and
+``transpose``, plus :func:`custom_node` for a composite with a hand-written
+backward, and :func:`grad_check`.  Forward ops compute with numpy
 and, when a :class:`Tape` is active, append one node per call that has an
 input needing a gradient; :meth:`Tape.backward` walks the nodes once in
 reverse, so a chain of k ops costs k backward visits and never re-runs the
@@ -23,18 +23,16 @@ once the node has used it, so only the gradients of trainable and watched
 tensors outlive :meth:`Tape.backward`; :meth:`Gradients.of` answers for
 those and raises for any other tensor.
 
-:func:`matmul` with a 2-D right operand (every affine weight in the model) is
-the shared-weight case: the left operand's leading dims fold into rows, so
-the forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
+:func:`matmul` takes a 2-D right operand (every affine weight in the model)
+shared across the left operand's leading dims, which fold into rows: the
+forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
 ``g @ w.T`` for the input and ``a.T @ g`` for the weight, with no
-``[..., in, out]`` per-batch product to sum.  This path also takes an affine
+``[..., in, out]`` per-batch product to sum.  It also takes an affine
 layer's ``bias`` and ``relu=True``: the layer is then one node, holding one
 output array, whose forward adds the bias and applies the ReLU in place in
 the GEMM result, and whose backward masks the output gradient where the
-output is not positive before the two GEMMs and the bias sum.  Only a batched
-right operand, such as attention's ``q @ k.T``, takes numpy's broadcasting
-matmul (no bias or ReLU) and sums its gradients back down to the operand
-shapes.
+output is not positive before the two GEMMs and the bias sum.  A right
+operand of any other rank raises :class:`ShapeMismatchError`.
 
 A shared-weight product of at least ``_SPLIT_MACS`` multiply-adds (every one
 at the default width, none at the acceptance shape) runs as two row blocks of
@@ -173,9 +171,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
 
 def _lift(x) -> Tensor:
@@ -359,69 +354,45 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
-    """``a @ b``; with a 2-D ``b``, optionally ``+ bias`` and then ReLU, as
-    one node (see the module docstring)."""
-    if a.ndim < 2 or b.ndim < 2:
+    """``a @ b`` for a 2-D ``b``, optionally ``+ bias`` and then ReLU, as one
+    node (see the module docstring)."""
+    if a.ndim < 2 or b.ndim != 2:
         raise ShapeMismatchError(
-            f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}"
+            f"matmul: needs a left operand of ndim >= 2 and a 2-D right operand, "
+            f"got {a.shape} @ {b.shape}"
         )
-    if b.ndim == 2:
-        n_in, n_out = b.shape
-        if a.shape[-1] != n_in:
-            raise ShapeMismatchError(
-                f"matmul: shapes {a.shape} and {b.shape} do not conform"
-            )
-        if bias is not None and bias.shape != (n_out,):
-            raise ShapeMismatchError(
-                f"matmul: bias shape {bias.shape} does not match output width {n_out}"
-            )
-        a2 = a.data.reshape(-1, n_in)
-        pre = _gemm(a2, b.data).reshape(a.shape[:-1] + (n_out,))
-        if bias is not None:
-            np.add(pre, bias.data, out=pre)
-        if relu:
-            np.maximum(pre, 0.0, out=pre)
-        out = Tensor(pre)
-        inputs = (a, b) if bias is None else (a, b, bias)
-        need = _needs(inputs)
-
-        def backward_shared(g):
-            # out > 0 exactly where the pre-activation is > 0
-            if relu:
-                g = g * (out.data > 0.0)
-            g2 = g.reshape(-1, n_out)
-            grads = [None] * len(inputs)
-            if need[0]:
-                grads[0] = _gemm(g2, b.data.T).reshape(a.shape)
-            if need[1]:
-                grads[1] = _gemm(a2.T, g2)
-            if bias is not None and need[2]:
-                grads[2] = _unbroadcast(g, bias.shape)
-            return grads
-
-        return _record(out, inputs, backward_shared, need)
-    if bias is not None or relu:
+    n_in, n_out = b.shape
+    if a.shape[-1] != n_in:
+        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    if bias is not None and bias.shape != (n_out,):
         raise ShapeMismatchError(
-            f"matmul: bias and relu need a 2-D right operand, got {b.shape}"
+            f"matmul: bias shape {bias.shape} does not match output width {n_out}"
         )
-    try:
-        out = Tensor(np.matmul(a.data, b.data))
-    except ValueError:
-        raise ShapeMismatchError(
-            f"matmul: shapes {a.shape} and {b.shape} do not conform"
-        ) from None
-
-    need_a, need_b = need = _needs((a, b))
+    a2 = a.data.reshape(-1, n_in)
+    pre = _gemm(a2, b.data).reshape(a.shape[:-1] + (n_out,))
+    if bias is not None:
+        np.add(pre, bias.data, out=pre)
+    if relu:
+        np.maximum(pre, 0.0, out=pre)
+    out = Tensor(pre)
+    inputs = (a, b) if bias is None else (a, b, bias)
+    need = _needs(inputs)
 
     def backward(g):
-        ga = gb = None
-        if need_a:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if need_b:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        # out > 0 exactly where the pre-activation is > 0
+        if relu:
+            g = g * (out.data > 0.0)
+        g2 = g.reshape(-1, n_out)
+        grads = [None] * len(inputs)
+        if need[0]:
+            grads[0] = _gemm(g2, b.data.T).reshape(a.shape)
+        if need[1]:
+            grads[1] = _gemm(a2.T, g2)
+        if bias is not None and need[2]:
+            grads[2] = _unbroadcast(g, bias.shape)
+        return grads
 
-    return _record(out, (a, b), backward, need)
+    return _record(out, inputs, backward, need)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -430,19 +401,6 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeMismatchError(f"transpose: needs ndim >= 2, got shape {a.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2))
     return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = Tensor(e / e.sum(axis=-1, keepdims=True))
-
-    def backward(g):
-        y = out.data
-        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
-
-    return _record(out, (a,), backward)
 
 
 @dataclass

@@ -15,12 +15,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import LOADER_FORMAT, Dataset, MaskSpec, check_split_fractions, load_csv, make_synthetic
 from .losses import LossWeights
-from .model import DATASET_CACHE, CheckpointError, ModelConfig, read_container, write_container
+from .model import (
+    DATASET_CACHE,
+    CheckpointError,
+    ModelConfig,
+    param_count,
+    read_container,
+    write_container,
+)
 from .training import TrainConfig
 
 DATASET_CACHE_FILE = "dataset.bin"
@@ -78,6 +86,15 @@ def _parse_optint(s: str):
     return _parse_int(s)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
 def _fmt(value) -> str:
     if value is None:
         return "none"
@@ -104,7 +121,6 @@ _REGISTRY: dict[str, tuple] = {
     "window.val_stride": (_parse_optint, TrainConfig, "val_stride"),
     "model.d_model": (_parse_int, ModelConfig, "d_model"),
     "model.hidden_dim": (_parse_int, ModelConfig, "hidden_dim"),
-    "model.attention": (_parse_bool, ModelConfig, "use_attention"),
     "train.epochs": (_parse_int, TrainConfig, "epochs"),
     "train.batch_size": (_parse_int, TrainConfig, "batch_size"),
     "train.learning_rate": (_parse_float, TrainConfig, "learning_rate"),
@@ -114,7 +130,6 @@ _REGISTRY: dict[str, tuple] = {
     "train.seed": (_parse_int, TrainConfig, "seed"),
     "train.early_stop_patience": (_parse_int, TrainConfig, "early_stop_patience"),
     "train.clip_norm": (_parse_float, TrainConfig, "clip_norm"),
-    "train.loc_target": (_parse_str, TrainConfig, "loc_target"),
     "train.split": (_parse_floatlist, TrainConfig, "split"),
     "train.weights.reg": (_parse_float, LossWeights, "reg"),
     "train.weights.loc": (_parse_float, LossWeights, "loc"),
@@ -209,7 +224,10 @@ class RunConfig:
     def validate(self) -> None:
         """The checks only a run config can make, then those of the model
         config, the split, the eval mask specs and the training config, whose
-        errors become ConfigErrors; a training-config error names the key."""
+        errors become ConfigErrors; a training-config error names the key.
+        Last, a synthetic series or a parameter buffer larger than physical
+        memory is refused, naming the keys that size it, before numpy is
+        asked for it."""
         for key in ("data.source", "output_dir"):
             if not self.values[key]:
                 raise ConfigError(f"{key} must not be empty")
@@ -236,6 +254,19 @@ class RunConfig:
             self.train_config().validate(key=_TRAIN_KEYS.__getitem__)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        memory = _physical_memory()
+        needs = [("window.length, model.d_model and model.hidden_dim",
+                  "float64 parameter buffer", 8 * param_count(model_cfg))]
+        if self.values["data.source"] == "synthetic":
+            # each cell holds a float64 value and a one-byte mask
+            cells = self.values["data.synth_vars"] * self.values["data.synth_steps"]
+            needs.append(("data.synth_vars and data.synth_steps", "synthetic series", 9 * cells))
+        for keys, what, size in needs:
+            if memory is not None and size > memory:
+                raise ConfigError(
+                    f"{keys}: the {what} needs {size} bytes, more than the "
+                    f"{memory} bytes of physical memory"
+                )
 
     def resolved_text(self) -> str:
         lines = [f"{key} = {_fmt(self.values[key])}" for key in sorted(_REGISTRY)]

@@ -3,8 +3,7 @@
 The encoder maps a zero-filled normalized window ``[T, N]`` to a
 diagonal-Gaussian latent per variable, ``mu`` and ``sigma`` of shape
 ``[N, d_model]``.  It is a 2-layer MLP applied per variable to the length-T
-series (weights shared across variables), with an optional single-head
-self-attention block across variables between the layers.  The decoder maps
+series, with weights shared across variables.  The decoder maps
 latents back to a ``[T, N]`` reconstruction; the projector is one affine map
 used only by the cosine-alignment objective.
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, custom_node, matmul, softmax, transpose
+from .autodiff import Tensor, custom_node, matmul, transpose
 from .data import Normalizer, Window, atomic_write
 from .rng import STREAM_INIT, STREAM_NOISE, SplitMix64, derive
 
@@ -33,7 +32,10 @@ LOG_STD_BOUND = 13.8  # exp(+-13.8) keeps sigma within (1e-6, 1e6)
 
 CHECKPOINT_MAGIC = b"IBCKPT1\n"
 CHECKPOINT_VERSION = 1
-_CONFIG_KEYS = ("window_len", "n_vars", "d_model", "hidden_dim", "use_attention")
+_CONFIG_KEYS = ("window_len", "n_vars", "d_model", "hidden_dim")
+# a model checkpoint's header also echoes an attention switch, always false:
+# the encoder has no attention block, and the echo keeps the file format
+_ATTENTION_KEY = "use_attention"
 # the container's kinds, as its reader names them; each reader refuses the other
 MODEL_CHECKPOINT = "model checkpoint"
 DATASET_CACHE = "dataset cache"
@@ -54,7 +56,6 @@ class ModelConfig:
     n_vars: int
     d_model: int = 256
     hidden_dim: int = 256
-    use_attention: bool = False
 
     def validate(self) -> None:
         for name in ("window_len", "n_vars", "d_model", "hidden_dim"):
@@ -74,17 +75,9 @@ class LatentDistribution:
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     """Ordered (name, shape, fan_in) triples; fan_in 0 means zero-init."""
     t, h, d = cfg.window_len, cfg.hidden_dim, cfg.d_model
-    specs = [
+    return [
         ("encoder.embed.w", (t, h), t),
         ("encoder.embed.b", (h,), 0),
-    ]
-    if cfg.use_attention:
-        specs += [
-            ("encoder.attn.wq", (h, h), h),
-            ("encoder.attn.wk", (h, h), h),
-            ("encoder.attn.wv", (h, h), h),
-        ]
-    specs += [
         ("encoder.hidden.w", (h, h), h),
         ("encoder.hidden.b", (h,), 0),
         ("encoder.mu.w", (h, d), h),
@@ -98,7 +91,11 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
         ("projector.w", (d, d), d),
         ("projector.b", (d,), 0),
     ]
-    return specs
+
+
+def param_count(cfg: ModelConfig) -> int:
+    """How many float64 values the flat parameter buffer holds."""
+    return sum(math.prod(shape) for _, shape, _ in _param_specs(cfg))
 
 
 def param_views(cfg: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -126,7 +123,7 @@ def init_params(cfg: ModelConfig, seed: int) -> np.ndarray:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases,
     as one flat buffer (see :func:`param_views` for the names)."""
     cfg.validate()
-    flat = np.zeros(sum(math.prod(shape) for _, shape, _ in _param_specs(cfg)))
+    flat = np.zeros(param_count(cfg))
     views = param_views(cfg, flat)
     for idx, (name, shape, fan_in) in enumerate(_param_specs(cfg)):
         if fan_in > 0:
@@ -180,18 +177,11 @@ class ImputationModel:
     def encode(self, x_input, mu_only: bool = False) -> LatentDistribution:
         """Zero-filled normalized window [.., T, N] -> diagonal Gaussian.
         ``mu_only`` skips the log-σ head (sigma is None); mu keeps its bits."""
-        p = self.params
         x = x_input if isinstance(x_input, Tensor) else Tensor(x_input)
         if x.ndim < 2:
             raise ValueError(f"encode: expected [.., T, N], got shape {x.shape}")
         h = transpose(x)  # [.., N, T]: one row per variable series
         h = self._affine("encoder.embed", h, relu=True)
-        if self.config.use_attention:
-            q = h @ p["encoder.attn.wq"]
-            k = h @ p["encoder.attn.wk"]
-            v = h @ p["encoder.attn.wv"]
-            scores = (q @ transpose(k)) * (1.0 / math.sqrt(self.config.hidden_dim))
-            h = _checked("encoder.attn", h + softmax(scores) @ v)
         h = self._affine("encoder.hidden", h, relu=True)
         mu = self._affine("encoder.mu", h)
         if mu_only:
@@ -262,7 +252,10 @@ def write_container(
     The write is atomic (see :func:`data.atomic_write`), so a process killed
     mid-write leaves the previous file whole.
     """
-    echo = {} if config is None else {key: getattr(config, key) for key in _CONFIG_KEYS}
+    echo = {}
+    if config is not None:
+        echo = {key: getattr(config, key) for key in _CONFIG_KEYS}
+        echo[_ATTENTION_KEY] = False
     blob = json.dumps({**echo, **header}, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -325,10 +318,16 @@ def read_container(
         try:
             config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
             config.validate()
+            attention = header[_ATTENTION_KEY]
         except KeyError as exc:
             raise CheckpointError(f"{path}: {label} header missing {exc}") from None
         except ValueError as exc:
             raise CheckpointError(f"{path}: {label} header: {exc}") from None
+        if attention is not False:
+            raise CheckpointError(
+                f"{path}: {label} header sets {_ATTENTION_KEY} {attention!r}; "
+                "the encoder has no attention block"
+            )
 
     arrays: dict[str, np.ndarray] = {}
     (count,) = unpack("<I")

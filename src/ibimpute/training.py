@@ -67,9 +67,6 @@ from .rng import (
     derive,
 )
 
-LOC_TARGET_OBSERVED = "observed"
-LOC_TARGET_HIDDEN = "hidden"
-
 
 class TrainingError(RuntimeError):
     """Training cannot continue (repeated non-finite steps, bad config)."""
@@ -91,7 +88,6 @@ class TrainConfig:
     train_stride: int | None = None       # None = half the window length
     val_stride: int | None = None         # None = window length (non-overlap)
     clip_norm: float = 5.0                # 0 disables clipping
-    loc_target: str = LOC_TARGET_OBSERVED
 
     def validate(self, key=lambda field: field, n_vars: int | None = None) -> None:
         """Raise ValueError for an invalid setting, named by ``key(field)``
@@ -115,18 +111,12 @@ class TrainConfig:
             raise ValueError(f"{key('early_stop_patience')} must be >= 0")
         if self.clip_norm < 0.0:
             raise ValueError(f"{key('clip_norm')} must be >= 0")
-        if self.loc_target not in (LOC_TARGET_OBSERVED, LOC_TARGET_HIDDEN):
-            raise ValueError(
-                f"{key('loc_target')} must be 'observed' or 'hidden', got {self.loc_target!r}"
-            )
         for name in ("train_stride", "val_stride"):
             s = getattr(self, name)
             if s is not None and s < 1:
                 raise ValueError(f"{key(name)} must be >= 1, got {s}")
         self.weights.validate(for_training=True, key=key)
         self.mask_spec.validate()
-        if self.loc_target == LOC_TARGET_HIDDEN and self.mask_spec.rate == 0.0:
-            raise ValueError(f"{key('loc_target')} 'hidden' needs a mask rate > 0")
         if (
             n_vars is not None
             and self.weights.glo_variant == GLO_INFONCE
@@ -227,7 +217,6 @@ def train_step(
     weights: LossWeights,
     optimizer: Adam,
     step_seed: int,
-    loc_target: str = LOC_TARGET_OBSERVED,
     clip_norm: float = 5.0,
 ) -> tuple[LossBreakdown, bool]:
     """One optimizer step on a batch of normalized masked windows.
@@ -239,11 +228,6 @@ def train_step(
         raise ValueError("train_step: empty batch")
     x, m_obs, m_art = stack_windows(batch)
     x_masked_in = x * m_obs * m_art
-
-    if loc_target == LOC_TARGET_OBSERVED:
-        target_mask = m_obs
-    else:
-        target_mask = m_obs * (1.0 - m_art)
 
     try:
         z_target = None
@@ -265,7 +249,7 @@ def train_step(
             z = reparameterize(dist, step_seed)
             x_hat = model.decode(z)
             reg = reg_loss(dist)
-            loc = loc_loss(Tensor(x), x_hat, Tensor(target_mask))
+            loc = loc_loss(Tensor(x), x_hat, Tensor(m_obs))
             glo = z_proj = None
             if z_target is not None:
                 z_proj = model.project(z)
@@ -278,7 +262,7 @@ def train_step(
         return LossBreakdown(float("nan"), float("nan"), float("nan"), float("nan")), False
     # the tape now holds the only references to the step's arrays, so each
     # dies as soon as the backward sweep has visited the last node reading it
-    del x, m_obs, m_art, x_masked_in, target_mask, z_target, dist, z, x_hat, z_proj, reg, loc, glo
+    del x, m_obs, m_art, x_masked_in, z_target, dist, z, x_hat, z_proj, reg, loc, glo
 
     if not np.isfinite(breakdown.total):
         return breakdown, False
@@ -454,7 +438,6 @@ def fit(
                 cfg.weights,
                 optimizer,
                 step_seed,
-                loc_target=cfg.loc_target,
                 clip_norm=cfg.clip_norm,
             )
             if stepped:

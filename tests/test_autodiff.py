@@ -1,5 +1,7 @@
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ibimpute
 from ibimpute import autodiff
 from ibimpute.autodiff import (
     GLIBC_KEEPS_FREED_MEMORY,
@@ -25,7 +28,6 @@ from ibimpute.autodiff import (
     grad_check,
     matmul,
     mul,
-    softmax,
     transpose,
 )
 
@@ -54,10 +56,6 @@ class TestForwardExamples:
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         eye = Tensor([[1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(matmul(a, eye).data, a.data)
-
-    def test_softmax_uniform(self):
-        out = softmax(Tensor([0.0, 0.0, 0.0]))
-        assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_add_broadcasting_leading_and_trailing(self):
         a = Tensor(np.ones((2, 3, 4)))
@@ -90,6 +88,11 @@ class TestForwardErrors:
     def test_matmul_requires_2d(self):
         with pytest.raises(ShapeMismatchError):
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+    @pytest.mark.parametrize("right", [(2, 5, 3), (1, 5, 3), (5,)])
+    def test_matmul_refuses_a_right_operand_that_is_not_2d(self, right):
+        with pytest.raises(ShapeMismatchError, match=r"2-D right operand, got \(2, 4, 5\) @"):
+            matmul(Tensor(np.ones((2, 4, 5))), Tensor(np.ones(right)))
 
 
 class TestBackwardExamples:
@@ -212,10 +215,6 @@ class TestPerOpGradients:
         c = Tensor(np.random.default_rng(9).normal(size=(3, 3)))
         _assert_op_grads(lambda x: sum_all(matmul(transpose(x), c)), seed=32)
 
-    def test_softmax(self, sum_all):
-        c = Tensor(np.random.default_rng(10).normal(size=(3, 3)))
-        _assert_op_grads(lambda x: sum_all(mul(softmax(x), c)), seed=34)
-
     def test_broadcast_bias_gradient(self, sum_all):
         x = Tensor(np.random.default_rng(11).normal(size=(4, 2, 3)))
         _assert_op_grads(lambda b: sum_all(_sq(add(x, b))), seed=35, shape=(3,))
@@ -266,15 +265,6 @@ class TestSharedWeightMatmul:
         assert np.array_equal(out, np.matmul(a, w))
         assert np.array_equal(ga, np.matmul(g, w.T))
         assert np.array_equal(gw, np.matmul(a.T, g))
-
-    def test_batched_right_operand_is_bytes_of_np_matmul(self, sum_all):
-        rng = np.random.default_rng(40)
-        a, b = rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 5, 3))
-        g = rng.normal(size=(2, 4, 3))
-        out, ga, gb = self._taped(a, b, g, sum_all)
-        assert np.array_equal(out, np.matmul(a, b))
-        assert np.array_equal(ga, np.matmul(g, np.swapaxes(b, -1, -2)))
-        assert np.array_equal(gb, np.matmul(np.swapaxes(a, -1, -2), g))
 
     def test_constant_left_operand_gets_no_gradient(self):
         rng = np.random.default_rng(45)
@@ -414,8 +404,10 @@ class TestFusedAffine:
 
 
 class TestBufferPool:
-    """Large results share no memory while alive, and a warm training step
-    reuses freed memory instead of faulting in new pages."""
+    """Arrays come from numpy's own allocations, served from a glibc heap
+    that keeps freed memory (the setting :mod:`ibimpute.autodiff` makes on
+    import): a live result shares memory with no later one, and a warm
+    training step reuses freed memory instead of faulting in new pages."""
 
     @staticmethod
     def _step(a, w, sum_all):
@@ -481,9 +473,8 @@ class TestBufferPool:
         assert sum(g.nbytes for g in held.values()) == model.flat.nbytes  # about 2.9 MiB
 
     @staticmethod
-    def _minor_faults(run):
-        """Minor page faults each call of ``run`` takes; skips off glibc, where
-        the allocator keeps its defaults."""
+    def _skip_off_glibc():
+        """Skip off glibc, where the allocator keeps its defaults."""
         try:
             glibc = os.confstr("CS_GNU_LIBC_VERSION")
         except (AttributeError, ValueError, OSError):
@@ -491,6 +482,10 @@ class TestBufferPool:
         if not glibc:
             pytest.skip("the allocator setting applies to glibc only")
         assert GLIBC_KEEPS_FREED_MEMORY
+
+    def _minor_faults(self, run):
+        """Minor page faults each call of ``run`` takes (off glibc, skips)."""
+        self._skip_off_glibc()
         import resource
 
         def faults(*args):
@@ -518,28 +513,52 @@ class TestBufferPool:
         assert max(counts[1:]) < 256, counts
 
     def test_short_last_batch_reuses_full_batch_buffers(self):
-        from ibimpute.data import Window
-        from ibimpute.losses import LossWeights
-        from ibimpute.model import ImputationModel, ModelConfig
-        from ibimpute.training import Adam, train_step
-
-        rng = np.random.default_rng(44)
-        model = ImputationModel(ModelConfig(window_len=96, n_vars=21), seed=1)
-        batch = [
-            Window(x=rng.normal(size=(96, 21)), m_obs=np.ones((96, 21)),
-                   m_art=(rng.uniform(size=(96, 21)) > 0.5).astype(float), index=i)
-            for i in range(64)
-        ]
-        optimizer = Adam(lr=1e-3)
-
-        def step(index, size):
-            _, applied = train_step(model, batch[:size], LossWeights(), optimizer, index)
-            assert applied
-
-        faults = self._minor_faults(step)
-        counts = [faults(index, size) for index, size in enumerate((64, 64, 64, 60))]
+        # in a fresh interpreter: what earlier tests leave on the heap can
+        # fragment it enough that a warm step has to grow it
+        self._skip_off_glibc()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ibimpute.__file__)))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHORT_BATCH_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = [int(n) for n in proc.stdout.split()]
         # about 2.5k faults a step when freed memory goes back to the system
-        assert max(counts[2:]) < 256, counts
+        assert len(counts) == 4 and max(counts[2:]) < 256, counts
+
+
+# the minor page faults of four training steps at the default width, the
+# last one on a short batch, printed on one line
+_SHORT_BATCH_PROBE = """
+import resource
+
+import numpy as np
+
+from ibimpute.data import Window
+from ibimpute.losses import LossWeights
+from ibimpute.model import ImputationModel, ModelConfig
+from ibimpute.training import Adam, train_step
+
+rng = np.random.default_rng(44)
+model = ImputationModel(ModelConfig(window_len=96, n_vars=21), seed=1)
+batch = [
+    Window(x=rng.normal(size=(96, 21)), m_obs=np.ones((96, 21)),
+           m_art=(rng.uniform(size=(96, 21)) > 0.5).astype(float), index=i)
+    for i in range(64)
+]
+optimizer = Adam(lr=1e-3)
+counts = []
+for index, size in enumerate((64, 64, 64, 60)):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, applied = train_step(model, batch[:size], LossWeights(), optimizer, index)
+    assert applied
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*counts)
+"""
 
 
 class TestGradCheckHarness:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibimpute.data import Normalizer
+from ibimpute.data import Normalizer, Window
 from ibimpute.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -23,7 +23,8 @@ from ibimpute.model import (
     save_checkpoint,
 )
 
-TINY = ModelConfig(window_len=3, n_vars=2, d_model=2, hidden_dim=2, use_attention=True)
+TINY = ModelConfig(window_len=3, n_vars=2, d_model=2, hidden_dim=2)
+PINNED = ModelConfig(window_len=6, n_vars=2, d_model=3, hidden_dim=4)
 NORM = Normalizer(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.25]))
 
 
@@ -84,21 +85,34 @@ def _mutate(blob: bytes, edits) -> bytes:
 class TestCheckpointBytes:
     # sha256 of save_checkpoint output; any change here breaks existing files
     @pytest.mark.parametrize(
-        "attention, with_norm, digest",
+        "with_norm, digest",
         [
-            (False, False, "807e20c8a723bba73e8c5ad34b8dbf1f3f2132c8fa5ed06df0e291381f001966"),
-            (False, True, "1d09780867e5c366f6bef3457f519910617ae4a80d641ac91708e10a9dd1a0ae"),
-            (True, False, "a7764ef12b1fba9658c92db66c63e16cfc09793c42adb25cab47094db8211f9e"),
-            (True, True, "0d7b707eefbf3cca75c4d6308f52896139a45c5046ebb5178f1da64adc996ab3"),
+            (False, "807e20c8a723bba73e8c5ad34b8dbf1f3f2132c8fa5ed06df0e291381f001966"),
+            (True, "1d09780867e5c366f6bef3457f519910617ae4a80d641ac91708e10a9dd1a0ae"),
         ],
     )
-    def test_bytes_are_pinned(self, attention, with_norm, digest):
-        cfg = ModelConfig(
-            window_len=6, n_vars=2, d_model=3, hidden_dim=4, use_attention=attention
-        )
-        model = ImputationModel(cfg, seed=7, normalizer=NORM if with_norm else None)
+    def test_bytes_are_pinned(self, with_norm, digest):
+        model = ImputationModel(PINNED, seed=7, normalizer=NORM if with_norm else None)
         blob = _bytes_of(lambda path: save_checkpoint(path, model))
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_pinned_file_loads_and_imputes_the_pinned_bytes(self):
+        # the file and the imputed bytes are those of the versions whose
+        # encoder had an optional attention block, with that block off
+        model = ImputationModel(PINNED, seed=7, normalizer=NORM)
+        blob = _bytes_of(lambda path: save_checkpoint(path, model))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "1d09780867e5c366f6bef3457f519910617ae4a80d641ac91708e10a9dd1a0ae"
+        )
+        window = Window(
+            x=np.linspace(-2.0, 3.0, 12).reshape(6, 2),
+            m_obs=np.ones((6, 2), dtype=bool),
+            m_art=np.arange(12).reshape(6, 2) % 3 != 0,
+        )
+        filled = _load(load_checkpoint, blob).impute(window)
+        assert hashlib.sha256(filled.tobytes()).hexdigest() == (
+            "a0fb558d784916bb7d9b1d40cb47388fd3b233860a6d6d8c8cc4640c9a6aeca1"
+        )
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(CheckpointError, match="1 bytes after the last array"):
@@ -138,15 +152,27 @@ class TestReaderErrorsAreTyped:
         with pytest.raises(CheckpointError, match="65 dimensions"):
             _load(load_checkpoint, blob[:arrays_at] + record)
 
-    def test_invalid_config_in_header(self):
+    @staticmethod
+    def _with_header(key: str, value) -> bytes:
+        """Checkpoint bytes whose JSON header sets ``key`` to ``value``."""
         blob = _checkpoint_bytes()
         at = len(CHECKPOINT_MAGIC) + 4
         (blob_len,) = struct.unpack_from("<I", blob, at)
         header = json.loads(blob[at + 4 : at + 4 + blob_len])
-        header["window_len"] = 0
+        header[key] = value
         new = json.dumps(header).encode("utf-8")
-        blob = blob[:at] + struct.pack("<I", len(new)) + new + blob[at + 4 + blob_len :]
+        return blob[:at] + struct.pack("<I", len(new)) + new + blob[at + 4 + blob_len :]
+
+    def test_invalid_config_in_header(self):
+        blob = self._with_header("window_len", 0)
         with pytest.raises(CheckpointError, match="window_len must be a positive int"):
+            _load(load_checkpoint, blob)
+
+    @pytest.mark.parametrize("value", [True, 1, None])
+    def test_attention_in_header_rejected(self, value):
+        blob = self._with_header("use_attention", value)
+        match = f"header sets use_attention {value!r}; the encoder has no attention block"
+        with pytest.raises(CheckpointError, match=match):
             _load(load_checkpoint, blob)
 
 

@@ -64,9 +64,9 @@ class TestRunConfig:
         assert cfg["window.train_stride"] is None
 
     def test_file_values_override_defaults(self):
-        cfg = RunConfig.from_sources("train.epochs = 5\nmodel.attention = true\n")
+        cfg = RunConfig.from_sources("train.epochs = 5\neval.normalized = false\n")
         assert cfg["train.epochs"] == 5
-        assert cfg["model.attention"] is True
+        assert cfg["eval.normalized"] is False
 
     def test_cli_overrides_beat_file(self):
         cfg = RunConfig.from_sources("train.epochs = 5\n", overrides=["train.epochs=9"])
@@ -100,8 +100,6 @@ class TestRunConfig:
         "text, message",
         [
             ("train.epochs = 0\n", "epochs must be >= 1"),
-            ("train.loc_target = hidden\nmask.rate = 0\n", "needs a mask rate > 0"),
-            ("train.loc_target = masked\n", "loc_target must be 'observed' or 'hidden'"),
         ],
     )
     def test_train_section_errors_are_config_errors(self, text, message):
@@ -119,8 +117,6 @@ class TestRunConfig:
             ("train.adam_eps = 0\n", "train.adam_eps must be > 0, got 0.0"),
             ("train.early_stop_patience = -1\n", "train.early_stop_patience must be >= 0"),
             ("train.clip_norm = -1\n", "train.clip_norm must be >= 0"),
-            ("train.loc_target = masked\n",
-             "train.loc_target must be 'observed' or 'hidden', got 'masked'"),
             ("window.train_stride = 0\n", "window.train_stride must be >= 1, got 0"),
             ("window.val_stride = 0\n", "window.val_stride must be >= 1, got 0"),
             ("train.weights.reg = -1\n", "loss weight train.weights.reg must be >= 0"),
@@ -133,8 +129,6 @@ class TestRunConfig:
             ("train.weights.loc = 0\ntrain.weights.glo = 0\n",
              "training needs a data-fit term: "
              "loss weight train.weights.loc or train.weights.glo must be positive"),
-            ("train.loc_target = hidden\nmask.rate = 0\n",
-             "train.loc_target 'hidden' needs a mask rate > 0"),
         ],
     )
     def test_train_section_errors_name_the_key(self, text, message):
@@ -159,6 +153,33 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_sources(text)
 
+    @pytest.mark.parametrize(
+        "text, keys, what",
+        [
+            ("data.synth_steps = 200000\n", "data.synth_vars and data.synth_steps",
+             "synthetic series needs 12600000 bytes"),
+            ("data.synth_vars = 1000\n", "data.synth_vars and data.synth_steps",
+             "synthetic series needs 18000000 bytes"),
+            ("window.length = 4096\n", "window.length, model.d_model and model.hidden_dim",
+             "float64 parameter buffer needs 19443712 bytes"),
+            ("model.d_model = 1024\n", "window.length, model.d_model and model.hidden_dim",
+             "float64 parameter buffer needs 15629056 bytes"),
+            ("model.hidden_dim = 1024\n", "window.length, model.d_model and model.hidden_dim",
+             "float64 parameter buffer needs 16808704 bytes"),
+        ],
+        ids=["synth_steps", "synth_vars", "window_length", "d_model", "hidden_dim"],
+    )
+    def test_sizes_beyond_physical_memory_are_refused(self, monkeypatch, text, keys, what):
+        monkeypatch.setattr(config, "_physical_memory", lambda: 10 << 20)
+        RunConfig.from_sources()  # the defaults fit
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_sources(text)
+        want = f"{keys}: the {what}, more than the 10485760 bytes of physical memory"
+        assert str(excinfo.value) == want
+        # a CSV source's series is sized by the file, not by the synthetic keys
+        if keys.startswith("data."):
+            RunConfig.from_sources(text + "data.source = series.csv\n")
+
     def test_bad_eval_rate_rejected(self):
         with pytest.raises(ConfigError, match="eval.rates"):
             RunConfig.from_sources("eval.rates = 0.5,1.5\n")
@@ -181,10 +202,10 @@ class TestResolvedText:
 
     def test_canonical_formatting(self):
         cfg = RunConfig.from_sources(
-            "model.attention = yes\ntrain.split = 0.60,0.20,0.20\n"
+            "eval.normalized = no\ntrain.split = 0.60,0.20,0.20\n"
         )
         text = cfg.resolved_text()
-        assert "model.attention = true" in text
+        assert "eval.normalized = false" in text
         assert "train.split = 0.6,0.2,0.2" in text
         assert "window.val_stride = none" in text
 

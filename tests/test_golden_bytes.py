@@ -41,36 +41,22 @@ TRAIN_CFG = TrainConfig(
 # mid-epoch 1, after the first validation has set the best parameters
 MID_EPOCH_STEP = 13
 
-# (use_attention, output) -> sha256; a ``state`` output is the train state's
-# digest (see _state_digest), the others are files
+# output -> sha256; a ``state`` output is the train state's digest (see
+# _state_digest), the others are files
 DIGESTS = {
-    (False, "training_log.csv"):
+    "training_log.csv":
         "3530168a8d7b7f78240d306ad8e3af0a767c0e8be0fd75a73b46c561774f3620",
-    (False, "checkpoint.bin"):
+    "checkpoint.bin":
         "ab2e6c06f4e228731fa1499b4c93ffa2226b7702cf26bde45f8bf6ac38006ff8",
-    (False, "mid_state"):
+    "mid_state":
         "aabb36ac995bbc1bf07a91ced04a1f7db4b5160398b7747de1967d81f66ae586",
-    (False, "resumed/training_log.csv"):
+    "resumed/training_log.csv":
         "458c669a676648b0dd685a357811f30fff976a285393f7dbb4925ae9cbefcb32",
-    (False, "resumed/state"):
+    "resumed/state":
         "a7b970aad14a1cd3daf900d284797afe680dbc724fe31178e41fa0e00606ae34",
-    (True, "training_log.csv"):
-        "6c4a44bcaed9e49a2c74f0999210ebaef32ea07a91144588d5f74989f8022658",
-    (True, "checkpoint.bin"):
-        "8babac226c950b8963814a55421b2d12c99128cb574214547fac421cd722d731",
-    (True, "mid_state"):
-        "61006abae9ffed0e54d69be55190b4d8d3fb51ba2f7f64b98699f8a51ac3972e",
-    (True, "resumed/training_log.csv"):
-        "c4e473f74c13c5dc19bd65c5b59459d862e1a2e79523555025fd8c95c4d0e77a",
-    (True, "resumed/state"):
-        "03c1092fec8569b1f9bf7a7603c206fb8347645d177b063306629d2f2ee757c0",
 }
 
-
-def _model_cfg(attention: bool) -> ModelConfig:
-    return ModelConfig(
-        window_len=24, n_vars=3, d_model=8, hidden_dim=10, use_attention=attention
-    )
+MODEL_CFG = ModelConfig(window_len=24, n_vars=3, d_model=8, hidden_dim=10)
 
 
 _COUNTERS = ("adam_t", "epoch", "batch_idx", "global_step", "best_val", "best_epoch", "stall")
@@ -111,73 +97,54 @@ def _outputs(out, model_cfg, train_cfg, start_state=None, max_steps=None):
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Per attention setting: the digests of a full fit, of its state stopped
-    mid-epoch and of the fit resumed from that state."""
-    got = {}
-    for attention in (False, True):
-        root = tmp_path_factory.mktemp(f"attention_{attention}")
-        model_cfg = _model_cfg(attention)
-        full, _ = _outputs(root / "full", model_cfg, TRAIN_CFG)
-        part, mid_state = _outputs(
-            root / "part", model_cfg, TRAIN_CFG, max_steps=MID_EPOCH_STEP
-        )
-        resumed, _ = _outputs(root / "resumed", model_cfg, TRAIN_CFG, start_state=mid_state)
-        got[attention] = {
-            **full,
-            "mid_state": part["state"],
-            **{f"resumed/{name}": digest for name, digest in resumed.items()},
-        }
-    return got
+    """The digests of a full fit, of its state stopped mid-epoch and of the
+    fit resumed from that state."""
+    root = tmp_path_factory.mktemp("fit")
+    full, _ = _outputs(root / "full", MODEL_CFG, TRAIN_CFG)
+    part, mid_state = _outputs(root / "part", MODEL_CFG, TRAIN_CFG, max_steps=MID_EPOCH_STEP)
+    resumed, _ = _outputs(root / "resumed", MODEL_CFG, TRAIN_CFG, start_state=mid_state)
+    return {
+        **full,
+        "mid_state": part["state"],
+        **{f"resumed/{name}": digest for name, digest in resumed.items()},
+    }
 
 
-@pytest.mark.parametrize("attention, name", sorted(DIGESTS))
-def test_output_bytes_are_pinned(outputs, attention, name):
-    assert outputs[attention][name] == DIGESTS[attention, name]
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_bytes_are_pinned(outputs, name):
+    assert outputs[name] == DIGESTS[name]
 
 
-@pytest.mark.parametrize("attention", [False, True])
-def test_resume_ends_in_the_full_runs_state(outputs, attention):
-    assert outputs[attention]["resumed/state"] == outputs[attention]["state"]
+def test_resume_ends_in_the_full_runs_state(outputs):
+    assert outputs["resumed/state"] == outputs["state"]
 
 
-# (use_attention, output) -> sha256 of the fit with the InfoNCE global term
+# output -> sha256 of the fit with the InfoNCE global term
 INFONCE_DIGESTS = {
-    (False, "training_log.csv"):
+    "training_log.csv":
         "a1efec99c67b8f42839ee864dae17800697cc1301607fa171bf129e7fc57eac6",
-    (False, "checkpoint.bin"):
+    "checkpoint.bin":
         "386e54b9ee8f8c69108c08844a624bf453af014292b490f64b16a19690c71cea",
-    (True, "training_log.csv"):
-        "611670e05ac878c3245d90e52ca03cd7abf85171eaee837bfe4bfbd616e330c7",
-    (True, "checkpoint.bin"):
-        "f9ab3f758608f9ead30bd7e2e2cfa7d91ffbc36e320da8d56d1c430357f217df",
 }
 
 
 @pytest.fixture(scope="module")
 def infonce_outputs(tmp_path_factory):
     infonce = dataclasses.replace(TRAIN_CFG, weights=LossWeights(glo_variant=GLO_INFONCE))
-    root = tmp_path_factory.mktemp("infonce")
-    return {
-        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), infonce)[0]
-        for attention in (False, True)
-    }
+    return _outputs(tmp_path_factory.mktemp("infonce") / "fit", MODEL_CFG, infonce)[0]
 
 
-@pytest.mark.parametrize("attention, name", sorted(INFONCE_DIGESTS))
-def test_infonce_fit_bytes_are_pinned(infonce_outputs, attention, name):
-    assert infonce_outputs[attention][name] == INFONCE_DIGESTS[attention, name]
+@pytest.mark.parametrize("name", sorted(INFONCE_DIGESTS))
+def test_infonce_fit_bytes_are_pinned(infonce_outputs, name):
+    assert infonce_outputs[name] == INFONCE_DIGESTS[name]
 
 
-# (use_attention, output) -> sha256 of the fit under block masks
+# output -> sha256 of the fit under block masks
 BLOCK_DIGESTS = {
-    (False, "training_log.csv"):
+    "training_log.csv":
         "fc0b90b38153c27a1db12c2066093528d7c972c0c12483c436842e1beb0a445a",
-    (False, "checkpoint.bin"):
+    "checkpoint.bin":
         "3e8662311b9d0934d55233f6d8302aac28e7966aaa7532559020631bd65419f7",
-    (True, "training_log.csv"):
-        "38a72c32e3888812266d15a541d909e30afb50c949ef1360f522485fa573ee2f",
-    (True, "checkpoint.bin"):
-        "627718f4e81d28466546c76cba80c62b361aa41d2566dcffb2517f6b151739e6",
 }
 
 
@@ -186,23 +153,18 @@ def block_outputs(tmp_path_factory):
     block = dataclasses.replace(
         TRAIN_CFG, mask_spec=MaskSpec(pattern="block", rate=0.7, block_len=4)
     )
-    root = tmp_path_factory.mktemp("block")
-    return {
-        attention: _outputs(root / f"attention_{attention}", _model_cfg(attention), block)[0]
-        for attention in (False, True)
-    }
+    return _outputs(tmp_path_factory.mktemp("block") / "fit", MODEL_CFG, block)[0]
 
 
-@pytest.mark.parametrize("attention, name", sorted(BLOCK_DIGESTS))
-def test_block_mask_fit_bytes_are_pinned(block_outputs, attention, name):
-    assert block_outputs[attention][name] == BLOCK_DIGESTS[attention, name]
+@pytest.mark.parametrize("name", sorted(BLOCK_DIGESTS))
+def test_block_mask_fit_bytes_are_pinned(block_outputs, name):
+    assert block_outputs[name] == BLOCK_DIGESTS[name]
 
 
-@pytest.mark.parametrize("attention", [False, True])
-def test_clipping_fires(tmp_path, outputs, attention):
+def test_clipping_fires(tmp_path, outputs):
     no_clip = dataclasses.replace(TRAIN_CFG, clip_norm=0.0)
-    unclipped = _outputs(tmp_path / "unclipped", _model_cfg(attention), no_clip)[0]
-    assert unclipped["checkpoint.bin"] != outputs[attention]["checkpoint.bin"]
+    unclipped = _outputs(tmp_path / "unclipped", MODEL_CFG, no_clip)[0]
+    assert unclipped["checkpoint.bin"] != outputs["checkpoint.bin"]
 
 
 CLI_CFG = """\

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibimpute.autodiff import Tape, Tensor, grad_check, mul
+from ibimpute.autodiff import Tape, Tensor, grad_check, matmul, mul
 from ibimpute.losses import (
     DomainError,
     GLO_COSINE,
@@ -196,13 +196,13 @@ class TestInfoNce:
         w = Tensor(rand((3, 3), seed=11), trainable=True)
         with Tape() as tape:
             tape.watch(w)
-            z = x @ w
-            loss_live = infonce_loss(z, x @ w, temperature=0.1)
+            z = matmul(x, w)
+            loss_live = infonce_loss(z, matmul(x, w), temperature=0.1)
         g_live = tape.backward(loss_live).of(w)
         with Tape() as tape:
             tape.watch(w)
-            z = x @ w
-            loss_const = infonce_loss(z, Tensor((x @ w).data.copy()), temperature=0.1)
+            z = matmul(x, w)
+            loss_const = infonce_loss(z, Tensor(matmul(x, w).data.copy()), temperature=0.1)
         g_const = tape.backward(loss_const).of(w)
         assert np.array_equal(g_live, g_const)
 
@@ -261,11 +261,11 @@ class TestCosineAlign:
         w = Tensor(rand((3, 3), seed=21), trainable=True)
         with Tape() as tape:
             tape.watch(w)
-            loss_live = cosine_align_loss(x @ w, x @ w)
+            loss_live = cosine_align_loss(matmul(x, w), matmul(x, w))
         g_live = tape.backward(loss_live).of(w)
         with Tape() as tape:
             tape.watch(w)
-            loss_const = cosine_align_loss(x @ w, Tensor((x @ w).data.copy()))
+            loss_const = cosine_align_loss(matmul(x, w), Tensor(matmul(x, w).data.copy()))
         g_const = tape.backward(loss_const).of(w)
         assert np.array_equal(g_live, g_const)
 

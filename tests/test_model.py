@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import struct
@@ -31,8 +30,6 @@ def _expected_param_count(cfg: ModelConfig) -> int:
     t, h, d = cfg.window_len, cfg.hidden_dim, cfg.d_model
     n = (t * h + h) + (h * h + h) + 2 * (h * d + d) + (d * h + h) + (h * t + t)
     n += d * d + d
-    if cfg.use_attention:
-        n += 3 * h * h
     return n
 
 
@@ -55,11 +52,6 @@ class TestInit:
     def test_param_count(self, tiny_model_cfg):
         model = ImputationModel(tiny_model_cfg, seed=6)
         assert model.flat.size == _expected_param_count(tiny_model_cfg)
-
-    def test_param_count_with_attention(self, tiny_model_cfg):
-        cfg = dataclasses.replace(tiny_model_cfg, use_attention=True)
-        model = ImputationModel(cfg, seed=6)
-        assert model.flat.size == _expected_param_count(cfg)
 
     def test_all_trainable(self, tiny_model):
         assert all(t.trainable for t in tiny_model.params.values())
@@ -108,14 +100,6 @@ class TestForwardShapes:
         assert dist.mu.shape == (tiny_model_cfg.n_vars, tiny_model_cfg.d_model)
         assert tiny_model.reconstruct(x).shape == x.shape
 
-    def test_attention_forward(self):
-        cfg = ModelConfig(window_len=8, n_vars=3, d_model=4, hidden_dim=6, use_attention=True)
-        model = ImputationModel(cfg, seed=9)
-        x = np.linspace(-1.0, 1.0, 2 * 8 * 3).reshape(2, 8, 3)
-        dist = model.encode(x)
-        assert dist.mu.shape == (2, 3, 4)
-        assert np.all(np.isfinite(dist.mu.data))
-
     def test_vector_input_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             tiny_model.encode(np.zeros(8))
@@ -158,14 +142,11 @@ class TestForwardValues:
             tiny_model.encode(x)
 
 
-    @pytest.mark.parametrize("attention", [False, True], ids=["mlp", "attention"])
     @pytest.mark.parametrize("widths", [(32, 64), (256, 256)], ids=["train_small", "default"])
     @pytest.mark.parametrize("lead", [(), (5,)], ids=["one_window", "batch"])
-    def test_mu_only_pass_is_bits_of_the_full_pass_mu(self, rand, attention, widths, lead):
+    def test_mu_only_pass_is_bits_of_the_full_pass_mu(self, rand, widths, lead):
         d_model, hidden = widths
-        cfg = ModelConfig(
-            window_len=96, n_vars=7, d_model=d_model, hidden_dim=hidden, use_attention=attention
-        )
+        cfg = ModelConfig(window_len=96, n_vars=7, d_model=d_model, hidden_dim=hidden)
         model = ImputationModel(cfg, seed=16)
         x = rand((*lead, 96, 7), seed=17)
         dist = model.encode(x, mu_only=True)
@@ -205,22 +186,6 @@ class TestGradientsThroughModel:
                 return _mean_square(tiny_model.decode(z), sum_all)
             finally:
                 tiny_model.params["decoder.hidden.w"] = original
-
-        report = grad_check(f, Tensor(original.data.copy()), eps=1e-5, tol=1e-4)
-        assert report.passed, report.max_rel_err
-
-    def test_attention_weight_gradient(self, rand, sum_all):
-        cfg = ModelConfig(window_len=8, n_vars=3, d_model=4, hidden_dim=6, use_attention=True)
-        model = ImputationModel(cfg, seed=18)
-        x = rand((2, 8, 3), seed=19)
-        original = model.params["encoder.attn.wq"]
-
-        def f(at):
-            model.params["encoder.attn.wq"] = at
-            try:
-                return _mean_square(model.encode(x).mu, sum_all)
-            finally:
-                model.params["encoder.attn.wq"] = original
 
         report = grad_check(f, Tensor(original.data.copy()), eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err

@@ -295,18 +295,6 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="empty batch"):
             train_step(self._tiny(51), [], LossWeights(), Adam(0.01), step_seed=0)
 
-    def test_hidden_loc_target_runs(self):
-        model = self._tiny(52)
-        bd, stepped = train_step(
-            model,
-            _masked_batch(seed=53, rate=0.5),
-            LossWeights(),
-            Adam(0.01),
-            step_seed=54,
-            loc_target="hidden",
-        )
-        assert stepped and np.isfinite(bd.total)
-
     def test_infonce_variant_runs(self):
         model = self._tiny(55)
         weights = LossWeights(glo_variant=GLO_INFONCE)
@@ -439,11 +427,6 @@ class TestTrainConfigValidation:
         cfg.validate(n_vars=2)
         cfg.validate()  # the width is not known yet
 
-    def test_hidden_target_needs_masking(self):
-        cfg = TrainConfig(loc_target="hidden", mask_spec=MaskSpec(rate=0.0))
-        with pytest.raises(ValueError, match="hidden"):
-            cfg.validate()
-
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):
             TrainConfig(train_stride=0).validate()
@@ -460,10 +443,6 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError) as excinfo:
             cfg.validate()
         assert str(excinfo.value) == message
-
-    def test_bad_loc_target_rejected(self):
-        with pytest.raises(ValueError, match="loc_target"):
-            TrainConfig(loc_target="everything").validate()
 
 
 class TestFit:
@@ -671,10 +650,8 @@ def _live_models(monkeypatch):
 
 
 class TestFlatParameters:
-    @pytest.mark.parametrize("attention", [False, True])
-    def test_seeded_model(self, attention):
-        cfg = dataclasses.replace(MODEL_CFG, use_attention=attention)
-        _assert_flat_model(ImputationModel(cfg, seed=1))
+    def test_seeded_model(self):
+        _assert_flat_model(ImputationModel(MODEL_CFG, seed=1))
 
     def test_model_from_named_arrays_copies_them(self):
         source = ImputationModel(MODEL_CFG, seed=2)
