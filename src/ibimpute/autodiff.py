@@ -1,13 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine holds only the ops the model uses: ``add``, ``mul``, ``matmul`` and
-``transpose``, plus :func:`custom_node` for a composite with a hand-written
-backward, and :func:`grad_check`.  Forward ops compute with numpy
-and, when a :class:`Tape` is active, append one node per call that has an
-input needing a gradient; :meth:`Tape.backward` walks the nodes once in
-reverse, so a chain of k ops costs k backward visits and never re-runs the
-forward pass.  With no active tape the same ops run in plain inference mode
-and record nothing.
+The engine holds only the ops the model uses, ``matmul`` and ``transpose``,
+plus :func:`custom_node` for a composite with a hand-written backward, and
+:func:`grad_check`.  :func:`custom_node` is the one recorder: each op
+computes with numpy and hands its value and backward to it, which, when a
+:class:`Tape` is active, appends one node per call that has an input needing
+a gradient; :meth:`Tape.backward` walks the nodes once in reverse, so a chain
+of k ops costs k backward visits and never re-runs the forward pass.  With no
+active tape the same ops run in plain inference mode and record nothing.
 
 A tape is swept once: :meth:`Tape.backward` releases each node's output,
 inputs and backward as soon as it has visited the node, so an activation dies
@@ -31,8 +31,9 @@ forward is one ``[rows, in] @ [in, out]`` GEMM and the backward is two,
 layer's ``bias`` and ``relu=True``: the layer is then one node, holding one
 output array, whose forward adds the bias and applies the ReLU in place in
 the GEMM result, and whose backward masks the output gradient where the
-output is not positive before the two GEMMs and the bias sum.  A right
-operand of any other rank raises :class:`ShapeMismatchError`.
+output is not positive before the two GEMMs and the bias sum over the
+leading axes.  A right operand of any other rank raises
+:class:`ShapeMismatchError`.
 
 A shared-weight product of at least ``_SPLIT_MACS`` multiply-adds (every one
 at the default width, none at the acceptance shape) runs as two row blocks of
@@ -43,8 +44,8 @@ The cut is a multiple of ``_SPLIT_ROWS`` rows, where OpenBLAS groups rows as
 in the whole product, so the bytes do not change.  The worker runs only numpy,
 in the caller's context (so its ``np.errstate``); a forked child starts its own.
 
-:func:`custom_node` records a composite computed with numpy as one node with
-a hand-written backward; every loss term in :mod:`ibimpute.losses` is one.
+Every loss term in :mod:`ibimpute.losses`, and their weighted sum, is one
+:func:`custom_node`.
 
 Importing this module tells glibc's allocator to serve arrays up to 32 MiB
 from its heap and to keep freed heap memory rather than hand it back to the
@@ -165,17 +166,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, trainable={self.trainable})"
 
-    # arithmetic sugar; scalars and arrays are lifted to constants
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 @dataclass
 class _Node:
@@ -276,81 +266,24 @@ class Gradients:
         return np.concatenate(parts, axis=None)
 
 
-def _needs(inputs: tuple[Tensor, ...]) -> tuple[bool, ...]:
-    """Which of ``inputs`` need a gradient on the active tape (none without one)."""
-    tape = _ACTIVE
-    if tape is None:
-        return (False,) * len(inputs)
-    tracked = tape._tracked
-    return tuple([t.trainable or t.uid in tracked for t in inputs])
-
-
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward, need=None) -> Tensor:
-    """Append a node for ``out`` if any input needs a gradient (``need``, from
-    :func:`_needs` if not given); then ``out`` needs one too.  ``backward``
-    returns None in place of the gradient of an input that needs none."""
-    tape = _ACTIVE
-    if tape is not None and any(_needs(inputs) if need is None else need):
-        tape._tracked.add(out.uid)
-        tape.nodes.append(_Node(out, inputs, backward))
-    return out
-
-
 def custom_node(value, inputs: tuple[Tensor, ...], backward) -> Tensor:
     """``value``, computed outside the tape from ``inputs``, as one op's output.
 
-    On an active tape where an input needs a gradient this records one node;
-    ``backward(g, need)`` then gets the output gradient ``g`` and which of
+    The only code that appends to a tape.  On an active tape where an input
+    needs a gradient this records one node, and the output then needs one
+    too; ``backward(g, need)`` gets the output gradient ``g`` and which of
     ``inputs`` need a gradient, and returns one gradient per input, None for
     each input that needs none.
     """
-    need = _needs(inputs)
-    return _record(Tensor(value), inputs, lambda g: backward(g, need), need)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def _binary(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
-    try:
-        return ufunc(a.data, b.data)
-    except ValueError:
-        raise ShapeMismatchError(
-            f"{op}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_binary("add", np.add, a, b))
-    need_a, need_b = need = _needs((a, b))
-
-    def backward(g):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(g, b.shape) if need_b else None)
-
-    return _record(out, (a, b), backward, need)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_binary("mul", np.multiply, a, b))
-    need_a, need_b = need = _needs((a, b))
-
-    def backward(g):
-        ga = gb = None
-        if need_a:
-            ga = _unbroadcast(g * b.data, a.shape)
-        if need_b:
-            gb = _unbroadcast(g * a.data, b.shape)
-        return ga, gb
-
-    return _record(out, (a, b), backward, need)
+    out = Tensor(value)
+    tape = _ACTIVE
+    if tape is not None:
+        tracked = tape._tracked
+        need = tuple([t.trainable or t.uid in tracked for t in inputs])
+        if any(need):
+            tracked.add(out.uid)
+            tape.nodes.append(_Node(out, inputs, lambda g: backward(g, need)))
+    return out
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
@@ -374,33 +307,32 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
         np.add(pre, bias.data, out=pre)
     if relu:
         np.maximum(pre, 0.0, out=pre)
-    out = Tensor(pre)
-    inputs = (a, b) if bias is None else (a, b, bias)
-    need = _needs(inputs)
 
-    def backward(g):
-        # out > 0 exactly where the pre-activation is > 0
+    def backward(g, need):
+        # pre now holds the output: > 0 exactly where the pre-activation is
         if relu:
-            g = g * (out.data > 0.0)
+            g = g * (pre > 0.0)
         g2 = g.reshape(-1, n_out)
-        grads = [None] * len(inputs)
+        grads = [None] * len(need)
         if need[0]:
             grads[0] = _gemm(g2, b.data.T).reshape(a.shape)
         if need[1]:
             grads[1] = _gemm(a2.T, g2)
         if bias is not None and need[2]:
-            grads[2] = _unbroadcast(g, bias.shape)
+            while g.ndim > 1:
+                g = g.sum(axis=0)
+            grads[2] = g
         return grads
 
-    return _record(out, inputs, backward, need)
+    return custom_node(pre, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the trailing two dims."""
     if a.ndim < 2:
         raise ShapeMismatchError(f"transpose: needs ndim >= 2, got shape {a.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2))
-    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    return custom_node(np.swapaxes(a.data, -1, -2), (a,),
+                       lambda g, need: (np.swapaxes(g, -1, -2),))
 
 
 @dataclass

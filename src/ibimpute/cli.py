@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import TapeError
-from .config import ConfigError, RunConfig
+from .config import SYNTH_CELL_BYTES, ConfigError, RunConfig, check_fits_in_memory
 from .data import (
     Dataset,
     Window,
@@ -147,6 +147,8 @@ def _cmd_synth(args) -> None:
         raise UsageError("--steps must be >= 1")
     if not 0.0 <= args.noise_std < math.inf:
         raise UsageError("--noise-std must be a finite number >= 0")
+    check_fits_in_memory("--vars and --steps", "synthetic series",
+                         SYNTH_CELL_BYTES * args.vars * args.steps)
     from .data import make_synthetic
 
     ds = make_synthetic(args.vars, args.steps, args.seed, args.noise_std)

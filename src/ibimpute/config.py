@@ -95,6 +95,20 @@ def _physical_memory() -> int | None:
     return size if size > 0 else None
 
 
+SYNTH_CELL_BYTES = 9  # a synthetic cell holds a float64 value and a one-byte mask
+
+
+def check_fits_in_memory(keys: str, what: str, size: int) -> None:
+    """Refuse a ``size``-byte ``what`` larger than physical memory, naming the
+    ``keys`` that size it, before numpy is asked for it."""
+    memory = _physical_memory()
+    if memory is not None and size > memory:
+        raise ConfigError(
+            f"{keys}: the {what} needs {size} bytes, more than the "
+            f"{memory} bytes of physical memory"
+        )
+
+
 def _fmt(value) -> str:
     if value is None:
         return "none"
@@ -254,19 +268,12 @@ class RunConfig:
             self.train_config().validate(key=_TRAIN_KEYS.__getitem__)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        memory = _physical_memory()
-        needs = [("window.length, model.d_model and model.hidden_dim",
-                  "float64 parameter buffer", 8 * param_count(model_cfg))]
+        check_fits_in_memory("window.length, model.d_model and model.hidden_dim",
+                             "float64 parameter buffer", 8 * param_count(model_cfg))
         if self.values["data.source"] == "synthetic":
-            # each cell holds a float64 value and a one-byte mask
             cells = self.values["data.synth_vars"] * self.values["data.synth_steps"]
-            needs.append(("data.synth_vars and data.synth_steps", "synthetic series", 9 * cells))
-        for keys, what, size in needs:
-            if memory is not None and size > memory:
-                raise ConfigError(
-                    f"{keys}: the {what} needs {size} bytes, more than the "
-                    f"{memory} bytes of physical memory"
-                )
+            check_fits_in_memory("data.synth_vars and data.synth_steps", "synthetic series",
+                                 SYNTH_CELL_BYTES * cells)
 
     def resolved_text(self) -> str:
         lines = [f"{key} = {_fmt(self.values[key])}" for key in sorted(_REGISTRY)]

@@ -14,16 +14,16 @@ Three ingredients combine into the training objective:
 A term with weight 0 is off: ``LossWeights.glo = 0`` is the one switch for
 the global term, and ``glo_variant`` only picks which global term runs.
 
-Each term is one tape node (:func:`~ibimpute.autodiff.custom_node`): the
-forward computes with numpy and the backward is written by hand.  Both do
-the float ops of the chain of elementwise ops these terms used to be built
-from, in its order, so values and gradients are the same to the bit: each
-backward uses the one scalar that chain broadcast, and adds a tensor's two
-gradient branches in the order :meth:`~ibimpute.autodiff.Tape.backward`
-added them (sigma's log branch, then its square branch; a row's
-``g / norm``, then its norm branch; the InfoNCE scores' logsumexp branch
-plus their matching-pair branch), not the closed forms, which differ by an
-ulp or two.
+Each term, and the weighted sum, is one tape node
+(:func:`~ibimpute.autodiff.custom_node`): the forward computes with numpy
+and the backward is written by hand.  Both do the float ops of the chain of
+elementwise ops these terms used to be built from, in its order, so values
+and gradients are the same to the bit: each backward uses the one scalar
+that chain broadcast, and adds a tensor's two gradient branches in the order
+:meth:`~ibimpute.autodiff.Tape.backward` added them (sigma's log branch,
+then its square branch; a row's ``g / norm``, then its norm branch; the
+InfoNCE scores' logsumexp branch plus their matching-pair branch), not the
+closed forms, which differ by an ulp or two.
 """
 
 from __future__ import annotations
@@ -249,22 +249,24 @@ def total_objective(
     loc: Tensor | None = None,
     glo: Tensor | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Weighted sum of the supplied terms.
+    """Weighted sum of the supplied terms, as one node.
 
     Terms may be omitted (None); a missing term contributes nothing and is
     logged as 0.  Zero-weight terms are skipped in the sum, so they never
     touch the gradient; a zero-weight regularizer or local term still logs
-    its value, but the global term at weight 0 is off and logs 0.
+    its value, but the global term at weight 0 is off and logs 0.  The sum
+    runs left to right, reg, loc, glo, and each term's gradient is the
+    output gradient times its weight.
     """
     weights.validate()
-    total: Tensor | None = None
-    for w, term in ((weights.reg, reg), (weights.loc, loc), (weights.glo, glo)):
-        if term is None or w == 0.0:
-            continue
-        piece = term * w
-        total = piece if total is None else total + piece
-    if total is None:
-        total = Tensor(0.0)
+    pairs = ((weights.reg, reg), (weights.loc, loc), (weights.glo, glo))
+    kept = [(w, term) for w, term in pairs if term is not None and w != 0.0]
+    pieces = [term.data * w for w, term in kept]
+    total = custom_node(
+        sum(pieces[1:], pieces[0]) if pieces else 0.0,
+        tuple(term for _, term in kept),
+        lambda g, need: [g * w if n else None for (w, _), n in zip(kept, need)],
+    )
     breakdown = LossBreakdown(
         reg=float(reg.data) if reg is not None else 0.0,
         loc=float(loc.data) if loc is not None else 0.0,

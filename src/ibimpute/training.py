@@ -233,7 +233,7 @@ def train_step(
         z_target = None
         if weights.glo > 0.0:
             # stop-gradient branch: no tape active, output is a plain constant
-            z_target = model.encode(x * m_obs, mu_only=True).mu.detach()
+            z_target = model.encode(x * m_obs, mu_only=True).mu
             row_norms = np.sum(
                 z_target.data.reshape(-1, z_target.shape[-1]) ** 2, axis=-1
             )

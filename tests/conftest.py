@@ -61,3 +61,41 @@ def _sum_all(t: Tensor) -> Tensor:
 def sum_all():
     """A scalar loss for tape tests: the sum of every entry, as one node."""
     return _sum_all
+
+
+def _sum_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` summed over its leading axes, one at a time, down to ``shape``'s rank."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    return g
+
+
+def _add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b``, broadcast over leading axes, as one node: each input's
+    gradient is the output gradient summed down to its shape."""
+    return custom_node(a.data + b.data, (a, b), lambda g, need: (
+        _sum_leading(g, a.shape) if need[0] else None,
+        _sum_leading(g, b.shape) if need[1] else None,
+    ))
+
+
+def _mul(a: Tensor, b: Tensor) -> Tensor:
+    """``a * b``, broadcast over leading axes, as one node: each input's
+    gradient is the output gradient times the other input, summed down to
+    its shape."""
+    return custom_node(a.data * b.data, (a, b), lambda g, need: (
+        _sum_leading(g * b.data, a.shape) if need[0] else None,
+        _sum_leading(g * a.data, b.shape) if need[1] else None,
+    ))
+
+
+@pytest.fixture(scope="session")
+def add():
+    """Elementwise sum of two tensors, as one node, for reference composites."""
+    return _add
+
+
+@pytest.fixture(scope="session")
+def mul():
+    """Elementwise product of two tensors, as one node, for reference composites."""
+    return _mul

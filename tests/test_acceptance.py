@@ -28,11 +28,13 @@ from ibimpute.evaluation import (
     write_sweep_csv,
 )
 from ibimpute.losses import (
+    GLO_INFONCE,
     LossWeights,
     cosine_align_loss,
     infonce_loss,
     loc_loss,
     reg_loss,
+    total_objective,
 )
 from ibimpute.model import ImputationModel, LatentDistribution, ModelConfig, reparameterize
 from ibimpute.rng import STREAM_EVAL_MASK, derive
@@ -113,7 +115,8 @@ def test_criterion_1_gradient_checks_all_losses():
             z = reparameterize(dist, step_seed)
             recon = loc_loss(Tensor(x), model.decode(z), Tensor(ones))
             contrast = infonce_loss(model.project(z), z_target)
-            return reg_loss(dist) * 0.01 + recon + contrast * 0.1
+            weights = LossWeights(reg=0.01, loc=1.0, glo=0.1, glo_variant=GLO_INFONCE)
+            return total_objective(weights, reg=reg_loss(dist), loc=recon, glo=contrast)[0]
 
         for build in (loss_reg, loss_loc, loss_nce, loss_cos, loss_total):
             n_trials += 1

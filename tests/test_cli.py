@@ -89,6 +89,19 @@ class TestSynthCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--vars", "--steps"])
+    def test_series_beyond_physical_memory_exits_1_before_any_write(
+        self, tmp_path, capsys, flag
+    ):
+        # numpy refuses 10^20 without allocating; the size check comes first
+        sizes = {"--vars": "3", "--steps": "5", flag: str(10**20)}
+        argv = ["synth", *[a for pair in sizes.items() for a in pair]]
+        assert main(argv + ["--out", str(tmp_path / "sub" / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --vars and --steps: the synthetic series needs ")
+        assert err.endswith(" bytes of physical memory\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):

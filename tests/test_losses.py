@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibimpute.autodiff import Tape, Tensor, grad_check, matmul, mul
+from ibimpute.autodiff import Tape, Tensor, grad_check, matmul
 from ibimpute.losses import (
     DomainError,
     GLO_COSINE,
@@ -271,12 +271,14 @@ class TestCosineAlign:
 
 
 def _weighted(term, inputs, weight):
-    """``term(*inputs) * weight``, every input watched: the value, each
-    input's gradient and the node count."""
+    """``term(*inputs) * weight``, summed by :func:`total_objective` as its
+    only term, every input watched: the value, each input's gradient and the
+    node count."""
     tensors = [Tensor(x) for x in inputs]
+    weights = LossWeights(reg=0.0, loc=weight, glo=0.0)
     with Tape() as tape:
         tape.watch(*tensors)
-        loss = term(*tensors) * weight
+        loss, _ = total_objective(weights, loc=term(*tensors))
     grads = tape.backward(loss)
     return loss.data, [grads.of(t) for t in tensors], len(tape.nodes)
 
@@ -304,7 +306,7 @@ class TestOneNodeTerms:
     @staticmethod
     def _assert_pinned(key, term, inputs):
         value, grads, nodes = _weighted(term, inputs, key[2])
-        assert nodes == 2  # the term, then the weight
+        assert nodes == 2  # the term, then the weighted sum
         digest = hashlib.sha256(value.tobytes())
         for g in grads:
             digest.update(np.ascontiguousarray(g).tobytes())
@@ -382,7 +384,7 @@ class TestTotalObjective:
         assert bd.reg == 0.0 and bd.glo == 0.0
         assert abs(bd.total - 3.0) < 1e-12
 
-    def test_zero_weight_term_off_gradient(self, rand, sum_all):
+    def test_zero_weight_term_off_gradient(self, rand, sum_all, add, mul):
         # a zero-weight term never enters the summed tensor, so its
         # gradient path is dead even while its value is logged
         w = LossWeights(reg=0.0, loc=1.0, glo=0.0)
@@ -390,13 +392,33 @@ class TestTotalObjective:
 
         with Tape() as tape:
             tape.watch(t)
-            shifted = t + (-1.0)
-            reg_term = sum_all(mul(t, t)) * (1.0 / t.data.size)
-            loc_term = sum_all(mul(shifted, shifted)) * (1.0 / t.data.size)
+            shifted = add(t, Tensor(-1.0))
+            inv_size = Tensor(1.0 / t.data.size)
+            reg_term = mul(sum_all(mul(t, t)), inv_size)
+            loc_term = mul(sum_all(mul(shifted, shifted)), inv_size)
             total, _ = total_objective(w, reg=reg_term, loc=loc_term)
         g = tape.backward(total).of(t)
         expected = 2.0 * (t.data - 1.0) / t.data.size
         assert np.max(np.abs(g - expected)) < 1e-12
+
+    def test_sum_is_one_node_whose_gradients_are_the_weights(self):
+        w = LossWeights(reg=0.01, loc=1.0, glo=0.3)
+        terms = [Tensor(v) for v in (2.0, 0.5, -0.8)]
+        with Tape() as tape:
+            tape.watch(*terms)
+            total, bd = total_objective(w, *terms)
+        assert len(tape.nodes) == 1
+        assert bd.total == total.item() == (2.0 * 0.01 + 0.5 * 1.0) + -0.8 * 0.3
+        grads = tape.backward(total)
+        assert [grads.of(t).item() for t in terms] == [0.01, 1.0, 0.3]
+
+    def test_constant_term_gets_no_gradient(self):
+        loc = Tensor(2.0, trainable=True)
+        with Tape() as tape:
+            total_objective(LossWeights(), reg=Tensor(1.0), loc=loc)
+        (node,) = tape.nodes
+        assert node.inputs[1] is loc
+        assert node.backward(np.ones(())) == [None, 1.0]
 
     @given(
         st.floats(min_value=0.0, max_value=2.0),

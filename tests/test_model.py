@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibimpute.autodiff import Tape, Tensor, _record, add, grad_check, mul
+from ibimpute.autodiff import Tape, Tensor, custom_node, grad_check
 from ibimpute.data import MaskSpec, Normalizer, Window, apply_mask, make_synthetic, make_windows
 from ibimpute.model import (
     CHECKPOINT_MAGIC,
@@ -163,27 +163,27 @@ class TestForwardValues:
             tiny_model.encode(x)
 
 
-def _mean_square(t, sum_all):
-    return sum_all(mul(t, t)) * (1.0 / t.data.size)
+def _mean_square(t, sum_all, mul):
+    return mul(sum_all(mul(t, t)), Tensor(1.0 / t.data.size))
 
 
 class TestGradientsThroughModel:
-    def test_encoder_input_gradient(self, tiny_model, rand, sum_all):
+    def test_encoder_input_gradient(self, tiny_model, rand, sum_all, add, mul):
         def f(at):
             dist = tiny_model.encode(at)
-            return _mean_square(dist.mu, sum_all) + _mean_square(dist.sigma, sum_all)
+            return add(_mean_square(dist.mu, sum_all, mul), _mean_square(dist.sigma, sum_all, mul))
 
         report = grad_check(f, Tensor(rand((2, 8, 2), seed=16)), eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
-    def test_decoder_weight_gradient(self, tiny_model, rand, sum_all):
+    def test_decoder_weight_gradient(self, tiny_model, rand, sum_all, mul):
         z = rand((2, 2, 4), seed=17)
         original = tiny_model.params["decoder.hidden.w"]
 
         def f(at):
             tiny_model.params["decoder.hidden.w"] = at
             try:
-                return _mean_square(tiny_model.decode(z), sum_all)
+                return _mean_square(tiny_model.decode(z), sum_all, mul)
             finally:
                 tiny_model.params["decoder.hidden.w"] = original
 
@@ -230,26 +230,25 @@ class TestReparameterize:
 
 
 def _reference_exp(a):
-    # the deleted ``autodiff.exp``, verbatim
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
+    # the float ops of the deleted ``autodiff.exp``
+    out = np.exp(a.data)
+    return custom_node(out, (a,), lambda g, need: (g * out,))
 
 
 def _reference_clip(a, lo, hi):
-    # the deleted ``autodiff.clip``, verbatim
-    out = Tensor(np.clip(a.data, lo, hi))
+    # the float ops of the deleted ``autodiff.clip``
     mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g: (g * mask,))
+    return custom_node(np.clip(a.data, lo, hi), (a,), lambda g, need: (g * mask,))
 
 
 def _reference_sigma(raw):
     return _reference_exp(_reference_clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))
 
 
-def _reference_sampler(dist, seed):
+def _reference_sampler(dist, seed, add, mul):
     """The sampler as the ``add`` and ``mul`` nodes it was built from."""
     eps = Tensor(SplitMix64(derive(seed, STREAM_NOISE)).normals(dist.mu.shape))
-    return dist.mu + dist.sigma * eps
+    return add(dist.mu, mul(dist.sigma, eps))
 
 
 def _raw_across_the_bounds():
@@ -266,7 +265,7 @@ class TestFusedNodes:
     gradients, to the bit, of the chains of ops they replace."""
 
     @staticmethod
-    def _run(f, inputs, sum_all):
+    def _run(f, inputs, sum_all, add, mul):
         """``f``'s value, the gradient of ``sum(f * G) + sum(inputs[0] * H)``
         for each input (the second term adds a branch, as the KL does), and
         the node count."""
@@ -281,17 +280,17 @@ class TestFusedNodes:
         grads = tape.backward(loss)
         return out.data, [grads.of(t) for t in tensors], n_nodes
 
-    def test_sigma_is_bits_of_exp_of_clip(self, sum_all):
+    def test_sigma_is_bits_of_exp_of_clip(self, sum_all, add, mul):
         raw = _raw_across_the_bounds()
-        out, (g,), nodes = self._run(log_std_sigma, (raw,), sum_all)
-        ref_out, (ref_g,), ref_nodes = self._run(_reference_sigma, (raw,), sum_all)
+        out, (g,), nodes = self._run(log_std_sigma, (raw,), sum_all, add, mul)
+        ref_out, (ref_g,), ref_nodes = self._run(_reference_sigma, (raw,), sum_all, add, mul)
         assert (nodes, ref_nodes) == (6, 7)
         assert out.tobytes() == ref_out.tobytes()
         assert g.tobytes() == ref_g.tobytes()
         inside = np.abs(raw) <= LOG_STD_BOUND
         assert inside.any() and (~inside).any()
 
-    def test_sampler_is_bits_of_mu_plus_sigma_eps(self, rand, sum_all):
+    def test_sampler_is_bits_of_mu_plus_sigma_eps(self, rand, sum_all, add, mul):
         mu = rand((4, 3, 5), seed=62)
         sigma = np.exp(rand((4, 3, 5), seed=63, low=-3.0, high=3.0))
 
@@ -299,10 +298,10 @@ class TestFusedNodes:
             return reparameterize(LatentDistribution(mu=mu, sigma=sigma), seed=64)
 
         def chain(mu, sigma):
-            return _reference_sampler(LatentDistribution(mu=mu, sigma=sigma), seed=64)
+            return _reference_sampler(LatentDistribution(mu=mu, sigma=sigma), 64, add, mul)
 
-        out, grads, nodes = self._run(fused, (mu, sigma), sum_all)
-        ref_out, ref_grads, ref_nodes = self._run(chain, (mu, sigma), sum_all)
+        out, grads, nodes = self._run(fused, (mu, sigma), sum_all, add, mul)
+        ref_out, ref_grads, ref_nodes = self._run(chain, (mu, sigma), sum_all, add, mul)
         assert (nodes, ref_nodes) == (6, 7)
         assert out.tobytes() == ref_out.tobytes()
         assert len(grads) == 2
@@ -318,7 +317,7 @@ class TestFusedNodes:
             report = grad_check(lambda t: sum_all(log_std_sigma(t)), at)
             assert report.passed, report.max_rel_err
 
-    def test_sampler_grad_check(self, rand, sum_all):
+    def test_sampler_grad_check(self, rand, sum_all, mul):
         mu = Tensor(rand((3, 4), seed=66))
         sigma = Tensor(np.abs(rand((3, 4), seed=67)) + 0.5)
 

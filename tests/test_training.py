@@ -320,11 +320,11 @@ class TestTapedStepCost:
         m_art = (rng.uniform(size=x.shape) > 0.5).astype(float)
         return Tensor(x * m_art), Tensor(x), Tensor(np.ones_like(x))
 
-    def _taped_forward(self, model, inputs):
-        """The taped half of :func:`train_step` with the default weights and
-        the global term :attr:`variant`."""
+    def _taped_forward(self, model, inputs, glo_weight=0.1):
+        """The taped half of :func:`train_step` with the default weights, but
+        ``glo_weight``, and the global term :attr:`variant`."""
         x_in, x, target_mask = inputs
-        weights = LossWeights(glo_variant=self.variant)
+        weights = LossWeights(glo=glo_weight, glo_variant=self.variant)
         z_target = model.encode(x.data).mu.detach()
         with Tape() as tape:
             dist = model.encode(x_in)
@@ -332,11 +332,13 @@ class TestTapedStepCost:
             x_hat = model.decode(z)
             reg = reg_loss(dist)
             loc = loc_loss(x, x_hat, target_mask)
-            z_proj = model.project(z)
-            if self.variant == GLO_INFONCE:
-                glo = infonce_loss(z_proj, z_target, weights.temperature)
-            else:
-                glo = cosine_align_loss(z_proj, z_target)
+            glo = None
+            if weights.glo > 0.0:
+                z_proj = model.project(z)
+                if self.variant == GLO_INFONCE:
+                    glo = infonce_loss(z_proj, z_target, weights.temperature)
+                else:
+                    glo = cosine_align_loss(z_proj, z_target)
             total, _ = total_objective(weights, reg=reg, loc=loc, glo=glo)
         return tape, total
 
@@ -344,10 +346,15 @@ class TestTapedStepCost:
         # 51 (cosine) when each affine layer was matmul, add and relu nodes
         # and the loss terms were chains of elementwise nodes; 35 (InfoNCE)
         # when only the InfoNCE term still was; 20 while the σ head was exp
-        # and clip nodes and the sampler mul and add nodes
+        # and clip nodes and the sampler mul and add nodes; 18 while the
+        # weighted sum was mul and add nodes
         cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
-        tape, _ = self._taped_forward(ImputationModel(cfg, seed=1), self._inputs(cfg, 8))
-        assert len(tape.nodes) <= 18, len(tape.nodes)
+        model, inputs = ImputationModel(cfg, seed=1), self._inputs(cfg, 8)
+        tape, _ = self._taped_forward(model, inputs)
+        assert len(tape.nodes) == 14, len(tape.nodes)
+        # glo = 0: no projector and no global term
+        tape, _ = self._taped_forward(model, inputs, glo_weight=0.0)
+        assert len(tape.nodes) == 12, len(tape.nodes)
 
     def test_backward_releases_every_activation(self):
         cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
