@@ -32,8 +32,10 @@ layer's ``bias`` and ``relu=True``: the layer is then one node, holding one
 output array, whose forward adds the bias and applies the ReLU in place in
 the GEMM result, and whose backward masks the output gradient where the
 output is not positive before the two GEMMs and the bias sum over the
-leading axes.  A right operand of any other rank raises
-:class:`ShapeMismatchError`.
+leading axes.  ``exp_bound=B`` makes the epilogue ``exp(clip(., -B, B))``,
+whose backward keeps a byte per cell for where the clip passed the value; a
+non-finite pre-activation is returned unclipped, for the caller's check to
+see.  A right operand of any other rank raises :class:`ShapeMismatchError`.
 
 A shared-weight product of at least ``_SPLIT_MACS`` multiply-adds (every one
 at the default width, none at the acceptance shape) runs as two row blocks of
@@ -286,9 +288,10 @@ def custom_node(value, inputs: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
-    """``a @ b`` for a 2-D ``b``, optionally ``+ bias`` and then ReLU, as one
-    node (see the module docstring)."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False,
+           exp_bound: float | None = None) -> Tensor:
+    """``a @ b`` for a 2-D ``b``, optionally ``+ bias`` and then ReLU or exp of
+    the clip to ``±exp_bound``, as one node (see the module docstring)."""
     if a.ndim < 2 or b.ndim != 2:
         raise ShapeMismatchError(
             f"matmul: needs a left operand of ndim >= 2 and a 2-D right operand, "
@@ -307,11 +310,18 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
         np.add(pre, bias.data, out=pre)
     if relu:
         np.maximum(pre, 0.0, out=pre)
+    if exp_bound is not None and not np.isfinite(pre).all():
+        exp_bound = None  # returned unclipped, for the caller's finiteness check
+    if exp_bound is not None:
+        inside = np.abs(pre) <= exp_bound
+        np.exp(np.clip(pre, -exp_bound, exp_bound, out=pre), out=pre)
 
     def backward(g, need):
         # pre now holds the output: > 0 exactly where the pre-activation is
         if relu:
             g = g * (pre > 0.0)
+        if exp_bound is not None:
+            g = (g * pre) * inside
         g2 = g.reshape(-1, n_out)
         grads = [None] * len(need)
         if need[0]:

@@ -24,6 +24,10 @@ that chain broadcast, and adds a tensor's two gradient branches in the order
 then its square branch; a row's ``g / norm``, then its norm branch; the
 InfoNCE scores' logsumexp branch plus their matching-pair branch), not the
 closed forms, which differ by an ulp or two.
+
+``cosine_align_loss`` works ``COSINE_BLOCK_ROWS`` rows at a time, in place,
+keeping only the unit target rows and the norms for its backward; each float
+op reads one row, so the bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ class DomainError(ValueError):
 GLO_INFONCE = "infonce"
 GLO_COSINE = "cosine"
 GLO_VARIANTS = (GLO_INFONCE, GLO_COSINE)
+COSINE_BLOCK_ROWS = 64  # rows per block of cosine_align_loss: 128 KiB at d_model 256
 
 
 @dataclass(frozen=True)
@@ -158,10 +163,10 @@ def _rows(name: str, t: Tensor) -> np.ndarray:
     return t.data.reshape(-1, t.shape[-1])
 
 
-def _unit_rows(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` scaled to unit L2 norm, and their norms [rows, 1]: each row
-    divided by the square root of its sum of squares."""
-    unit = rows * rows  # the squares, then the unit rows
+def _unit_rows(name: str, rows: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` scaled to unit L2 norm (into ``out``, if given), and their
+    norms [rows, 1]: each row divided by the square root of its sum of squares."""
+    unit = np.multiply(rows, rows, out=out)  # the squares, then the unit rows
     norms_sq = unit.sum(axis=-1, keepdims=True)
     if np.any(norms_sq == 0.0):
         raise ValueError(f"{name}: zero-norm row cannot be normalized")
@@ -227,20 +232,31 @@ def cosine_align_loss(z_proj: Tensor, z_target: Tensor) -> Tensor:
     b = _rows(name, z_target)
     if a.shape != b.shape:
         raise ValueError(f"{name}: row shapes differ: {a.shape} vs {b.shape}")
-    na, r = _unit_rows(name, a)
-    nb, _ = _unit_rows(name, b)
     count = a.shape[0]
+    blocks = [slice(lo, lo + COSINE_BLOCK_ROWS) for lo in range(0, count, COSINE_BLOCK_ROWS)]
+    scratch = np.empty((min(COSINE_BLOCK_ROWS, count), a.shape[1]))  # one block
+    nb, r, cos = np.empty_like(b), np.empty((count, 1)), np.empty(count)
+    for rows in blocks:
+        na, r[rows] = _unit_rows(name, a[rows], out=scratch[: len(a[rows])])
+        nb_k, _ = _unit_rows(name, b[rows], out=nb[rows])
+        cos[rows] = np.multiply(na, nb_k, out=na).sum(axis=-1)
 
     def backward(g, need):
         c = (-g) / count
-        g_na = c * nb
-        g_r = (((-g_na) * a) / (r * r)).sum(axis=-1, keepdims=True)
-        g_norms_sq = (g_r * 0.5) / r
-        g_a = g_na / r + (g_norms_sq * 2.0) * a
+        g_a = np.empty_like(a)
+        for rows in blocks:
+            g_na, a_k, r_k = g_a[rows], a[rows], r[rows]
+            t = scratch[: len(a_k)]
+            np.multiply(c, nb[rows], out=g_na)
+            np.negative(g_na, out=t)
+            t *= a_k
+            t /= r_k * r_k
+            g_norms_sq = (t.sum(axis=-1, keepdims=True) * 0.5) / r_k
+            g_na /= r_k  # g_na / r + (g_norms_sq * 2) * a
+            g_na += np.multiply(g_norms_sq * 2.0, a_k, out=t)
         return (g_a.reshape(z_proj.shape),)
 
-    na *= nb  # only the backward's arrays outlive the forward
-    return custom_node(-na.sum(axis=-1).mean(), (z_proj,), backward)
+    return custom_node(-cos.mean(), (z_proj,), backward)
 
 
 def total_objective(

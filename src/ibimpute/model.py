@@ -11,8 +11,9 @@ All forwards accept an extra leading batch dimension.  Inference never
 samples: imputation uses ``z = mu``, and every untaped pass (inference,
 validation, scoring, the training target) skips the log-σ head.
 
-The log-σ head and the sampler are one tape node each, which keeps only what
-its backward reads and does the float ops of the op chain it replaced.
+The σ head is one affine node with an exp-of-clipped-log-σ epilogue, and the
+sampler one node; each keeps only what its backward reads and does the float
+ops of the op chain it replaced.
 """
 
 from __future__ import annotations
@@ -169,10 +170,11 @@ class ImputationModel:
             for name, view in param_views(config, self.flat).items()
         }
 
-    def _affine(self, name: str, x: Tensor, relu: bool = False) -> Tensor:
-        """Layer ``name``: ``x @ w + b``, then ReLU if asked, as one node."""
+    def _affine(self, name: str, x: Tensor, relu: bool = False, exp_bound=None) -> Tensor:
+        """Layer ``name``: ``x @ w + b``, then ReLU or exp(clip(., ±exp_bound))
+        if asked, as one node."""
         w, b = self.params[f"{name}.w"], self.params[f"{name}.b"]
-        return _checked(name, matmul(x, w, bias=b, relu=relu))
+        return _checked(name, matmul(x, w, bias=b, relu=relu, exp_bound=exp_bound))
 
     def encode(self, x_input, mu_only: bool = False) -> LatentDistribution:
         """Zero-filled normalized window [.., T, N] -> diagonal Gaussian.
@@ -186,7 +188,7 @@ class ImputationModel:
         mu = self._affine("encoder.mu", h)
         if mu_only:
             return LatentDistribution(mu=mu, sigma=None)
-        sigma = log_std_sigma(self._affine("encoder.log_std", h))
+        sigma = self._affine("encoder.log_std", h, exp_bound=LOG_STD_BOUND)
         return LatentDistribution(mu=mu, sigma=sigma)
 
     def decode(self, z) -> Tensor:
@@ -218,14 +220,6 @@ class ImputationModel:
         x_hat = self.reconstruct(x_in).data
         x_hat = self.normalizer.denormalize(x_hat)
         return np.where(visible == 1.0, window.x, x_hat)
-
-
-def log_std_sigma(raw: Tensor) -> Tensor:
-    """``exp(clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))`` as one node that
-    keeps sigma and where ``raw`` is within the bounds, ends included."""
-    sigma = np.exp(np.clip(raw.data, -LOG_STD_BOUND, LOG_STD_BOUND))
-    inside = (raw.data >= -LOG_STD_BOUND) & (raw.data <= LOG_STD_BOUND)
-    return custom_node(sigma, (raw,), lambda g, need: ((g * sigma) * inside,))
 
 
 def reparameterize(dist: LatentDistribution, seed: int) -> Tensor:

@@ -246,9 +246,12 @@ def train_step(
                 z_target = None
         with Tape() as tape:
             dist = model.encode(Tensor(x_masked_in))
+            # recorded before the sampler, so the sweep makes the KL gradients
+            # of mu and sigma only when it reaches them; each gets two terms,
+            # and a two-term sum has the same bytes in either order
+            reg = reg_loss(dist)
             z = reparameterize(dist, step_seed)
             x_hat = model.decode(z)
-            reg = reg_loss(dist)
             loc = loc_loss(Tensor(x), x_hat, Tensor(m_obs))
             glo = z_proj = None
             if z_target is not None:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibimpute.autodiff import Tape, Tensor, grad_check, matmul
+from ibimpute.autodiff import Tape, Tensor, custom_node, grad_check, matmul
 from ibimpute.losses import (
+    COSINE_BLOCK_ROWS,
     DomainError,
     GLO_COSINE,
     GLO_INFONCE,
@@ -215,7 +216,39 @@ class TestInfoNce:
         assert infonce_loss(Tensor(a), Tensor(b)).data >= 0.0
 
 
+def _whole_array_cosine(z_proj, z_target):
+    """The float ops of :func:`cosine_align_loss` as it was before it worked
+    in row blocks: every step on whole [rows, dim] arrays."""
+    a = z_proj.data.reshape(-1, z_proj.shape[-1])
+    b = z_target.data.reshape(-1, z_target.shape[-1])
+    r = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    na, nb = a / r, b / np.sqrt((b * b).sum(axis=-1, keepdims=True))
+    count = a.shape[0]
+
+    def backward(g, need):
+        c = (-g) / count
+        g_na = c * nb
+        g_r = (((-g_na) * a) / (r * r)).sum(axis=-1, keepdims=True)
+        g_norms_sq = (g_r * 0.5) / r
+        g_a = g_na / r + (g_norms_sq * 2.0) * a
+        return (g_a.reshape(z_proj.shape),)
+
+    return custom_node(-(na * nb).sum(axis=-1).mean(), (z_proj,), backward)
+
+
 class TestCosineAlign:
+    @pytest.mark.parametrize(
+        "rows", [1, COSINE_BLOCK_ROWS - 1, COSINE_BLOCK_ROWS, COSINE_BLOCK_ROWS + 1, 1344]
+    )
+    def test_row_blocks_are_bytes_of_the_whole_array_formula(self, rows):
+        # 1344 rows: a default-width batch, 64 windows of 21 variables
+        rng = np.random.default_rng([64, rows])
+        inputs = (rng.normal(size=(rows, 256)), rng.normal(size=(rows, 256)))
+        value, grads, _ = _weighted(cosine_align_loss, inputs, 0.1)
+        ref_value, ref_grads, _ = _weighted(_whole_array_cosine, inputs, 0.1)
+        assert value.tobytes() == ref_value.tobytes()
+        assert grads[0].tobytes() == ref_grads[0].tobytes()
+
     def test_identical_rows(self, rand):
         z = Tensor(rand((4, 3), seed=12))
         assert abs(cosine_align_loss(z, Tensor(z.data.copy())).data - (-1.0)) < 1e-12

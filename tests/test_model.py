@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibimpute.autodiff import Tape, Tensor, custom_node, grad_check
+from ibimpute.autodiff import Tape, Tensor, custom_node, grad_check, matmul
 from ibimpute.data import MaskSpec, Normalizer, Window, apply_mask, make_synthetic, make_windows
 from ibimpute.model import (
     CHECKPOINT_MAGIC,
@@ -18,7 +18,6 @@ from ibimpute.model import (
     NumericError,
     init_params,
     load_checkpoint,
-    log_std_sigma,
     param_views,
     reparameterize,
     save_checkpoint,
@@ -162,6 +161,15 @@ class TestForwardValues:
         with pytest.raises(NumericError, match="encoder.log_std"):
             tiny_model.encode(x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_log_std_pre_activation_raises(self, tiny_model, rand, bad):
+        # the σ head clips before its exp, which would hide ±inf: the check
+        # sees the pre-activation
+        tiny_model.params["encoder.log_std.b"].data[1] = bad
+        x = np.abs(rand((1, 8, 2), seed=18)) + 0.5
+        with pytest.raises(NumericError, match="encoder.log_std"):
+            tiny_model.encode(x)
+
 
 def _mean_square(t, sum_all, mul):
     return mul(sum_all(mul(t, t)), Tensor(1.0 / t.data.size))
@@ -245,6 +253,20 @@ def _reference_sigma(raw):
     return _reference_exp(_reference_clip(raw, -LOG_STD_BOUND, LOG_STD_BOUND))
 
 
+def _log_std_sigma(raw):
+    # the float ops of the deleted ``model.log_std_sigma``: exp of the clip as
+    # one node after the affine node, which kept the pre-activation
+    sigma = np.exp(np.clip(raw.data, -LOG_STD_BOUND, LOG_STD_BOUND))
+    inside = (raw.data >= -LOG_STD_BOUND) & (raw.data <= LOG_STD_BOUND)
+    return custom_node(sigma, (raw,), lambda g, need: ((g * sigma) * inside,))
+
+
+def _sigma_head(x, w, b):
+    """The σ head as :meth:`ImputationModel.encode` runs it: one affine node
+    with an exp-of-clip epilogue."""
+    return matmul(x, w, bias=b, exp_bound=LOG_STD_BOUND)
+
+
 def _reference_sampler(dist, seed, add, mul):
     """The sampler as the ``add`` and ``mul`` nodes it was built from."""
     eps = Tensor(SplitMix64(derive(seed, STREAM_NOISE)).normals(dist.mu.shape))
@@ -252,7 +274,7 @@ def _reference_sampler(dist, seed, add, mul):
 
 
 def _raw_across_the_bounds():
-    """Log-σ head outputs on both sides of each bound and on the bounds."""
+    """Log-σ pre-activations on both sides of each bound and on the bounds."""
     b = LOG_STD_BOUND
     edges = [-b - 5.0, np.nextafter(-b, -np.inf), -b, np.nextafter(-b, np.inf), 0.0,
              np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf), b + 5.0]
@@ -260,9 +282,21 @@ def _raw_across_the_bounds():
     return np.concatenate([edges, rng.uniform(-2.0 * b, 2.0 * b, size=63)]).reshape(8, 9)
 
 
+def _head_inputs(case):
+    """``x``, ``w`` and ``b`` of a σ head: for "bounds", the identity times
+    :func:`_raw_across_the_bounds` plus zero, which is those pre-activations
+    exactly; for "batch", a [2, 3, 6] input whose pre-activations spread
+    past both bounds."""
+    if case == "bounds":
+        return np.eye(8), _raw_across_the_bounds(), np.zeros(9)
+    rng = np.random.default_rng(69)
+    return rng.normal(size=(2, 3, 6)), 8.0 * rng.normal(size=(6, 9)), rng.normal(size=9)
+
+
 class TestFusedNodes:
     """The σ head and the sampler are one node each, with the values and
-    gradients, to the bit, of the chains of ops they replace."""
+    gradients, to the bit, of the chains of ops they replace: the σ head's
+    affine map, clip and exp, and the sampler's mul and add."""
 
     @staticmethod
     def _run(f, inputs, sum_all, add, mul):
@@ -274,21 +308,39 @@ class TestFusedNodes:
         with Tape() as tape:
             tape.watch(*tensors)
             out = f(*tensors)
-            g, h = (Tensor(rng.normal(size=out.shape)) for _ in range(2))
+            g = Tensor(rng.normal(size=out.shape))
+            h = Tensor(rng.normal(size=tensors[0].shape))
             loss = add(sum_all(mul(out, g)), sum_all(mul(tensors[0], h)))
         n_nodes = len(tape.nodes)
         grads = tape.backward(loss)
         return out.data, [grads.of(t) for t in tensors], n_nodes
 
     def test_sigma_is_bits_of_exp_of_clip(self, sum_all, add, mul):
-        raw = _raw_across_the_bounds()
-        out, (g,), nodes = self._run(log_std_sigma, (raw,), sum_all, add, mul)
-        ref_out, (ref_g,), ref_nodes = self._run(_reference_sigma, (raw,), sum_all, add, mul)
-        assert (nodes, ref_nodes) == (6, 7)
-        assert out.tobytes() == ref_out.tobytes()
-        assert g.tobytes() == ref_g.tobytes()
-        inside = np.abs(raw) <= LOG_STD_BOUND
-        assert inside.any() and (~inside).any()
+        for case in ("bounds", "batch"):
+            inputs = _head_inputs(case)
+            out, grads, nodes = self._run(_sigma_head, inputs, sum_all, add, mul)
+            for sigma, n_nodes in ((_log_std_sigma, 7), (_reference_sigma, 8)):
+                def head(x, w, b):
+                    return sigma(matmul(x, w, bias=b))
+
+                ref_out, ref_grads, ref_nodes = self._run(head, inputs, sum_all, add, mul)
+                assert (nodes, ref_nodes) == (6, n_nodes)
+                assert out.tobytes() == ref_out.tobytes(), case
+                assert len(grads) == 3
+                for g, ref in zip(grads, ref_grads):
+                    assert g.tobytes() == ref.tobytes(), case
+            x, w, b = inputs
+            pre = np.abs(x @ w + b)
+            assert (pre < LOG_STD_BOUND).any() and (pre > LOG_STD_BOUND).any()
+            assert (pre == LOG_STD_BOUND).sum() == (2 if case == "bounds" else 0)  # -B and B
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_pre_activation_comes_back_unclipped(self, bad):
+        # so the model's finiteness check sees it: clipped, ±inf would not show
+        x, w, b = _head_inputs("batch")
+        b[4] = bad
+        out = _sigma_head(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.tobytes() == (x @ w + b).tobytes()
 
     def test_sampler_is_bits_of_mu_plus_sigma_eps(self, rand, sum_all, add, mul):
         mu = rand((4, 3, 5), seed=62)
@@ -314,7 +366,7 @@ class TestFusedNodes:
         b = LOG_STD_BOUND
         for centre in (-b - 1.0, 0.0, b - 1.0, b + 1.0):
             at = Tensor(centre + rng.uniform(-0.95, 0.95, size=(3, 4)))
-            report = grad_check(lambda t: sum_all(log_std_sigma(t)), at)
+            report = grad_check(lambda t: sum_all(_sigma_head(Tensor(np.eye(3)), t, None)), at)
             assert report.passed, report.max_rel_err
 
     def test_sampler_grad_check(self, rand, sum_all, mul):

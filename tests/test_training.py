@@ -10,18 +10,13 @@ import pytest
 
 from ibimpute.data import MaskSpec, apply_mask, make_synthetic, make_windows, normalize_window
 from ibimpute.data import Normalizer, Window
-from ibimpute.autodiff import Tape, Tensor
+from ibimpute.autodiff import Tape
 from ibimpute.evaluation import masked_error_sums
 from ibimpute.losses import (
     GLO_COSINE,
     GLO_INFONCE,
     LossBreakdown,
     LossWeights,
-    cosine_align_loss,
-    infonce_loss,
-    loc_loss,
-    reg_loss,
-    total_objective,
 )
 from ibimpute import training
 from ibimpute.model import (
@@ -29,7 +24,6 @@ from ibimpute.model import (
     ModelConfig,
     _param_specs,
     load_checkpoint,
-    reparameterize,
     save_checkpoint,
 )
 from ibimpute.training import (
@@ -305,117 +299,153 @@ class TestTrainStep:
 
 
 class TestTapedStepCost:
-    """Deterministic counts of what a training step's tape holds: its nodes
-    and, at the default width, its memory, with the cosine global term.  The
-    affine layers and the loss terms are one node each."""
+    """Deterministic counts of what a real :func:`train_step`'s tape holds,
+    read by a spy on :meth:`Tape.backward`: its nodes, the gradient terms
+    each tensor gets and, at the default width, its memory, with the cosine
+    global term.  The affine layers and the loss terms are one node each."""
 
     variant = GLO_COSINE
     # default-width bounds: about 10% over what the step reads (MB)
-    live_mb, backward_peak_mb = 36, 46
+    live_mb, forward_peak_mb, backward_peak_mb = 35, 39, 38
+
+    def _step(self, cfg, n_windows, glo_weight=0.1):
+        """A call of one :func:`train_step` on ``n_windows`` random windows
+        with the default weights but ``glo_weight``, and the global term
+        :attr:`variant`; it returns whether the update was applied."""
+        rng = np.random.default_rng(70)
+        shape = (cfg.window_len, cfg.n_vars)
+        batch = [Window(x=rng.normal(size=shape), m_obs=np.ones(shape, dtype=bool),
+                        m_art=rng.uniform(size=shape) > 0.5) for _ in range(n_windows)]
+        model = ImputationModel(cfg, seed=1)
+        weights = LossWeights(glo=glo_weight, glo_variant=self.variant)
+        return lambda: train_step(model, batch, weights, Adam(1e-3), 0)[1]
 
     @staticmethod
-    def _inputs(cfg, batch):
-        rng = np.random.default_rng(70)
-        x = rng.normal(size=(batch, cfg.window_len, cfg.n_vars))
-        m_art = (rng.uniform(size=x.shape) > 0.5).astype(float)
-        return Tensor(x * m_art), Tensor(x), Tensor(np.ones_like(x))
+    def _spy(monkeypatch, spy):
+        """``spy(tape, loss, sweep)`` stands in for :meth:`Tape.backward`,
+        whose real sweep is ``sweep``."""
+        sweep = Tape.backward
+        monkeypatch.setattr(Tape, "backward", lambda tape, loss: spy(tape, loss, sweep))
 
-    def _taped_forward(self, model, inputs, glo_weight=0.1):
-        """The taped half of :func:`train_step` with the default weights, but
-        ``glo_weight``, and the global term :attr:`variant`."""
-        x_in, x, target_mask = inputs
-        weights = LossWeights(glo=glo_weight, glo_variant=self.variant)
-        z_target = model.encode(x.data).mu.detach()
-        with Tape() as tape:
-            dist = model.encode(x_in)
-            z = reparameterize(dist, 0)
-            x_hat = model.decode(z)
-            reg = reg_loss(dist)
-            loc = loc_loss(x, x_hat, target_mask)
-            glo = None
-            if weights.glo > 0.0:
-                z_proj = model.project(z)
-                if self.variant == GLO_INFONCE:
-                    glo = infonce_loss(z_proj, z_target, weights.temperature)
-                else:
-                    glo = cosine_align_loss(z_proj, z_target)
-            total, _ = total_objective(weights, reg=reg, loc=loc, glo=glo)
-        return tape, total
-
-    def test_protocol_shape_step_records_at_most_20_nodes(self):
+    def test_protocol_shape_step_records_at_most_20_nodes(self, monkeypatch):
         # 51 (cosine) when each affine layer was matmul, add and relu nodes
         # and the loss terms were chains of elementwise nodes; 35 (InfoNCE)
         # when only the InfoNCE term still was; 20 while the σ head was exp
         # and clip nodes and the sampler mul and add nodes; 18 while the
-        # weighted sum was mul and add nodes
+        # weighted sum was mul and add nodes; 14 while the σ head was an
+        # affine node and an exp-of-clip node
         cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
-        model, inputs = ImputationModel(cfg, seed=1), self._inputs(cfg, 8)
-        tape, _ = self._taped_forward(model, inputs)
-        assert len(tape.nodes) == 14, len(tape.nodes)
-        # glo = 0: no projector and no global term
-        tape, _ = self._taped_forward(model, inputs, glo_weight=0.0)
-        assert len(tape.nodes) == 12, len(tape.nodes)
+        counts = []
 
-    def test_backward_releases_every_activation(self):
+        def spy(tape, loss, sweep):
+            counts.append(len(tape.nodes))
+            return sweep(tape, loss)
+
+        self._spy(monkeypatch, spy)
+        assert self._step(cfg, 8)()
+        # glo = 0: no projector and no global term
+        assert self._step(cfg, 8, glo_weight=0.0)()
+        assert counts == [13, 11], counts
+
+    def test_no_tensor_gets_more_than_two_gradient_terms(self, monkeypatch):
+        # train_step records the KL term before the sampler, so the sweep
+        # adds mu's and sigma's two gradient terms in the other order; a
+        # two-term sum has the same bytes either way, a longer one need not
         cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
-        tape, total = self._taped_forward(ImputationModel(cfg, seed=1), self._inputs(cfg, 8))
-        *interior, last = tape.nodes
-        assert last.out is total
-        refs = [weakref.ref(node.out.data) for node in interior]
-        assert all(ref() is not None for ref in refs)
-        tape.backward(total)
-        alive = [i for i, ref in enumerate(refs) if ref() is not None]
-        assert alive == [], f"outputs of nodes {alive} outlive the sweep"
+        terms = {}
+
+        def spy(tape, loss, sweep):
+            for node in tape.nodes:
+                def counted(g, inputs=node.inputs, backward=node.backward):
+                    grads = backward(g)
+                    for t, g_t in zip(inputs, grads):
+                        if g_t is not None:
+                            terms[t.uid] = terms.get(t.uid, 0) + 1
+                    return grads
+
+                node.backward = counted
+            return sweep(tape, loss)
+
+        self._spy(monkeypatch, spy)
+        assert self._step(cfg, 8)()
+        assert max(terms.values()) == 2, terms
+        # mu and sigma, the hidden layer under both heads, and z under the
+        # decoder and the projector
+        assert sorted(terms.values()).count(2) == 4, terms
+
+    def test_backward_releases_every_activation(self, monkeypatch):
+        cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
+        held, kept = [], []
+
+        def spy(tape, loss, sweep):
+            *interior, last = tape.nodes
+            assert last.out is loss
+            held.extend(node.out.data is not None for node in interior)
+            grads = sweep(tape, loss)
+            kept.extend(i for i, node in enumerate(tape.nodes)
+                        if (node.out, node.inputs, node.backward) != (None, None, None))
+            return grads
+
+        self._spy(monkeypatch, spy)
+        assert self._step(cfg, 8)()
+        assert held and all(held)
+        assert kept == [], f"the tape still holds nodes {kept} after the sweep"
 
     def test_train_step_leaves_the_tape_the_only_references(self, monkeypatch):
         # train_step's frame is alive while it sweeps: its own references to
         # the activations must be gone by then
         cfg = ModelConfig(window_len=96, n_vars=7, d_model=32, hidden_dim=64)
-        x_in, x, _ = self._inputs(cfg, 8)
-        batch = [
-            Window(x=x.data[i], m_obs=np.ones_like(x.data[i]), m_art=(x_in.data[i] != 0.0) * 1.0)
-            for i in range(8)
-        ]
-        alive, sweep = [], Tape.backward
+        alive = []
 
-        def spy(tape, loss):
+        def spy(tape, loss, sweep):
             refs = [weakref.ref(node.out.data) for node in tape.nodes[:-1]]
             grads = sweep(tape, loss)
             alive.extend(i for i, ref in enumerate(refs) if ref() is not None)
             return grads
 
-        monkeypatch.setattr(Tape, "backward", spy)
-        weights = LossWeights(glo_variant=self.variant)
-        _, applied = train_step(ImputationModel(cfg, seed=1), batch, weights, Adam(1e-3), 0)
-        assert applied and alive == [], f"outputs of nodes {alive} outlive the sweep"
+        self._spy(monkeypatch, spy)
+        assert self._step(cfg, 8)()
+        assert alive == [], f"outputs of nodes {alive} outlive the sweep"
 
-    def test_default_width_step_memory(self):
+    def test_default_width_step_memory(self, monkeypatch):
         # 93.0 MB live and a 110.8 MB backward peak with the longer chains
         # (cosine); 129.8 MB and 173.2 MB with the InfoNCE chain.  Then 37.7
         # and 58.2 MB (cosine), 52.0 and 74.8 MB (InfoNCE), while the tape
         # held every activation through the sweep and the σ head and the
-        # sampler were two nodes each; now 32.2 and 41.4, 46.5 and 69.3 MB
+        # sampler were two nodes each; 32.2 and 41.4, 46.5 and 69.3 MB on a
+        # copy of the taped half of the step.  The whole step read 34.3 MB
+        # live, a 41.2 MB forward and a 42.6 MB backward peak (InfoNCE: 48.6,
+        # 84.3 and 71.4) while the σ head's pre-activation had a node of its
+        # own, the KL gradients were made before the decoder's and the cosine
+        # term was whole-array; now 31.7, 35.8 and 34.8 (45.8, 81.5 and 68.6)
         cfg = ModelConfig(window_len=96, n_vars=21)
-        model = ImputationModel(cfg, seed=1)
-        inputs = self._inputs(cfg, 64)
+        seen = {}
+
+        def spy(tape, loss, sweep):
+            seen["live"], seen["forward"] = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            grads = sweep(tape, loss)
+            seen["backward"] = tracemalloc.get_traced_memory()[1]
+            return grads
+
+        self._spy(monkeypatch, spy)
+        step = self._step(cfg, 64)
         tracemalloc.start()
         try:
-            tape, total = self._taped_forward(model, inputs)
-            live = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            tape.backward(total)
-            peak = tracemalloc.get_traced_memory()[1]
+            assert step()
         finally:
             tracemalloc.stop()
-        assert live < self.live_mb * 1e6, f"live after forward {live / 1e6:.1f} MB"
-        assert peak < self.backward_peak_mb * 1e6, f"backward peak {peak / 1e6:.1f} MB"
+        mb = {key: round(value / 1e6, 1) for key, value in seen.items()}
+        assert mb["live"] < self.live_mb, mb
+        assert mb["forward"] < self.forward_peak_mb, mb
+        assert mb["backward"] < self.backward_peak_mb, mb
 
 
 class TestTapedStepCostInfonce(TestTapedStepCost):
     """The same counts with the InfoNCE global term."""
 
     variant = GLO_INFONCE
-    live_mb, backward_peak_mb = 51, 76
+    live_mb, forward_peak_mb, backward_peak_mb = 50, 90, 75
 
 
 class TestTrainConfigValidation:
