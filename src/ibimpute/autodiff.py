@@ -39,12 +39,20 @@ see.  A right operand of any other rank raises :class:`ShapeMismatchError`.
 
 A shared-weight product of at least ``_SPLIT_MACS`` multiply-adds (every one
 at the default width, none at the acceptance shape) runs as two row blocks of
-one result when the process may use two CPUs: the top block on a worker
+one result when the caller may use two CPUs: the top block on a worker
 thread, the bottom one on the caller, each one single-threaded BLAS call.  The
 caller computes the top block too if the worker has not started it by then.
 The cut is a multiple of ``_SPLIT_ROWS`` rows, where OpenBLAS groups rows as
 in the whole product, so the bytes do not change.  The worker runs only numpy,
 in the caller's context (so its ``np.errstate``); a forked child starts its own.
+
+Each lane has a CPU of its own, since unpinned the scheduler woke the worker
+on the caller's CPU and the blocks ran one after the other: the worker is
+pinned to the highest CPU of the caller's mask when it starts, and each split
+limits the caller to the rest of its mask, read at each product and restored
+afterwards on every path.  A mask of one CPU, or without the worker's, makes
+no split; a refused placement leaves that thread unpinned.  Nothing turns the
+split or the placement off.
 
 Every loss term in :mod:`ibimpute.losses`, and their weighted sum, is one
 :func:`custom_node`.
@@ -67,10 +75,12 @@ slot for the whole process, not one per thread: one tape at a time, no nesting.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,20 +119,39 @@ GLIBC_KEEPS_FREED_MEMORY = _keep_freed_memory()
 
 _SPLIT_MACS = 1 << 23  # products this large run as two row blocks
 _SPLIT_ROWS = 24  # the cut between the blocks is a multiple of this many rows
-_TWO_LANES = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-_lane = None  # (pid, ThreadPoolExecutor): the worker and the process that started it
+_TWO_LANES = hasattr(os, "sched_setaffinity")  # threads can be placed on CPUs
+_lane = None  # (pid, ThreadPoolExecutor, cpu): the worker, its process and its CPU
+
+
+def _pin(tid: int, cpus: set[int]) -> None:
+    """Limit thread ``tid`` (0: the caller) to ``cpus``, unless the system refuses."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(tid, cpus)
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 2-D arrays, as two row blocks when large (module docstring)."""
+    """``a @ b`` for 2-D arrays, as two row blocks on two CPUs when large (module docstring)."""
     global _lane
     cut = len(a) // (2 * _SPLIT_ROWS) * _SPLIT_ROWS
-    if not (_TWO_LANES and cut and a.size * b.shape[1] >= _SPLIT_MACS):
+    large = _TWO_LANES and cut and a.size * b.shape[1] >= _SPLIT_MACS
+    if not (large and len(mask := os.sched_getaffinity(0)) >= 2):
         return a @ b
     if _lane is None or _lane[0] != os.getpid():  # no worker yet, or a forked child
         from concurrent.futures import ThreadPoolExecutor  # only once a product splits
 
-        _lane = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="ibimpute-gemm")
+        _lane = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="ibimpute-gemm"), max(mask)
+        _pin(_lane[1].submit(threading.get_native_id).result(), {_lane[2]})
+    if _lane[2] not in mask:
+        return a @ b
+    _pin(0, mask - {_lane[2]})  # the caller leaves the lane's CPU
+    try:
+        return _two_blocks(a, b, cut)
+    finally:
+        _pin(0, mask)
+
+
+def _two_blocks(a: np.ndarray, b: np.ndarray, cut: int) -> np.ndarray:
+    """``a @ b``: rows up to ``cut`` on the worker, the rest on the caller."""
     out = np.empty((len(a), b.shape[1]))
     top = _lane[1].submit(contextvars.copy_context().run, np.matmul, a[:cut], b, out=out[:cut])
     try:

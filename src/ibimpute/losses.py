@@ -197,20 +197,21 @@ def infonce_loss(z_proj: Tensor, z_target: Tensor, temperature: float = 0.1) -> 
     # a C-contiguous transpose: the GEMMs' last bits depend on the layout
     nb_t = np.ascontiguousarray(_unit_rows(name, b)[0].T)
     inv_t = 1.0 / temperature
-    scores = (na @ nb_t) * inv_t  # [R, R]
+    scores = na @ nb_t  # [R, R], scaled, shifted and exp'd in place
+    scores *= inv_t
+    # the chain's (scores * eye).sum(-1): adding the zeros changes no bit
+    matching = scores.diagonal()[:, None].copy()
     # the row max keeps exp bounded and takes no gradient
     row_max = scores.max(axis=-1, keepdims=True)
-    shifted = np.exp(scores - row_max)
+    shifted = np.exp(np.subtract(scores, row_max, out=scores), out=scores)
     sums = shifted.sum(axis=-1, keepdims=True)
-    # the chain's (scores * eye).sum(-1): adding the zeros changes no bit
-    matching = scores.diagonal()[:, None]
 
     def backward(g, need):
         g_row = np.broadcast_to(g, (n_rows, 1)) / n_rows
         # the logsumexp branch, plus the matching-pair branch on the diagonal;
         # off it, that branch is (-g_row) * 0.0 = -0.0 (g > 0), and adding
         # -0.0 changes no bit, so the [R, R] identity is never built
-        g_scores = (g_row / sums) * shifted
+        g_scores = np.multiply(shifted, g_row / sums, out=shifted)  # x * y is y * x
         g_scores[np.diag_indices(n_rows)] += -g_row[:, 0]
         g_scores *= inv_t
         g_na = g_scores @ nb_t.T

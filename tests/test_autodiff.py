@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import subprocess
@@ -46,6 +47,19 @@ def _assert_op_grads(f, seed, shape=(3, 3)):
     for _ in range(N_GRAD_POINTS):
         report = grad_check(f, Tensor(rng.uniform(-2.0, 2.0, size=shape)), eps=1e-5, tol=1e-4)
         assert report.passed, f"max rel err {report.max_rel_err}"
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ibimpute.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
 
 
 class TestForwardExamples:
@@ -509,15 +523,7 @@ class TestBufferPool:
         # in a fresh interpreter: what earlier tests leave on the heap can
         # fragment it enough that a warm step has to grow it
         self._skip_off_glibc()
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ibimpute.__file__)))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _SHORT_BATCH_PROBE],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-            timeout=120,
-        )
+        proc = _run_fresh(_SHORT_BATCH_PROBE)
         assert proc.returncode == 0, proc.stderr
         counts = [int(n) for n in proc.stdout.split()]
         # about 2.5k faults a step when freed memory goes back to the system
@@ -713,14 +719,27 @@ def _stop_lane() -> None:
     autodiff._lane = None
 
 
+def _cpus(tid: int = 0) -> set[int]:
+    return os.sched_getaffinity(tid) if hasattr(os, "sched_getaffinity") else set()
+
+
+# read once, so a split that leaves the caller narrowed fails the next test
+_MAY_SPLIT = len(_cpus()) >= 2
+
+
 @pytest.fixture
-def fresh_lane(monkeypatch):
-    """No worker yet, and large products split whatever the CPU count; the
-    worker the test starts is stopped after it."""
+def fresh_lane():
+    """No worker yet; the worker the test starts is stopped after it, and
+    the caller's CPU mask must then be the one it had before.  A process
+    that may use fewer than two CPUs splits no product, so the test is
+    skipped there."""
+    if not _MAY_SPLIT:
+        pytest.skip("products split only where the process may use two CPUs")
     _stop_lane()
-    monkeypatch.setattr(autodiff, "_TWO_LANES", True)
+    before = _cpus()
     yield
     _stop_lane()
+    assert _cpus() == before, "a split left the caller's CPU mask narrowed"
 
 
 @pytest.fixture
@@ -932,3 +951,79 @@ class TestTwoLaneProduct:
                      "--input", str(holed), "--output", str(tmp_path / "filled.csv")]) == 0
         assert autodiff._lane is None
         assert threading.active_count() == threads
+
+    @staticmethod
+    def _worker_cpus() -> set[int]:
+        return _cpus(autodiff._lane[1].submit(threading.get_native_id).result())
+
+    def test_worker_runs_on_one_cpu_of_the_callers(self, fresh_lane):
+        rng = np.random.default_rng(52)
+        matmul(Tensor(rng.normal(size=(1344, 256))), Tensor(rng.normal(size=(256, 256))))
+        worker = self._worker_cpus()
+        assert len(worker) == 1 and worker < _cpus()
+
+    @pytest.mark.parametrize("raises", [None, "caller", "worker"])
+    def test_caller_leaves_the_lane_cpu_for_the_split_only(
+        self, raises, worker_starts_first, monkeypatch
+    ):
+        rng = np.random.default_rng(53)
+        a, w = Tensor(rng.normal(size=(1344, 256))), Tensor(rng.normal(size=(256, 256)))
+        matmul(a, w)
+        before, lane, caller = _cpus(), self._worker_cpus(), threading.get_native_id()
+        during = []
+
+        def seen(fn):
+            def run(*args, **kwargs):
+                during.append(_cpus(caller))
+                return fn(*args, **kwargs)
+            return run
+
+        _spy_on_submit(monkeypatch, seen)
+        if raises is None:
+            matmul(a, w)
+        else:
+            with pytest.raises(RuntimeWarning):
+                matmul(*self._overflowing(top=raises == "worker"))
+        assert during == [before - lane]
+        assert _cpus() == before
+
+    def test_refused_placement_keeps_the_bytes(self, fresh_lane, monkeypatch):
+        rng = np.random.default_rng(54)
+        a, w = rng.normal(size=(1344, 256)), rng.normal(size=(256, 256))
+        ref, before, tried = a @ w, _cpus(), []
+
+        def refuse(tid, cpus):
+            tried.append(tid)
+            raise OSError(errno.EPERM, "refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        out = matmul(Tensor(a), Tensor(w)).data
+        worker = autodiff._lane[1].submit(threading.get_native_id).result()
+        assert set(tried) == {0, worker}  # both threads were to be placed
+        assert out.tobytes() == ref.tobytes()
+        assert _cpus() == before and _cpus(worker) == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU masks")
+    def test_one_cpu_mask_makes_no_split(self):
+        # in a fresh interpreter, whose mask is narrowed after the import
+        proc = _run_fresh(_ONE_CPU_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "None", "1"]
+
+
+# a default-width product after the process is narrowed to one CPU: whether
+# its bytes are the one-call product's, the lane, and the thread count
+_ONE_CPU_PROBE = """
+import os
+import threading
+
+import numpy as np
+
+from ibimpute import autodiff
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+rng = np.random.default_rng(55)
+a, w = rng.normal(size=(1344, 256)), rng.normal(size=(256, 256))
+out = autodiff.matmul(autodiff.Tensor(a), autodiff.Tensor(w)).data
+print(out.tobytes() == (a @ w).tobytes(), autodiff._lane, threading.active_count())
+"""
