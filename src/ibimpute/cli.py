@@ -35,11 +35,11 @@ from .evaluation import (
     alignment_score,
     average_entry,
     evaluate,
-    export_latents,
     held_out_windows,
     latent_means,
     run_ablation,
     write_ablation_csv,
+    write_latents,
     write_sweep_csv,
 )
 from .model import CheckpointError, ImputationModel, NumericError, load_checkpoint
@@ -182,16 +182,23 @@ def _cmd_train(args) -> None:
     print(f"best_val_mae = {result.best_val_mae!r}")
 
 
-def _cmd_eval(args) -> None:
+def _held_out_setup(args):
+    """The run config, checkpoint model, normalized held-out windows, their
+    full-view latent means, output directory and eval mask spec, as ``eval``
+    and ``export-latents`` both use them."""
     cfg = _load_run_config(args)
     dataset = cfg.load_dataset()
     model = _checkpoint_model(cfg, args, dataset)
     windows = held_out_windows(dataset, model.config, cfg.train_config())
     out = _out_dir(cfg)
     eval_spec = cfg.mask_spec(seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK))
-    # the unmasked view does not depend on the mask: encode it once for all cells
     normed = [normalize_window(w, model.normalizer) for w in windows]
-    full_mu = latent_means(model, normed, full=True)
+    # the unmasked view does not depend on the mask: encode it once for all cells
+    return cfg, model, normed, latent_means(model, normed, full=True), out, eval_spec
+
+
+def _cmd_eval(args) -> None:
+    cfg, model, normed, full_mu, out, eval_spec = _held_out_setup(args)
     rows: list[EvalEntry] = []
     align_rows: list[tuple[str, float, float]] = []
     for pattern in cfg["eval.patterns"]:
@@ -221,7 +228,7 @@ def _cmd_ablate(args) -> None:
     dataset = cfg.load_dataset()
     model_cfg = cfg.model_config(dataset.n_vars)
     out = _out_dir(cfg)
-    grid = run_ablation(
+    entries = run_ablation(
         dataset,
         model_cfg,
         train_cfg,
@@ -230,10 +237,10 @@ def _cmd_ablate(args) -> None:
         normalized=cfg["eval.normalized"],
         progress=not args.quiet,
     )
-    write_ablation_csv(str(out / "ablation.csv"), grid)
+    write_ablation_csv(str(out / "ablation.csv"), entries)
     for i, rate in enumerate(cfg["eval.rates"]):
-        ranked = sorted(grid.entries, key=lambda name: grid.entries[name][i].mae)
-        parts = " ".join(f"{name}={grid.entries[name][i].mae!r}" for name in ranked)
+        ranked = sorted(entries, key=lambda name: entries[name][i].mae)
+        parts = " ".join(f"{name}={entries[name][i].mae!r}" for name in ranked)
         print(f"rate {rate!r}: {parts}")
 
 
@@ -279,14 +286,11 @@ def _cmd_impute(args) -> None:
 
 
 def _cmd_export_latents(args) -> None:
-    cfg = _load_run_config(args)
-    dataset = cfg.load_dataset()
-    model = _checkpoint_model(cfg, args, dataset)
-    windows = held_out_windows(dataset, model.config, cfg.train_config())
-    out = _out_dir(cfg)
-    spec = cfg.mask_spec(seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK))
-    masked = [apply_mask(normalize_window(w, model.normalizer), spec) for w in windows]
-    score = export_latents(model, masked, str(out / "latents.csv"))
+    _, model, normed, full_mu, out, spec = _held_out_setup(args)
+    masked = [apply_mask(w, spec) for w in normed]
+    mu = latent_means(model, masked)
+    write_latents(str(out / "latents.csv"), mu, full_mu)
+    score = alignment_score(model, masked, mu, full_mu)
     with atomic_write(out / "alignment.txt") as fh:
         fh.write(f"{score!r}\n")
     print(f"alignment = {score!r}")

@@ -11,9 +11,11 @@ One error arithmetic serves every score: :func:`point_metrics` and
 both sum ``e = (x - x_hat) * sel`` (optionally rescaled per variable) through
 ``_error_sums``.
 
-Every encoder pass here computes latent means only (:func:`latent_means`).
-``ibimpute eval`` encodes the unmasked windows once per command and each
-cell's masked windows once, for both its error sums and its alignment.
+Every encoder pass here is :func:`latent_means`, μ-only, in chunks of 64
+windows: :func:`masked_error_sums` decodes its output, :func:`alignment_score`
+compares it with the full view, and :func:`write_latents` encodes nothing.
+``ibimpute eval`` and ``export-latents`` encode the unmasked windows once per
+command and each cell's masked windows once.
 """
 
 from __future__ import annotations
@@ -63,13 +65,6 @@ class EvalEntry:
     @property
     def rate_label(self) -> str:
         return "avg" if self.rate is None else repr(self.rate)
-
-
-@dataclass
-class AblationGrid:
-    """The four-configuration comparison, all sharing data, seeds, masks."""
-
-    entries: dict[str, list[EvalEntry]]  # config name -> per-rate entries
 
 
 def _error_sums(
@@ -122,21 +117,19 @@ def masked_error_sums(
 
     ``positions`` selects "eval" (observed and artificially hidden) or
     "observed" (every ground-truth-known position).  ``var_scale`` optionally
-    rescales errors per variable (used for source-scale metrics).  ``mu``,
-    the windows' :func:`latent_means` if the caller has them, is decoded
-    instead of encoding the windows again.
+    rescales errors per variable (used for source-scale metrics).  The
+    windows are decoded from ``mu``, their :func:`latent_means`, which is
+    computed here unless the caller has it.
     """
     if positions not in ("eval", "observed"):
         raise ValueError(f"unknown position selector {positions!r}")
+    mu = latent_means(model, masked) if mu is None else mu
     abs_sum = 0.0
     sq_sum = 0.0
     count = 0
     for i in range(0, len(masked), _CHUNK):
         x, m_obs, m_art = stack_windows(masked[i : i + _CHUNK])
-        if mu is None:
-            x_hat = model.reconstruct(x * m_obs * m_art).data
-        else:
-            x_hat = model.decode(mu[i : i + _CHUNK]).data
+        x_hat = model.decode(mu[i : i + _CHUNK]).data
         sel = m_obs * (1.0 - m_art) if positions == "eval" else m_obs
         chunk_abs, chunk_sq, chunk_count = _error_sums(x, x_hat, sel, var_scale)
         abs_sum += chunk_abs
@@ -204,8 +197,9 @@ def run_ablation(
     eval_seed: int = 1,
     normalized: bool = True,
     progress: bool = False,
-) -> AblationGrid:
-    """Train and score the four weight configurations on shared data/masks.
+) -> dict[str, list[EvalEntry]]:
+    """Train and score the four weight configurations on shared data/masks:
+    config name -> one entry per rate.
 
     Configurations: full (weights as given), no_reg (regularizer weight 0),
     no_glo (global weight 0), loc_only (both 0).  The local weight must be
@@ -251,7 +245,7 @@ def run_ablation(
                 ]
             per_rate.append(evaluate(result.model, masked_by_rate[rate], eval_spec, normalized))
         entries[name] = per_rate
-    return AblationGrid(entries=entries)
+    return entries
 
 
 def alignment_score(
@@ -303,36 +297,28 @@ def _pca_components(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, comps
 
 
-def export_latents(model: ImputationModel, masked: list[Window], path: str) -> float:
-    """Write 2-D projections of both branches' latent means to a CSV.
+def write_latents(path: str, mu: np.ndarray, full_mu: np.ndarray) -> None:
+    """Write 2-D projections of one cell's latent means to a CSV.
 
-    ``masked`` holds normalized, masked windows, as for :func:`alignment_score`.
-    Principal axes are fitted on the unmasked-branch embeddings only, then
+    ``mu`` and ``full_mu`` are the masked and the full :func:`latent_means`
+    of the cell's windows, as for :func:`alignment_score`; nothing is encoded.
+    Principal axes are fitted on the full-view embeddings only, then
     applied to both branches, so paired points are directly comparable.
     Columns: window, variable, branch {masked, original}, pc1, pc2.
-    Returns the :func:`alignment_score` of the same masked windows.
     """
-    a, b = (latent_means(model, masked, full) for full in (False, True))
-    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+    n_vars = full_mu.shape[1]
+    a, b = mu.reshape(-1, mu.shape[-1]), full_mu.reshape(-1, full_mu.shape[-1])
     if b.shape[0] < 3:
-        raise ValueError(
-            f"export_latents: need at least 3 embeddings, got {b.shape[0]}"
-        )
+        raise ValueError(f"write_latents: need at least 3 embeddings, got {b.shape[0]}")
     if b.shape[1] < 2:
-        raise ValueError("export_latents: need at least 2 latent dimensions")
+        raise ValueError("write_latents: need at least 2 latent dimensions")
     center, comps = _pca_components(b)
-    proj_masked = (a - center) @ comps.T
-    proj_full = (b - center) @ comps.T
-    n_vars = masked[0].x.shape[1]
     with atomic_write(path) as fh:
         fh.write("window,variable,branch,pc1,pc2\n")
-        for row in range(b.shape[0]):
+        for row, (pm, pf) in enumerate(zip((a - center) @ comps.T, (b - center) @ comps.T)):
             w_idx, v_idx = divmod(row, n_vars)
-            pm = proj_masked[row]
-            pf = proj_full[row]
             fh.write(f"{w_idx},{v_idx},masked,{float(pm[0])!r},{float(pm[1])!r}\n")
             fh.write(f"{w_idx},{v_idx},original,{float(pf[0])!r},{float(pf[1])!r}\n")
-    return _mean_cosine(a, b)
 
 
 def write_sweep_csv(path: str, rows: list[EvalEntry]) -> None:
@@ -342,11 +328,11 @@ def write_sweep_csv(path: str, rows: list[EvalEntry]) -> None:
             fh.write(f"{e.pattern},{e.rate_label},{e.mae!r},{e.mse!r},{e.n_eval_points}\n")
 
 
-def write_ablation_csv(path: str, grid: AblationGrid) -> None:
+def write_ablation_csv(path: str, entries: dict[str, list[EvalEntry]]) -> None:
     with atomic_write(path) as fh:
         fh.write("config,pattern,rate,mae,mse,n_points\n")
         for name in ABLATION_CONFIGS:
-            for e in grid.entries.get(name, []):
+            for e in entries.get(name, []):
                 fh.write(
                     f"{name},{e.pattern},{e.rate_label},{e.mae!r},{e.mse!r},{e.n_eval_points}\n"
                 )

@@ -660,6 +660,17 @@ class TestExportLatentsCommand:
         assert -1.0 <= score <= 1.0
         assert "alignment =" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pattern, rate", [("point", 0.5), ("block", 0.7)])
+    def test_alignment_is_the_eval_row_of_its_cell(self, tmp_path, pattern, rate):
+        cfg_path, out_dir = _train(tmp_path)
+        cell = ["--override", f"mask.pattern={pattern}", "--override", f"mask.rate={rate}"]
+        grid = ["--override", "eval.patterns=point,block", "--override", "eval.rates=0.3,0.5,0.7"]
+        assert main(["eval", "--config", cfg_path, "--quiet", *cell, *grid]) == 0
+        rows = (out_dir / "alignment.csv").read_text().splitlines()[1:]
+        (row,) = [r for r in rows if r.startswith(f"{pattern},{rate!r},")]
+        assert main(["export-latents", "--config", cfg_path, "--quiet", *cell]) == 0
+        assert (out_dir / "alignment.txt").read_text() == row.split(",")[2] + "\n"
+
 
 class TestForwardPasses:
     """Untaped passes compute latent means only: the log-σ head runs once per

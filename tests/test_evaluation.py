@@ -15,6 +15,7 @@ from ibimpute.data import (
     make_synthetic,
     make_windows,
     normalize_window,
+    stack_windows,
 )
 from ibimpute.evaluation import (
     ABLATION_CONFIGS,
@@ -24,12 +25,13 @@ from ibimpute.evaluation import (
     alignment_score,
     average_entry,
     evaluate,
-    export_latents,
     held_out_windows,
+    latent_means,
     masked_error_sums,
     point_metrics,
     run_ablation,
     write_ablation_csv,
+    write_latents,
     write_sweep_csv,
     _CHUNK,
     _error_sums,
@@ -41,7 +43,8 @@ from ibimpute.training import TrainConfig
 
 
 class _LinearStub:
-    """Fake model: encode is a fixed linear map, reconstruct a constant.
+    """Fake model: encode is a fixed linear map (the identity without
+    ``proj``), decode a constant.
 
     Lets the scoring code be tested against hand-computable outputs.
     """
@@ -53,12 +56,15 @@ class _LinearStub:
 
     def encode(self, x_input, mu_only=False):
         x = x_input if isinstance(x_input, np.ndarray) else x_input.data
-        mu = np.swapaxes(x, -1, -2) @ self.proj  # [.., N, d]
+        mu = np.swapaxes(x, -1, -2)  # [.., N, T]
+        if self.proj is not None:
+            mu = mu @ self.proj  # [.., N, d]
         return LatentDistribution(mu=Tensor(mu), sigma=Tensor(np.ones_like(mu)))
 
-    def reconstruct(self, x_input):
-        x = x_input if isinstance(x_input, np.ndarray) else x_input.data
-        return Tensor(np.full_like(x, self.fill))
+    def decode(self, z):
+        z = z if isinstance(z, np.ndarray) else z.data
+        t = z.shape[-1] if self.proj is None else self.proj.shape[0]
+        return Tensor(np.full(z.shape[:-2] + (t, z.shape[-2]), self.fill))
 
 
 def _masked_windows(n_vars=2, steps=64, window_len=16, rate=0.5, seed=0):
@@ -166,6 +172,28 @@ class TestMaskedErrorSums:
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError, match="position selector"):
             masked_error_sums(_LinearStub(), [], positions="everything")
+
+    @pytest.mark.parametrize("n_windows", [5, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("positions", ["eval", "observed"])
+    def test_given_mu_is_the_encoded_mu_bit_for_bit(self, n_windows, positions):
+        # one chunk, and three chunks with a partial last one
+        cfg = ModelConfig(window_len=16, n_vars=3, d_model=8, hidden_dim=16)
+        model = ImputationModel(cfg, seed=43)
+        masked = _masked_windows(n_vars=3, steps=16 * n_windows, seed=44)
+        assert len(masked) == n_windows
+        mu = latent_means(model, masked)
+        for scale in (None, np.array([0.5, 2.0, 3.0])):
+            encoded = masked_error_sums(model, masked, positions, var_scale=scale)
+            assert encoded == masked_error_sums(model, masked, positions, scale, mu=mu)
+            # and both are the sums of model.reconstruct, chunk by chunk
+            want = [0.0, 0.0, 0]
+            for i in range(0, n_windows, _CHUNK):
+                x, m_obs, m_art = stack_windows(masked[i : i + _CHUNK])
+                sel = m_obs * (1.0 - m_art) if positions == "eval" else m_obs
+                x_hat = model.reconstruct(x * m_obs * m_art).data
+                for k, part in enumerate(_error_sums(x, x_hat, sel, scale)):
+                    want[k] += part
+            assert encoded == tuple(want)
 
 
 def _masked_for(model, windows, spec):
@@ -308,11 +336,11 @@ class TestSweep:
 class TestAblation:
     def test_grid_shape_and_csv(self, tmp_path):
         dataset, model_cfg, train_cfg = _small_setup()
-        grid = run_ablation(dataset, model_cfg, train_cfg, rates=[0.5])
-        assert set(grid.entries) == set(ABLATION_CONFIGS)
-        assert all(len(v) == 1 for v in grid.entries.values())
+        entries = run_ablation(dataset, model_cfg, train_cfg, rates=[0.5])
+        assert set(entries) == set(ABLATION_CONFIGS)
+        assert all(len(v) == 1 for v in entries.values())
         path = str(tmp_path / "ablation.csv")
-        write_ablation_csv(path, grid)
+        write_ablation_csv(path, entries)
         lines = Path(path).read_text().splitlines()
         assert lines[0] == "config,pattern,rate,mae,mse,n_points"
         assert len(lines) == 1 + len(ABLATION_CONFIGS)
@@ -329,8 +357,8 @@ class TestAblation:
     def test_configs_share_eval_masks(self):
         # all four configurations must be scored on identical positions
         dataset, model_cfg, train_cfg = _small_setup()
-        grid = run_ablation(dataset, model_cfg, train_cfg, rates=[0.5])
-        counts = {name: grid.entries[name][0].n_eval_points for name in grid.entries}
+        entries = run_ablation(dataset, model_cfg, train_cfg, rates=[0.5])
+        counts = {name: entries[name][0].n_eval_points for name in entries}
         assert len(set(counts.values())) == 1
 
     def test_masks_each_held_out_window_once_per_rate(self, monkeypatch):
@@ -429,17 +457,25 @@ class TestPca:
 
 
 class TestExportLatents:
+    """:func:`write_latents`, the writer of ``export-latents``' CSV."""
+
     def _model(self, seed=31):
         cfg = ModelConfig(window_len=16, n_vars=2, d_model=4, hidden_dim=8)
         norm = Normalizer(mean=np.zeros(2), std=np.ones(2))
         return ImputationModel(cfg, seed=seed, normalizer=norm)
+
+    @staticmethod
+    def _write(model, windows, spec, path):
+        masked = _masked_for(model, windows, spec)
+        mu, full_mu = (latent_means(model, masked, full) for full in (False, True))
+        write_latents(path, mu, full_mu)
 
     def test_row_count_and_format(self, tmp_path):
         model = self._model()
         ds = make_synthetic(2, 64, seed=32)
         windows = make_windows(ds, 16, 16)  # 4 windows x 2 vars = 8 rows/branch
         path = str(tmp_path / "latents.csv")
-        export_latents(model, _masked_for(model, windows, MaskSpec(rate=0.5, seed=33)), path)
+        self._write(model, windows, MaskSpec(rate=0.5, seed=33), path)
         lines = Path(path).read_text().splitlines()
         assert lines[0] == "window,variable,branch,pc1,pc2"
         assert len(lines) == 1 + 16
@@ -447,32 +483,45 @@ class TestExportLatents:
             w_idx, v_idx, branch, pc1, pc2 = ln.split(",")
             assert branch in ("masked", "original")
             float(pc1), float(pc2)  # parseable
+        keys = [tuple(ln.split(",")[:3]) for ln in lines[1:]]
+        assert keys[:4] == [
+            ("0", "0", "masked"), ("0", "0", "original"),
+            ("0", "1", "masked"), ("0", "1", "original"),
+        ]
+        assert keys[-1] == ("3", "1", "original")
 
     def test_rate_zero_pairs_coincide(self, tmp_path):
         model = self._model(seed=34)
         ds = make_synthetic(2, 64, seed=35)
         windows = make_windows(ds, 16, 16)
         path = str(tmp_path / "latents.csv")
-        export_latents(model, _masked_for(model, windows, MaskSpec(rate=0.0, seed=36)), path)
+        self._write(model, windows, MaskSpec(rate=0.0, seed=36), path)
         lines = Path(path).read_text().splitlines()[1:]
         for masked_ln, orig_ln in zip(lines[0::2], lines[1::2]):
             assert masked_ln.split(",")[3:] == orig_ln.split(",")[3:]
 
+    def test_projects_the_latents_it_is_given(self, tmp_path):
+        # a hand-built set: the full view spans the first two axes, and the
+        # masked rows are the full rows shrunk by half
+        full_mu = np.array(
+            [[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[-2.0, 0.0, 0.0], [0.0, -1.0, 0.0]]]
+        )
+        path = tmp_path / "latents.csv"
+        write_latents(str(path), 0.5 * full_mu, full_mu)
+        rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+        got = {(w, v, b): (float(p1), float(p2)) for w, v, b, p1, p2 in rows}
+        assert got[("0", "0", "original")] == pytest.approx((2.0, 0.0), abs=1e-12)
+        assert got[("0", "0", "masked")] == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert got[("1", "1", "original")] == pytest.approx((0.0, -1.0), abs=1e-12)
+        assert got[("1", "1", "masked")] == pytest.approx((0.0, -0.5), abs=1e-12)
+
     def test_too_few_embeddings_rejected(self, tmp_path):
-        model = self._model(seed=37)
-        ds = make_synthetic(2, 16, seed=38)
-        windows = make_windows(ds, 16, 16)  # 1 window x 2 vars = 2 rows
-        masked = _masked_for(model, windows, MaskSpec(rate=0.5, seed=39))
+        one_window = np.zeros((1, 2, 4))  # 1 window x 2 vars = 2 rows
         with pytest.raises(ValueError, match="at least 3 embeddings"):
-            export_latents(model, masked, str(tmp_path / "l.csv"))
+            write_latents(str(tmp_path / "l.csv"), one_window, one_window)
+        assert not (tmp_path / "l.csv").exists()
 
     def test_one_latent_dim_rejected(self, tmp_path):
-        cfg = ModelConfig(window_len=16, n_vars=2, d_model=1, hidden_dim=8)
-        model = ImputationModel(
-            cfg, seed=40, normalizer=Normalizer(np.zeros(2), np.ones(2))
-        )
-        ds = make_synthetic(2, 64, seed=41)
-        windows = make_windows(ds, 16, 16)
-        masked = _masked_for(model, windows, MaskSpec(rate=0.5, seed=42))
+        one_dim = np.zeros((4, 2, 1))
         with pytest.raises(ValueError, match="2 latent dimensions"):
-            export_latents(model, masked, str(tmp_path / "l.csv"))
+            write_latents(str(tmp_path / "l.csv"), one_dim, one_dim)

@@ -1,6 +1,7 @@
-"""The README's code blocks run as written, and its op list matches the
-autodiff engine."""
+"""The README's code blocks run as written, its op list matches the
+autodiff engine, and the docs name the subcommands the CLI defines."""
 
+import argparse
 import inspect
 import os
 import re
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import ibimpute
-from ibimpute import autodiff
+from ibimpute import autodiff, cli
 from ibimpute.config import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -94,3 +95,26 @@ def test_autodiff_paragraph_names_what_the_engine_defines():
         if f.__module__ == autodiff.__name__ and not name.startswith("_")
     }
     assert public - names == set(), "public autodiff functions the README does not name"
+
+
+def _subcommands() -> dict[str, bool]:
+    """Each subcommand of the ``ibimpute`` parser -> whether it takes ``--config``."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: any("--config" in a.option_strings for a in p._actions)
+        for name, p in sub.choices.items()
+    }
+
+
+def test_docs_name_exactly_the_cli_subcommands():
+    commands = _subcommands()
+    (paragraph,) = [p for p in cli.__doc__.split("\n\n") if p.startswith("Subcommands:")]
+    assert re.findall(r"``([a-z][a-z-]*)``", paragraph) == list(commands)
+    quickstart = re.findall(r"^ibimpute ([a-z-]+)", _block("## Quickstart", "sh"), re.M)
+    assert set(quickstart) == set(commands)
+    # the artifact table lists the files a --config command writes to output_dir;
+    # a "written by" cell is one subcommand, or a phrase in words
+    writers = re.findall(r"^\| `[^`]+` \| ([^|]+) \|", _section("### Artifacts"), re.M)
+    named = {w.strip() for w in writers if re.fullmatch(r"[a-z-]+", w.strip())}
+    assert named == {name for name, takes_config in commands.items() if takes_config}
