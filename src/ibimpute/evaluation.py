@@ -266,12 +266,7 @@ def alignment_score(
         raise ValueError("alignment_score: no windows")
     mu = latent_means(model, masked) if mu is None else mu
     full_mu = latent_means(model, masked, full=True) if full_mu is None else full_mu
-    return _mean_cosine(mu, full_mu)
-
-
-def _mean_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean cosine over paired rows of two [.., d] arrays (see alignment_score)."""
-    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+    a, b = mu.reshape(-1, mu.shape[-1]), full_mu.reshape(-1, full_mu.shape[-1])
     dots = np.sum(a * b, axis=-1)
     na = np.sum(a * a, axis=-1)
     nb = np.sum(b * b, axis=-1)
