@@ -1,7 +1,8 @@
 """Command-line entry point for reproducible imputation experiments.
 
-Subcommands: ``synth`` (generate a dataset), ``train``, ``eval``,
-``ablate``, ``impute`` (fill a CSV's missing cells), ``export-latents``.
+Subcommands: ``synth`` (generate a dataset), ``train``, ``eval`` (also
+writes the latent projections of the config's own mask cell), ``ablate``,
+``impute`` (fill a CSV's missing cells).
 Commands that take ``--config`` echo the fully resolved configuration into
 the output directory so every artifact records how it was produced.
 
@@ -21,7 +22,7 @@ import numpy as np
 from .autodiff import TapeError
 from .config import SYNTH_CELL_BYTES, ConfigError, RunConfig, check_fits_in_memory
 from .data import (
-    Dataset,
+    CsvFormatError,
     Window,
     apply_mask,
     atomic_write,
@@ -32,6 +33,7 @@ from .data import (
 )
 from .evaluation import (
     EvalEntry,
+    EvaluationError,
     alignment_score,
     average_entry,
     evaluate,
@@ -85,7 +87,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[config_parent], help="train a model")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[config_parent], help="score a checkpoint")
+    p = sub.add_parser("eval", parents=[config_parent], help="score a checkpoint, project latents")
     p.add_argument("--checkpoint", help="defaults to <output_dir>/checkpoint.bin")
     p.set_defaults(func=_cmd_eval)
 
@@ -97,12 +99,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="CSV with empty cells to fill")
     p.add_argument("--output", required=True, help="completed CSV path")
     p.set_defaults(func=_cmd_impute)
-
-    p = sub.add_parser(
-        "export-latents", parents=[config_parent], help="latent projections + alignment"
-    )
-    p.add_argument("--checkpoint", help="defaults to <output_dir>/checkpoint.bin")
-    p.set_defaults(func=_cmd_export_latents)
 
     return parser
 
@@ -126,15 +122,9 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _checkpoint_model(cfg: RunConfig, args, dataset: Dataset) -> ImputationModel:
-    path = args.checkpoint or str(Path(cfg["output_dir"]) / "checkpoint.bin")
+def _load_model(path: str) -> ImputationModel:
+    """The checkpoint's model; one without a normalizer cannot score or impute."""
     model = load_checkpoint(path)
-    expected = cfg.model_config(dataset.n_vars)
-    if model.config != expected:
-        raise CheckpointError(
-            f"checkpoint {path} was trained with {model.config}, "
-            f"but the run config implies {expected}"
-        )
     if model.normalizer is None:
         raise CheckpointError(f"checkpoint {path} carries no normalizer")
     return model
@@ -182,25 +172,26 @@ def _cmd_train(args) -> None:
     print(f"best_val_mae = {result.best_val_mae!r}")
 
 
-def _held_out_setup(args):
-    """The run config, checkpoint model, normalized held-out windows, their
-    full-view latent means, output directory and eval mask spec, as ``eval``
-    and ``export-latents`` both use them."""
+def _cmd_eval(args) -> None:
     cfg = _load_run_config(args)
     dataset = cfg.load_dataset()
-    model = _checkpoint_model(cfg, args, dataset)
+    path = args.checkpoint or str(Path(cfg["output_dir"]) / "checkpoint.bin")
+    model = _load_model(path)
+    expected = cfg.model_config(dataset.n_vars)
+    if model.config != expected:
+        raise CheckpointError(
+            f"checkpoint {path} was trained with {model.config}, "
+            f"but the run config implies {expected}"
+        )
     windows = held_out_windows(dataset, model.config, cfg.train_config())
     out = _out_dir(cfg)
     eval_spec = cfg.mask_spec(seed=derive(cfg["eval.seed"], STREAM_EVAL_MASK))
     normed = [normalize_window(w, model.normalizer) for w in windows]
     # the unmasked view does not depend on the mask: encode it once for all cells
-    return cfg, model, normed, latent_means(model, normed, full=True), out, eval_spec
-
-
-def _cmd_eval(args) -> None:
-    cfg, model, normed, full_mu, out, eval_spec = _held_out_setup(args)
+    full_mu = latent_means(model, normed, full=True)
     rows: list[EvalEntry] = []
     align_rows: list[tuple[str, float, float]] = []
+    cell_mu = None  # the latent means of the config's own mask cell, for latents.csv
     for pattern in cfg["eval.patterns"]:
         per_rate = []
         for rate in cfg["eval.rates"]:
@@ -209,6 +200,8 @@ def _cmd_eval(args) -> None:
             mu = latent_means(model, masked)
             per_rate.append(evaluate(model, masked, spec, cfg["eval.normalized"], mu))
             align_rows.append((pattern, rate, alignment_score(model, masked, mu, full_mu)))
+            if spec == eval_spec:
+                cell_mu = mu
         rows.extend(per_rate)
         rows.append(average_entry(pattern, per_rate))
     write_sweep_csv(str(out / "report.csv"), rows)
@@ -216,6 +209,15 @@ def _cmd_eval(args) -> None:
         fh.write("pattern,rate,alignment\n")
         for pattern, rate, align in align_rows:
             fh.write(f"{pattern},{rate!r},{align!r}\n")
+    try:  # a config whose latents cannot be written still scores
+        if cell_mu is None:
+            raise EvaluationError(
+                f"mask.pattern={eval_spec.pattern} mask.rate={eval_spec.rate!r} "
+                "is not a cell of eval.patterns x eval.rates"
+            )
+        write_latents(str(out / "latents.csv"), cell_mu, full_mu)
+    except EvaluationError as exc:
+        print(f"eval: wrote no latents.csv: {exc}", file=sys.stderr)
     for e in rows:
         print(f"{e.pattern} rate={e.rate_label} mae={e.mae!r} mse={e.mse!r}")
 
@@ -245,9 +247,7 @@ def _cmd_ablate(args) -> None:
 
 
 def _cmd_impute(args) -> None:
-    model = load_checkpoint(args.checkpoint)
-    if model.normalizer is None:
-        raise CheckpointError(f"checkpoint {args.checkpoint} carries no normalizer")
+    model = _load_model(args.checkpoint)
     raw_rows: list[list[str]] = []
     ds = load_csv(args.input, raw_rows)
     t_len = model.config.window_len
@@ -257,9 +257,7 @@ def _cmd_impute(args) -> None:
             f"{model.config.n_vars}"
         )
     if ds.length < t_len:
-        raise TrainingError(
-            f"{args.input} has {ds.length} rows, need at least {t_len}"
-        )
+        raise CsvFormatError(f"{args.input} has {ds.length} rows, need at least {t_len}")
     starts = list(range(0, ds.length - t_len + 1, t_len))
     if starts[-1] + t_len < ds.length:
         starts.append(ds.length - t_len)  # overlapping tail window
@@ -283,17 +281,6 @@ def _cmd_impute(args) -> None:
     with atomic_write(str(out) + ".meta") as fh:
         fh.write(f"checkpoint = {args.checkpoint}\ninput = {args.input}\n")
     print(f"wrote {out} ({len(gap_t)} cells filled)")
-
-
-def _cmd_export_latents(args) -> None:
-    _, model, normed, full_mu, out, spec = _held_out_setup(args)
-    masked = [apply_mask(w, spec) for w in normed]
-    mu = latent_means(model, masked)
-    write_latents(str(out / "latents.csv"), mu, full_mu)
-    score = alignment_score(model, masked, mu, full_mu)
-    with atomic_write(out / "alignment.txt") as fh:
-        fh.write(f"{score!r}\n")
-    print(f"alignment = {score!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -44,7 +44,7 @@ LOADER_FORMAT = 1
 
 
 class CsvFormatError(ValueError):
-    """Malformed input CSV (ragged row, non-numeric cell, no data)."""
+    """Malformed input CSV (ragged row, non-numeric cell, no data, too few rows)."""
 
 
 class SplitError(ValueError):
@@ -55,10 +55,21 @@ class MaskError(ValueError):
     """Invalid mask specification."""
 
 
+def _bool_mask(mask, name: str) -> np.ndarray:
+    """``mask`` as bool: a bool array is kept as it is, a numeric one must
+    hold only 0s and 1s."""
+    mask = np.asarray(mask)
+    if mask.dtype == bool:
+        return mask
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError(f"{name} must hold only 0s and 1s")
+    return mask == 1
+
+
 @dataclass
 class Dataset:
-    """A full multivariate series with its native missingness mask; a bool
-    mask is kept as it is, a numeric one must hold only 0s and 1s."""
+    """A full multivariate series with its native missingness mask, made
+    bool by :func:`_bool_mask`."""
 
     values: np.ndarray          # [T_total, N]
     native_mask: np.ndarray     # [T_total, N] bool, True = present in source
@@ -66,10 +77,7 @@ class Dataset:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        mask = np.asarray(self.native_mask)
-        if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("native_mask must hold only 0s and 1s")
-        self.native_mask = mask if mask.dtype == bool else mask == 1
+        self.native_mask = _bool_mask(self.native_mask, "native_mask")
         if self.values.shape != self.native_mask.shape:
             raise ValueError(
                 f"values {self.values.shape} and native_mask "
@@ -96,6 +104,7 @@ class Window:
     in the source always keep ``m_art`` True, so evaluation positions,
     ``m_obs & ~m_art``, never include natively missing cells.  Windows of
     :func:`make_windows` share their ``x`` and ``m_obs`` with those they overlap.
+    Both masks are made bool by :func:`_bool_mask`.
     """
 
     x: np.ndarray         # [T, N] ground truth (0 where natively missing)
@@ -106,6 +115,8 @@ class Window:
     def __post_init__(self):
         if self.m_art is None:
             self.m_art = np.ones(self.x.shape, dtype=bool)
+        self.m_obs = _bool_mask(self.m_obs, "m_obs")
+        self.m_art = _bool_mask(self.m_art, "m_art")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -340,7 +351,7 @@ def make_windows(
 def _point_mask(window: Window, spec: MaskSpec, rng: SplitMix64) -> np.ndarray:
     t, n = window.shape
     u = rng.uniforms(t * n).reshape(t, n)
-    return ~((u < spec.rate) & (window.m_obs == 1.0))
+    return ~((u < spec.rate) & window.m_obs)
 
 
 def _block_mask_column(
@@ -418,15 +429,14 @@ def apply_mask(window: Window, spec: MaskSpec) -> Window:
     if spec.pattern == POINT:
         m_art = _point_mask(window, spec, rng)
     else:
-        is_obs = window.m_obs == 1.0
         length = min(spec.block_len, window.shape[0])
         draws = _chunked_draws(rng)
         columns = b"".join(
             _block_mask_column([0, *col], length, spec.rate, draws)
-            for col in np.cumsum(is_obs, axis=0).T.tolist()
+            for col in np.cumsum(window.m_obs, axis=0).T.tolist()
         )
-        hidden = np.frombuffer(columns, dtype=bool).reshape(is_obs.T.shape).T
-        m_art = ~(hidden & is_obs)
+        hidden = np.frombuffer(columns, dtype=bool).reshape(window.m_obs.T.shape).T
+        m_art = ~(hidden & window.m_obs)
     return replace(window, m_art=m_art)
 
 
@@ -454,7 +464,7 @@ def fit_normalizer(train_windows: list[Window]) -> Normalizer:
     xs = np.stack([w.x for w in train_windows])  # [W, T, N]
     ms = np.stack([w.m_obs for w in train_windows])
     for i in range(n):
-        vals = xs[:, :, i][ms[:, :, i] == 1.0]
+        vals = xs[:, :, i][ms[:, :, i]]
         if vals.size == 0:
             continue
         mean[i] = vals.mean()

@@ -14,8 +14,9 @@ both sum ``e = (x - x_hat) * sel`` (optionally rescaled per variable) through
 Every encoder pass here is :func:`latent_means`, μ-only, in chunks of 64
 windows: :func:`masked_error_sums` decodes its output, :func:`alignment_score`
 compares it with the full view, and :func:`write_latents` encodes nothing.
-``ibimpute eval`` and ``export-latents`` encode the unmasked windows once per
-command and each cell's masked windows once.
+``ibimpute eval`` encodes the unmasked windows once per command and each
+cell's masked windows once, and writes ``latents.csv`` from the latent means of
+the config's own mask cell.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ ABLATION_CONFIGS = (ABLATION_FULL, ABLATION_NO_REG, ABLATION_NO_GLO, ABLATION_LO
 
 
 class EvaluationError(ValueError):
-    """A cell cannot be scored: no fitted normalizer, or nothing hidden."""
+    """A cell cannot be scored, or its latents cannot be projected."""
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,7 @@ def run_ablation(
             if progress:
                 print(f"ablation: training config={name} rate={rate}", file=sys.stderr)
             result = fit(dataset, model_cfg, cfg, progress=progress)
-            eval_spec = MaskSpec(
-                pattern=cfg.mask_spec.pattern,
-                rate=rate,
-                block_len=cfg.mask_spec.block_len,
-                seed=derive(eval_seed, STREAM_EVAL_MASK),
-            )
+            eval_spec = replace(cfg.mask_spec, seed=derive(eval_seed, STREAM_EVAL_MASK))
             if rate not in masked_by_rate:
                 masked_by_rate[rate] = [
                     apply_mask(normalize_window(w, result.model.normalizer), eval_spec)
@@ -304,9 +300,9 @@ def write_latents(path: str, mu: np.ndarray, full_mu: np.ndarray) -> None:
     n_vars = full_mu.shape[1]
     a, b = mu.reshape(-1, mu.shape[-1]), full_mu.reshape(-1, full_mu.shape[-1])
     if b.shape[0] < 3:
-        raise ValueError(f"write_latents: need at least 3 embeddings, got {b.shape[0]}")
+        raise EvaluationError(f"write_latents: need at least 3 embeddings, got {b.shape[0]}")
     if b.shape[1] < 2:
-        raise ValueError("write_latents: need at least 2 latent dimensions")
+        raise EvaluationError("write_latents: need at least 2 latent dimensions")
     center, comps = _pca_components(b)
     with atomic_write(path) as fh:
         fh.write("window,variable,branch,pc1,pc2\n")

@@ -215,11 +215,11 @@ class ImputationModel:
         """
         if self.normalizer is None:
             raise ValueError("impute requires a fitted normalizer")
-        visible = window.m_obs * window.m_art
+        visible = window.m_obs & window.m_art
         x_in = self.normalizer.normalize(window.x) * visible
         x_hat = self.reconstruct(x_in).data
         x_hat = self.normalizer.denormalize(x_hat)
-        return np.where(visible == 1.0, window.x, x_hat)
+        return np.where(visible, window.x, x_hat)
 
 
 def reparameterize(dist: LatentDistribution, seed: int) -> Tensor:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import signal
@@ -12,8 +13,18 @@ import pytest
 import ibimpute
 from ibimpute import cli, config
 from ibimpute.cli import main
-from ibimpute.data import Window, load_csv
-from ibimpute.model import ImputationModel, load_checkpoint
+from ibimpute.config import RunConfig
+from ibimpute.data import (
+    CsvFormatError,
+    MaskSpec,
+    Window,
+    apply_mask,
+    load_csv,
+    normalize_window,
+)
+from ibimpute.evaluation import held_out_windows, latent_means, write_latents
+from ibimpute.model import ImputationModel, ModelConfig, load_checkpoint, save_checkpoint
+from ibimpute.rng import STREAM_EVAL_MASK, derive
 
 TINY_CFG = """\
 data.source = synthetic
@@ -346,11 +357,10 @@ class TestDatasetCache:
     @pytest.mark.parametrize(
         "argv, outputs",
         [
-            (["eval"], ["report.csv", "alignment.csv"]),
-            (["export-latents"], ["latents.csv", "alignment.txt"]),
+            (["eval"], ["report.csv", "alignment.csv", "latents.csv"]),
             (["ablate", "--override", "eval.rates=0.5"], ["ablation.csv"]),
         ],
-        ids=["eval", "export-latents", "ablate"],
+        ids=["eval", "ablate"],
     )
     def test_same_bytes_with_and_without_the_cache(self, tmp_path, monkeypatch, argv, outputs):
         cfg_path, out_dir = _write_csv_cfg(tmp_path)
@@ -528,6 +538,14 @@ class TestImputeCommand:
             ]
         )
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {short} has 2 rows, need at least 16\n"
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.csv.meta").exists()
+        args = argparse.Namespace(
+            checkpoint=str(out_dir / "checkpoint.bin"), input=str(short), output="unused.csv"
+        )
+        with pytest.raises(CsvFormatError):  # an input-file error: no training runs
+            cli._cmd_impute(args)
 
     def test_unreadable_input_is_one_error_line(self, tmp_path, capsys):
         _, out_dir = _train(tmp_path)
@@ -647,29 +665,76 @@ class TestImputeMatchesReference:
         self._check(tmp_path, monkeypatch, out_dir, text, expect_fallback=False)
 
 
-class TestExportLatentsCommand:
-    def test_writes_latents_and_alignment(self, tmp_path, capsys):
-        cfg_path, out_dir = _train(tmp_path)
-        rc = main(["export-latents", "--config", cfg_path, "--quiet"])
-        assert rc == 0
-        latents = (out_dir / "latents.csv").read_text().splitlines()
-        assert latents[0] == "window,variable,branch,pc1,pc2"
-        # 3 test windows x 2 variables x 2 branches
-        assert len(latents) == 1 + 12
-        score = float((out_dir / "alignment.txt").read_text())
-        assert -1.0 <= score <= 1.0
-        assert "alignment =" in capsys.readouterr().out
+class TestCheckpointWithoutNormalizer:
+    """A checkpoint without a fitted normalizer can neither score nor impute."""
+
+    @pytest.mark.parametrize("command", ["eval", "impute"])
+    def test_exits_2_naming_the_file_before_any_write(self, tmp_path, capsys, command):
+        bare = tmp_path / "bare.bin"
+        model_cfg = ModelConfig(window_len=16, n_vars=2, d_model=4, hidden_dim=8)
+        save_checkpoint(str(bare), ImputationModel(model_cfg, seed=1))
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        src = TestImputeCommand()._input_csv(tmp_path)
+        dst = tmp_path / "filled.csv"
+        argv = {
+            "eval": ["eval", "--config", cfg_path, "--quiet"],
+            "impute": ["impute", "--input", str(src), "--output", str(dst)],
+        }[command]
+        argv += ["--checkpoint", str(bare)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: checkpoint {bare} carries no normalizer\n"
+        assert not out_dir.exists()
+        assert not dst.exists() and not (tmp_path / "filled.csv.meta").exists()
+
+
+class TestEvalLatents:
+    """``eval`` writes ``latents.csv`` for the config's own mask cell, from the
+    latent means it scored that cell with."""
 
     @pytest.mark.parametrize("pattern, rate", [("point", 0.5), ("block", 0.7)])
-    def test_alignment_is_the_eval_row_of_its_cell(self, tmp_path, pattern, rate):
+    def test_latents_project_the_cells_latent_means(self, tmp_path, capsys, pattern, rate):
         cfg_path, out_dir = _train(tmp_path)
-        cell = ["--override", f"mask.pattern={pattern}", "--override", f"mask.rate={rate}"]
-        grid = ["--override", "eval.patterns=point,block", "--override", "eval.rates=0.3,0.5,0.7"]
-        assert main(["eval", "--config", cfg_path, "--quiet", *cell, *grid]) == 0
-        rows = (out_dir / "alignment.csv").read_text().splitlines()[1:]
-        (row,) = [r for r in rows if r.startswith(f"{pattern},{rate!r},")]
-        assert main(["export-latents", "--config", cfg_path, "--quiet", *cell]) == 0
-        assert (out_dir / "alignment.txt").read_text() == row.split(",")[2] + "\n"
+        cell = [f"mask.pattern={pattern}", f"mask.rate={rate}"]
+        grid = ["eval.patterns=point,block", "eval.rates=0.3,0.5,0.7"]
+        argv = ["eval", "--config", cfg_path, "--quiet"]
+        for item in cell + grid:
+            argv += ["--override", item]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        cfg = RunConfig.from_sources(Path(cfg_path).read_text(), cell)
+        model = load_checkpoint(str(out_dir / "checkpoint.bin"))
+        windows = held_out_windows(cfg.load_dataset(), model.config, cfg.train_config())
+        normed = [normalize_window(w, model.normalizer) for w in windows]
+        spec = MaskSpec(pattern=pattern, rate=rate, block_len=4, seed=derive(1, STREAM_EVAL_MASK))
+        mu = latent_means(model, [apply_mask(w, spec) for w in normed])
+        expected = tmp_path / "expected.csv"
+        write_latents(str(expected), mu, latent_means(model, normed, full=True))
+        written = (out_dir / "latents.csv").read_bytes()
+        assert written == expected.read_bytes()
+        lines = written.decode().splitlines()
+        assert lines[0] == "window,variable,branch,pc1,pc2"
+        assert len(lines) == 1 + 12  # 3 test windows x 2 variables x 2 branches
+
+    @pytest.mark.parametrize(
+        "override, why",
+        [
+            ("mask.rate=0.7",
+             "mask.pattern=point mask.rate=0.7 is not a cell of eval.patterns x eval.rates"),
+            ("model.d_model=1", "write_latents: need at least 2 latent dimensions"),
+            ("window.val_stride=48", "write_latents: need at least 3 embeddings, got 2"),
+        ],
+        ids=["cell-not-in-grid", "one-latent-dim", "one-test-window"],
+    )
+    def test_unwritable_latents_still_score(self, tmp_path, capsys, override, why):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        argv = ["--config", cfg_path, "--quiet", "--override", override]
+        assert main(["train", *argv]) == 0
+        capsys.readouterr()
+        assert main(["eval", *argv]) == 0
+        assert capsys.readouterr().err == f"eval: wrote no latents.csv: {why}\n"
+        assert (out_dir / "report.csv").is_file() and (out_dir / "alignment.csv").is_file()
+        assert not (out_dir / "latents.csv").exists()
 
 
 class TestForwardPasses:
@@ -720,12 +785,6 @@ class TestForwardPasses:
         assert main(argv) == 0
         # 2 patterns x 3 rates over the 3 test windows, one chunk
         assert passes == {"mu_only": 6 + 1, "with_sigma": 0, "decode": 6, "log_std": 0}
-
-    def test_export_latents_encodes_each_branch_once(self, tmp_path, passes):
-        cfg_path, _ = _train(tmp_path)
-        passes.update(dict.fromkeys(passes, 0))
-        assert main(["export-latents", "--config", cfg_path, "--quiet"]) == 0
-        assert passes == {"mu_only": 2, "with_sigma": 0, "decode": 0, "log_std": 0}
 
     def test_impute_runs_each_window_without_sigma(self, tmp_path, passes):
         _, out_dir = _train(tmp_path)

@@ -775,6 +775,17 @@ class TestBoolMasks:
         with pytest.raises(ValueError, match="0s and 1s"):
             Dataset(np.zeros((2, 2)), mask, ["a", "b"])
 
+    @pytest.mark.parametrize("field", ["m_obs", "m_art"])
+    def test_window_mask_is_converted_or_rejected(self, field):
+        masks = {"m_obs": np.ones((2, 2)), "m_art": np.ones((2, 2))}
+        masks[field][0, 1] = 0.0
+        mask = getattr(Window(x=np.zeros((2, 2)), **masks), field)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, [[True, False], [True, True]])
+        masks[field][1, 0] = 0.5
+        with pytest.raises(ValueError, match=f"{field} must hold only 0s and 1s"):
+            Window(x=np.zeros((2, 2)), **masks)
+
     def test_default_m_art(self):
         w = Window(x=np.zeros((3, 2)), m_obs=np.ones((3, 2), dtype=bool))
         assert w.m_art.dtype == bool and w.m_art.shape == (3, 2) and w.m_art.all()

@@ -457,7 +457,7 @@ class TestPca:
 
 
 class TestExportLatents:
-    """:func:`write_latents`, the writer of ``export-latents``' CSV."""
+    """:func:`write_latents`, the writer of ``eval``'s ``latents.csv``."""
 
     def _model(self, seed=31):
         cfg = ModelConfig(window_len=16, n_vars=2, d_model=4, hidden_dim=8)

@@ -9,10 +9,10 @@ loss terms, the parameter storage or the training masks that moves a single
 bit of a parameter shows here.
 
 The CLI artifacts are pinned too: what ``train``, ``eval`` (point and block
-masks, normalized and source-scale), ``export-latents`` and ``impute`` write
-for a tiny config, and what ``write_csv`` writes for datasets with natively
-missing cells.  Any change to the scoring arithmetic, the masking or the CSV
-writers shows here.
+masks, normalized and source-scale, and the latent projections of the config's
+own cell) and ``impute`` write for a tiny config, and what ``write_csv`` writes
+for datasets with natively missing cells.  Any change to the scoring
+arithmetic, the masking or the CSV writers shows here.
 """
 
 import dataclasses
@@ -196,8 +196,6 @@ CLI_DIGESTS = {
         "206db1182926da172dfaba363d6f823e9268fc1941a3931983c72a2223e07d5f",
     "run/latents.csv":
         "df238ab29ca240ebf58388a09319d5cb2d2a1cad37d08b6bf633ab7c528f19ef",
-    "run/alignment.txt":
-        "18cf0de1c05d3b75c6b7e4953f44485372bb61edc3498b0ef520c30986c932d1",
     "filled.csv":
         "3fd5d18699403f810d6d8445dcc2b6571e3bcb39e31a4b8316a8a173f5b522c4",
     "write_csv/gaps.csv":
@@ -237,7 +235,7 @@ def cli_outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "run.cfg"
     cfg.write_text(CLI_CFG + f"output_dir = {root / 'run'}\n")
-    for command in ("train", "eval", "export-latents"):
+    for command in ("train", "eval"):
         assert main([command, "--config", str(cfg), "--quiet"]) == 0
     checkpoint = str(root / "run" / "checkpoint.bin")
     source_scale = [
@@ -253,10 +251,14 @@ def cli_outputs(tmp_path_factory):
         write_csv(str(root / "write_csv" / name), ds)
     return {
         name: hashlib.sha256((root / name).read_bytes()).hexdigest()
-        for name in CLI_DIGESTS
+        for name in [*CLI_DIGESTS, "source/latents.csv"]
     }
 
 
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_artifact_bytes_are_pinned(cli_outputs, name):
     assert cli_outputs[name] == CLI_DIGESTS[name]
+
+
+def test_latents_do_not_depend_on_eval_normalized(cli_outputs):
+    assert cli_outputs["source/latents.csv"] == cli_outputs["run/latents.csv"]

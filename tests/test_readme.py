@@ -46,7 +46,7 @@ def test_quickstart_runs_and_writes_every_artifact(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     artifacts = re.findall(r"^\| `([^`]+)` \|", _section("### Artifacts"), re.M)
-    assert len(artifacts) == 8
+    assert len(artifacts) == 7
     for name in artifacts:
         assert (tmp_path / "runs" / "demo" / name).is_file(), name
 
