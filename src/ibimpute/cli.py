@@ -105,9 +105,9 @@ def _build_parser() -> _Parser:
 
 def _load_run_config(args) -> RunConfig:
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {args.config}: {exc}") from None
     try:
         return RunConfig.from_sources(text, args.override, source=args.config)
     except ConfigError as exc:
@@ -261,15 +261,12 @@ def _cmd_impute(args) -> None:
     starts = list(range(0, ds.length - t_len + 1, t_len))
     if starts[-1] + t_len < ds.length:
         starts.append(ds.length - t_len)  # overlapping tail window
-    filled = ds.values.copy()
-    done = ds.native_mask.copy()  # True where the value is already final
+    filled = np.empty_like(ds.values)
+    end = 0  # rows before end hold the output of the first window that covered them
     for s in starts:
         window = Window(x=ds.values[s : s + t_len], m_obs=ds.native_mask[s : s + t_len])
-        out_win = model.impute(window)
-        span = slice(s, s + t_len)
-        todo = ~done[span]
-        filled[span][todo] = out_win[todo]
-        done[span] = True
+        filled[end : s + t_len] = model.impute(window)[end - s :]
+        end = s + t_len
     header, *body = raw_rows
     gap_t, gap_i = np.nonzero(~ds.native_mask)
     for t, i, v in zip(gap_t.tolist(), gap_i.tolist(), filled[gap_t, gap_i].tolist()):

@@ -251,6 +251,8 @@ class RunConfig:
         for key in ("eval.rates", "eval.patterns"):
             if not self.values[key]:
                 raise ConfigError(f"{key} needs at least one entry")
+            if len(set(self.values[key])) < len(self.values[key]):
+                raise ConfigError(f"{key} repeats an entry: {_fmt(self.values[key])}")
         for key in ("data.synth_vars", "data.synth_steps"):
             if self.values[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {self.values[key]}")
@@ -263,7 +265,8 @@ class RunConfig:
             model_cfg = self.model_config(n_vars=1)  # the data sets n_vars later
             model_cfg.validate()
             check_split_fractions(split)
-            for pattern in self.values["eval.patterns"]:
+            # the training mask, then each eval pattern's
+            for pattern in [self.values["mask.pattern"], *self.values["eval.patterns"]]:
                 replace(self.mask_spec(), pattern=pattern).validate(model_cfg.window_len)
             self.train_config().validate(key=_TRAIN_KEYS.__getitem__)
         except ValueError as exc:

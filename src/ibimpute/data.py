@@ -287,6 +287,8 @@ def write_csv(path: str, ds: Dataset) -> None:
 
 
 def check_split_fractions(fractions) -> None:
+    if not all(f > 0.0 for f in fractions):
+        raise SplitError(f"empty split: every fraction must be > 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise SplitError(f"fractions must sum to 1, got {fractions}")
 

@@ -293,7 +293,13 @@ class EpochStats:
 class TrainState:
     """Everything needed to resume training at an exact step boundary (the
     defaults are the state before the first step).  In a state that
-    :func:`fit` returns, each named array group views one flat copy."""
+    :func:`fit` returns, each named array group views one flat copy.
+
+    ``epoch_sums`` and ``epoch_steps`` are the reg, loc, glo and total loss
+    sums and the count of the finite steps so far in the epoch in progress,
+    and ``skip_streak`` counts the non-finite steps in a row that end at the
+    boundary, so a resumed fit reports the epoch stats, and raises the
+    :class:`TrainingError`, of the same fit run without a stop."""
 
     params: dict[str, np.ndarray] = field(default_factory=dict)
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -306,6 +312,9 @@ class TrainState:
     best_epoch: int = -1
     best_params: dict[str, np.ndarray] | None = None
     stall: int = 0           # epochs since the validation metric improved
+    epoch_sums: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    epoch_steps: int = 0
+    skip_streak: int = 0
 
 
 @dataclass
@@ -364,7 +373,7 @@ def fit(
     val_windows = make_windows(val_seg, window_len, val_stride)
     val_masked = [apply_mask(normalize_window(w, norm), val_spec) for w in val_windows]
 
-    state = start_state or TrainState()
+    state = replace(start_state or TrainState())  # fit's own copy: the caller's is never written
     # a state from before the first step has no parameters: draw them from the seed
     model = ImputationModel(
         model_cfg, params=state.params or None, seed=cfg.seed, normalizer=norm
@@ -379,119 +388,84 @@ def fit(
     history: list[EpochStats] = []
     log_rows: list[tuple[int, int, float, float, float, float]] = []
     best_flat = flatten_params(model_cfg, state.best_params) if state.best_params else None
-    best_val = state.best_val
-    best_epoch = state.best_epoch
-    stall = state.stall
-    global_step = state.global_step
-    aborted_in_a_row = 0
 
     def named_copy(flat: np.ndarray | None) -> dict[str, np.ndarray]:
         return {} if flat is None else param_views(model_cfg, flat.copy())
 
-    def snapshot(epoch: int, batch_idx: int) -> TrainState:
-        return TrainState(
-            params=named_copy(model.flat),
-            adam_m=named_copy(optimizer.m),
-            adam_v=named_copy(optimizer.v),
-            adam_t=optimizer.t,
-            epoch=epoch,
-            batch_idx=batch_idx,
-            global_step=global_step,
-            best_val=best_val,
-            best_epoch=best_epoch,
-            best_params=named_copy(best_flat) or None,
-            stall=stall,
+    def finish() -> FitResult:
+        state.params, state.adam_m, state.adam_v, state.adam_t = (
+            named_copy(model.flat), named_copy(optimizer.m), named_copy(optimizer.v), optimizer.t
         )
-
-    def finish(epoch: int, batch_idx: int) -> FitResult:
-        final_state = snapshot(epoch, batch_idx)
+        state.best_params = named_copy(best_flat) or None
         if best_flat is not None:
             model.flat[...] = best_flat  # the live model, at its best parameters
-        return FitResult(
-            model=model,
-            history=history,
-            state=final_state,
-            best_val_mae=best_val,
-            best_epoch=best_epoch,
-            log_rows=log_rows,
-        )
+        return FitResult(model, history, state, state.best_val, state.best_epoch, log_rows)
 
-    epoch = state.epoch
-    resume_batch = state.batch_idx
-    while epoch < cfg.epochs:
+    patience = cfg.early_stop_patience
+    # checked before every epoch, so a state that stopped early stays stopped
+    while state.epoch < cfg.epochs and not (patience > 0 and state.stall >= patience):
         t0 = time.monotonic()
-        epoch_spec = replace(cfg.mask_spec, seed=derive(cfg.seed, STREAM_MASK, epoch))
+        epoch_spec = replace(cfg.mask_spec, seed=derive(cfg.seed, STREAM_MASK, state.epoch))
         masked = [apply_mask(w, epoch_spec) for w in train_windows]
-        perm = SplitMix64(derive(cfg.seed, STREAM_SHUFFLE, epoch)).permutation(len(masked))
+        perm = SplitMix64(derive(cfg.seed, STREAM_SHUFFLE, state.epoch)).permutation(len(masked))
         batches = [
             [masked[j] for j in perm[i : i + cfg.batch_size]]
             for i in range(0, len(perm), cfg.batch_size)
         ]
-        sums = np.zeros(4)
-        n_steps = 0
-        for batch_idx in range(resume_batch, len(batches)):
-            if max_steps is not None and global_step >= max_steps:
+        while state.batch_idx < len(batches):
+            if max_steps is not None and state.global_step >= max_steps:
                 if log_path is not None:
                     write_training_log(log_path, log_rows)
-                return finish(epoch, batch_idx)
-            step_seed = derive(cfg.seed, STREAM_NOISE, epoch, batch_idx)
+                return finish()
+            step_seed = derive(cfg.seed, STREAM_NOISE, state.epoch, state.batch_idx)
             breakdown, stepped = train_step(
                 model,
-                batches[batch_idx],
+                batches[state.batch_idx],
                 cfg.weights,
                 optimizer,
                 step_seed,
                 clip_norm=cfg.clip_norm,
             )
-            if stepped:
-                aborted_in_a_row = 0
-            else:
-                aborted_in_a_row += 1
-                if progress:
-                    print(
-                        f"epoch {epoch} step {global_step}: non-finite loss, step skipped",
-                        file=sys.stderr,
-                    )
-                if aborted_in_a_row >= 3:
-                    raise TrainingError(
-                        "three consecutive non-finite training steps; aborting"
-                    )
-            log_rows.append(
-                (epoch, global_step, breakdown.reg, breakdown.loc, breakdown.glo, breakdown.total)
-            )
+            state.skip_streak = 0 if stepped else state.skip_streak + 1
+            if not stepped and progress:
+                print(
+                    f"epoch {state.epoch} step {state.global_step}: non-finite loss, step skipped",
+                    file=sys.stderr,
+                )
+            if state.skip_streak >= 3:
+                raise TrainingError("three consecutive non-finite training steps; aborting")
+            terms = (breakdown.reg, breakdown.loc, breakdown.glo, breakdown.total)
+            log_rows.append((state.epoch, state.global_step, *terms))
             if np.isfinite(breakdown.total):
-                sums += (breakdown.reg, breakdown.loc, breakdown.glo, breakdown.total)
-                n_steps += 1
-            global_step += 1
-        resume_batch = 0
+                state.epoch_sums = tuple(s + t for s, t in zip(state.epoch_sums, terms))
+                state.epoch_steps += 1
+            state.batch_idx += 1
+            state.global_step += 1
 
         val_mae = validation_mae(model, val_masked)
-        means = sums / max(n_steps, 1)
-        # means holds reg, loc, glo and total, in EpochStats' field order
-        history.append(EpochStats(epoch, *means.tolist(), val_mae, n_steps))
+        # reg, loc, glo and total, in EpochStats' field order
+        means = [s / max(state.epoch_steps, 1) for s in state.epoch_sums]
+        history.append(EpochStats(state.epoch, *means, val_mae, state.epoch_steps))
         if log_path is not None:
             write_training_log(log_path, log_rows)
-        if val_mae < best_val:
-            best_val = val_mae
-            best_epoch = epoch
+        if val_mae < state.best_val:
+            state.best_val, state.best_epoch, state.stall = val_mae, state.epoch, 0
             best_flat = model.flat.copy()
-            stall = 0
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, model)
         else:
-            stall += 1
+            state.stall += 1
         if progress:
             dt = time.monotonic() - t0
             print(
-                f"epoch {epoch}: train_total={means[3]:.6f} val_mae={val_mae:.6f} "
+                f"epoch {state.epoch}: train_total={means[3]:.6f} val_mae={val_mae:.6f} "
                 f"({dt:.1f}s)",
                 file=sys.stderr,
             )
-        epoch += 1
-        if cfg.early_stop_patience > 0 and stall >= cfg.early_stop_patience:
-            break
+        state.epoch += 1
+        state.batch_idx, state.epoch_sums, state.epoch_steps = 0, (0.0, 0.0, 0.0, 0.0), 0
 
-    return finish(epoch, 0)
+    return finish()
 
 
 def write_training_log(path: str, rows: list[tuple[int, int, float, float, float, float]]) -> None:

@@ -123,6 +123,35 @@ class TestArgumentErrors:
         assert rc == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_1_naming_the_file(self, tmp_path, capsys):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        Path(cfg_path).write_bytes(Path(cfg_path).read_bytes() + b"# \xff\n")
+        assert main(["train", "--config", cfg_path, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg_path}: ")
+        assert "can't decode byte 0xff" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("train", ["mask.pattern=block", "mask.block_len=200"]),
+            ("ablate", ["mask.pattern=block", "mask.block_len=200"]),
+            ("train", ["train.split=0.6,0.4,0.0"]),
+            ("train", ["train.split=-0.2,0.6,0.6"]),
+            ("eval", ["eval.patterns=point,point", "eval.rates=0.5,0.5"]),
+            ("ablate", ["eval.rates=0.5,0.5"]),
+        ],
+    )
+    def test_checks_that_need_no_data_exit_1_before_any_write(
+        self, tmp_path, capsys, command, overrides
+    ):
+        cfg_path, out_dir = _write_cfg(tmp_path)
+        argv = [command, "--config", cfg_path, "--quiet"]
+        assert main(argv + [a for o in overrides for a in ("--override", o)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg_path, _ = _write_cfg(tmp_path)
         rc = main(["train", "--config", cfg_path, "--override", "train.epoch=2"])

@@ -184,6 +184,30 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="eval.rates"):
             RunConfig.from_sources("eval.rates = 0.5,1.5\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("eval.patterns = point,block,point\n",
+             "eval.patterns repeats an entry: point,block,point"),
+            ("eval.rates = 0.5,0.50\n", "eval.rates repeats an entry: 0.5,0.5"),
+        ],
+    )
+    def test_repeated_eval_entries_are_refused(self, text, message):
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_sources(text)
+        assert str(excinfo.value) == message
+
+    def test_training_block_mask_must_fit_the_window(self):
+        RunConfig.from_sources("mask.pattern = point\nmask.block_len = 200\n")
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_sources("mask.pattern = block\nmask.block_len = 200\n")
+        assert str(excinfo.value) == "block_len 200 exceeds window length 96"
+
+    @pytest.mark.parametrize("split", ["0.6,0.4,0.0", "-0.2,0.6,0.6"])
+    def test_every_split_fraction_must_be_positive(self, split):
+        with pytest.raises(ConfigError, match=r"empty split: every fraction must be > 0"):
+            RunConfig.from_sources(f"train.split = {split}\n")
+
     def test_optional_stride_parses_none_and_int(self):
         cfg = RunConfig.from_sources("window.train_stride = none\n")
         assert cfg["window.train_stride"] is None

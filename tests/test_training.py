@@ -543,6 +543,36 @@ class TestFit:
         _assert_same_state(second.state, first.state)
         _assert_same_state(state, before)
 
+    def test_a_stop_at_any_step_boundary_resumes_to_the_same_record(
+        self, small_dataset, small_train_cfg
+    ):
+        cfg = dataclasses.replace(small_train_cfg, epochs=3)
+        full = fit(small_dataset, MODEL_CFG, cfg)
+        n_steps = full.state.global_step
+        assert n_steps == 30 and [h.n_steps for h in full.history] == [10, 10, 10]
+        for stop in range(n_steps + 1):  # each epoch boundary and the last step too
+            part = fit(small_dataset, MODEL_CFG, cfg, max_steps=stop)
+            resumed = fit(small_dataset, MODEL_CFG, cfg, start_state=part.state)
+            _assert_same_state(resumed.state, full.state)
+            assert resumed.history == full.history[part.state.epoch :], stop
+            assert resumed.log_rows == full.log_rows[stop:], stop
+
+    def test_the_skip_streak_survives_a_stop(self, small_dataset, small_train_cfg, monkeypatch):
+        nan_bd = LossBreakdown(float("nan"), float("nan"), float("nan"), float("nan"))
+        real, calls = training.train_step, []
+
+        def skip_steps_3_to_5(*args, **kwargs):
+            calls.append(None)
+            return (nan_bd, False) if 3 < len(calls) <= 6 else real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", skip_steps_3_to_5)
+        with pytest.raises(TrainingError, match="three consecutive"):
+            fit(small_dataset, MODEL_CFG, small_train_cfg)
+        calls.clear()
+        part = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=5)  # skips 3 and 4
+        with pytest.raises(TrainingError, match="three consecutive"):
+            fit(small_dataset, MODEL_CFG, small_train_cfg, start_state=part.state)
+
     def test_max_steps_zero_returns_init(self, small_dataset, small_train_cfg):
         result = fit(small_dataset, MODEL_CFG, small_train_cfg, max_steps=0)
         fresh = ImputationModel(MODEL_CFG, seed=small_train_cfg.seed)
@@ -607,6 +637,15 @@ class TestFit:
         )
         result = fit(small_dataset, MODEL_CFG, cfg)
         assert len(result.history) < 30
+
+    def test_an_early_stopped_state_resumes_to_itself(self, small_dataset):
+        cfg = TrainConfig(epochs=30, batch_size=4, learning_rate=0.5, seed=13,
+                          mask_spec=MaskSpec(rate=0.3), train_stride=6, early_stop_patience=2)
+        stopped = fit(small_dataset, MODEL_CFG, cfg)
+        assert stopped.state.epoch < 30
+        resumed = fit(small_dataset, MODEL_CFG, cfg, start_state=stopped.state)
+        assert resumed.history == [] and resumed.log_rows == []
+        _assert_same_state(resumed.state, stopped.state)
 
     def test_three_consecutive_aborts_raise(self, small_dataset, small_train_cfg, monkeypatch):
         nan_bd = LossBreakdown(float("nan"), float("nan"), float("nan"), float("nan"))
